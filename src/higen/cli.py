@@ -99,11 +99,22 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def _read_jsonl(path):
-    fh = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+    """(line number, JSON object) for each non-blank line of path or stdin ("-")."""
     try:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
+        fh = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read input {path}: {exc}") from exc
+    try:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise dt.record_error(path, lineno, exc) from None
+            if not isinstance(rec, dict):
+                raise DataError(f"{path} line {lineno}: expected a JSON object")
+            yield lineno, rec
     finally:
         if fh is not sys.stdin:
             fh.close()
@@ -118,9 +129,12 @@ def cmd_decode(args) -> int:
     model = dec.DecoderModel.load(args.checkpoint)
     out = _open_out(args.output)
     try:
-        for rec in _read_jsonl(args.input):
-            row = dt.DatasetRow(str(rec.get("user_id", "")), str(rec["query"]),
-                                dt._parse_context(rec.get("context", [])), "", 0, 0, 0.0)
+        for lineno, rec in _read_jsonl(args.input):
+            try:
+                row = dt.DatasetRow(str(rec.get("user_id", "")), str(rec["query"]),
+                                    dt._parse_context(rec.get("context", [])), "", 0, 0, 0.0)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise dt.record_error(args.input, lineno, exc) from None
             results = dec.constrained_beam_search(row, model, trie, args.beam, args.topk)
             out.write(json.dumps({
                 "query": row.query,
@@ -140,13 +154,16 @@ def cmd_expand(args) -> int:
         raise ConfigError(f"variant '{args.variant}' needs --i2i TABLE")
     out = _open_out(args.output)
     try:
-        for rec in _read_jsonl(args.input):
+        for lineno, rec in _read_jsonl(args.input):
             decoded = []
-            for res in rec["results"]:
-                node = trie.node_at(di.parse_docid_text(res["docid"]))
-                if node is None or node.docid is None:
-                    raise DataError(f"docid {res['docid']} not present in the index")
-                decoded.append((node.docid, float(res.get("logprob", 0.0))))
+            try:
+                for res in rec["results"]:
+                    node = trie.node_at(di.parse_docid_text(str(res["docid"])))
+                    if node is None or node.docid is None:
+                        raise DataError(f"docid {res['docid']} not present in the index")
+                    decoded.append((node.docid, float(res.get("logprob", 0.0))))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise dt.record_error(args.input, lineno, exc) from None
             merged = expand_variant(decoded, trie, table, cluster_k, use_i2i, args.cap,
                                     args.per_seed_n)
             out.write(json.dumps({

@@ -70,6 +70,12 @@ def _context_to_raw(context) -> list[str]:
     return [f"{i}:{t}" if t != "click" else i for i, t in context]
 
 
+def record_error(path, lineno: int, exc: Exception) -> DataError:
+    """DataError naming the file and line of a record that is not valid JSON
+    or has a missing or ill-typed field."""
+    return DataError(f"{path} line {lineno}: {type(exc).__name__}: {exc}")
+
+
 def _row_from_record(rec: dict) -> DatasetRow:
     relevance = rec["relevance"]
     click = rec["click"]
@@ -158,14 +164,18 @@ def load_catalog(path) -> list[Item]:
     except OSError as exc:
         raise DataError(f"cannot read catalog {path}: {exc}") from exc
     with fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            items.append(Item(str(rec["item_id"]), tuple(int(c) for c in rec["category_path"]),
-                              tuple(str(t) for t in rec["semantic_tokens"]),
-                              tuple(float(x) for x in rec["efficiency"]),
-                              float(rec["efficient_score"])))
+            try:
+                rec = json.loads(line)
+                items.append(Item(str(rec["item_id"]),
+                                  tuple(int(c) for c in rec["category_path"]),
+                                  tuple(str(t) for t in rec["semantic_tokens"]),
+                                  tuple(float(x) for x in rec["efficiency"]),
+                                  float(rec["efficient_score"])))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise record_error(path, lineno, exc) from None
     ids = [it.item_id for it in items]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate item ids in catalog")

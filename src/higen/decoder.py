@@ -8,17 +8,14 @@ cross-entropy; decoding walks the docID trie with beam search.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn
 from .docid import DocId, DocIdTrie
-from .errors import ConfigError, DataError, DimensionError, IndexBuildError, NumericError
-from .representation import Vocab, check_loss_trend
-
-log = logging.getLogger(__name__)
+from .errors import ConfigError, DataError, DimensionError, IndexBuildError
+from .representation import Vocab
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +100,6 @@ class DecoderConfig:
     batch_size: int = 64
     epochs: int = 10
     seed: int = 0
-    loss_window: int = 5
 
 
 class PositionVocab:
@@ -279,6 +275,7 @@ class DecoderModel:
     def load(cls, path) -> "DecoderModel":
         arrays, extra = nn.load_checkpoint(path)
         cfg_d = dict(extra["config"])
+        cfg_d.pop("loss_window", None)   # retired field, still in older checkpoints
         cfg_d["hidden"] = tuple(cfg_d["hidden"])
         model = cls(Vocab.from_json(extra["vocab"]), PositionVocab.from_json(extra["pos_vocab"]),
                     DecoderConfig(**cfg_d))
@@ -417,44 +414,19 @@ def brute_force_scores(model: DecoderModel, trie: DocIdTrie, row):
 
 def train_decoder(rows, catalog, docids: dict[str, DocId], trie: DocIdTrie,
                   weights: PositionWeightConfig, config: DecoderConfig):
-    """Train on clicked rows whose targets have docIDs; reports per-position
-    teacher-forced accuracy per epoch. Returns (model, history)."""
+    """Train with nn.fit on clicked rows whose targets have docIDs; reports
+    per-position teacher-forced accuracy per epoch. Returns (model, history)."""
     clicked = [r for r in rows if r.click == 1]
     if not clicked:
         raise DataError("no clicked rows to train the decoder on")
     vocab = Vocab.build(rows, catalog)
     model = DecoderModel(vocab, PositionVocab(docids), config)
     data = model.prepare_rows(clicked, docids)
-    params = model.params()
-    opt = nn.Adam(params, lr=config.lr)
-    rng = np.random.default_rng(config.seed + 1)
-    history: list[dict] = []
-    losses: list[float] = []
-    snapshot = {k: t.data.copy() for k, t in params.items()}
-    for epoch in range(config.epochs):
-        order = rng.permutation(data.size)
-        epoch_loss, n_batches = 0.0, 0
-        acc_sums: dict[int, float] = {}
-        for start in range(0, data.size, config.batch_size):
-            batch = data.take(order[start:start + config.batch_size])
-            loss, accuracy = position_aware_loss(batch, model, weights)
-            if not np.isfinite(loss.data):
-                for kk, t in params.items():
-                    t.data = snapshot[kk]
-                raise NumericError(f"non-finite decoder loss at epoch {epoch}; "
-                                   "last good parameters retained")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            epoch_loss += float(loss.data)
-            n_batches += 1
-            for t, a in accuracy.items():
-                acc_sums[t] = acc_sums.get(t, 0.0) + a
-        losses.append(epoch_loss / n_batches)
-        epoch_acc = {t: acc_sums[t] / n_batches for t in sorted(acc_sums)}
-        history.append({"epoch": epoch, "loss": losses[-1], "position_accuracy": epoch_acc})
-        log.info("decoder epoch %d loss %.4f acc %s", epoch, losses[-1],
-                 {t: round(a, 3) for t, a in epoch_acc.items()})
-        snapshot = {k: t.data.copy() for k, t in params.items()}
-    check_loss_trend(losses, config.loss_window, "decoder")
-    return model, history
+
+    def batch_loss(sel):
+        loss, accuracy = position_aware_loss(data.take(sel), model, weights)
+        return loss, {"position_accuracy": accuracy}
+
+    return model, nn.fit(model.params(), data.size, batch_loss, lr=config.lr,
+                         epochs=config.epochs, batch_size=config.batch_size,
+                         seed=config.seed, stage="decoder")

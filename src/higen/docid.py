@@ -294,10 +294,6 @@ class DocIdTrie:
             raise KeyError(f"no efficiency score at prefix {tuple(prefix)}")
         return node.score
 
-    def children_values(self, prefix) -> list[int]:
-        node = self.node_at(prefix)
-        return sorted(node.children) if node is not None else []
-
     def enumerate_docids(self) -> list[tuple[tuple[int, ...], str]]:
         """All (tokens, item_id) pairs in lexicographic token order."""
         out: list[tuple[tuple[int, ...], str]] = []

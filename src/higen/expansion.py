@@ -31,28 +31,33 @@ class RecallSet:
         return [e.item_id for e in self.entries]
 
 
+def direct_hits(decoded, trie: DocIdTrie) -> RecallSet:
+    """Decoded (DocId, logprob) pairs as "direct" entries: each item once, in
+    decoded order, scored by its first logprob."""
+    entries: list[RecallEntry] = []
+    seen: set[str] = set()
+    for d, logprob in decoded:
+        item_id = trie.lookup(d.tokens)
+        if item_id is not None and item_id not in seen:
+            seen.add(item_id)
+            entries.append(RecallEntry(item_id, "direct", float(logprob)))
+    return RecallSet(entries)
+
+
 def cluster_expand(decoded, trie: DocIdTrie, prefix_len_k: int) -> RecallSet:
     """All items sharing the first prefix_len_k docID tokens with any decoded
-    docID. Direct hits come first in decoded order; expansion items follow,
-    ordered by their leaf efficiency score descending.
+    (DocId, logprob) pair. Direct hits come first in decoded order; expansion
+    items follow, ordered by their leaf efficiency score descending.
 
     A decoded docID shorter than the prefix matches only itself.
     """
     if prefix_len_k < 1 or prefix_len_k > trie.max_depth:
         raise ConfigError(f"prefix length {prefix_len_k} outside [1, {trie.max_depth}]")
-    direct: list[RecallEntry] = []
-    seen: set[str] = set()
-    for entry in decoded:
-        d, logprob = (entry[0], entry[1]) if isinstance(entry, tuple) else (entry, 0.0)
-        item_id = trie.lookup(d.tokens)
-        if item_id is None or item_id in seen:
-            continue
-        seen.add(item_id)
-        direct.append(RecallEntry(item_id, "direct", float(logprob)))
+    direct = direct_hits(decoded, trie)
+    seen = set(direct.item_ids())
 
     expanded: dict[str, float] = {}
-    for entry in decoded:
-        d = entry[0] if isinstance(entry, tuple) else entry
+    for d, _logprob in decoded:
         if len(d.tokens) < prefix_len_k:
             continue   # prefix longer than the docID: only the docID itself
         for _tokens, item_id, leaf_score in trie.items_under(d.tokens[:prefix_len_k]):
@@ -63,7 +68,7 @@ def cluster_expand(decoded, trie: DocIdTrie, prefix_len_k: int) -> RecallSet:
                 expanded[item_id] = score
     tail = [RecallEntry(i, "cluster", s)
             for i, s in sorted(expanded.items(), key=lambda kv: (-kv[1], kv[0]))]
-    return RecallSet(direct + tail)
+    return RecallSet(direct.entries + tail)
 
 
 class I2ITable:

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import nn
 from .data import PageView
-from .errors import ConfigError, DataError, DimensionError, NumericError
-from .representation import AtomicEmbeddings, check_loss_trend
+from .errors import ConfigError, DataError, DimensionError
+from .representation import AtomicEmbeddings
 
 log = logging.getLogger(__name__)
 
@@ -38,11 +38,6 @@ class MetricConfig:
     cap_per_pv: int = 20
     seed: int = 0
     normalize: bool = False   # L2-normalize fused vectors before distances
-    loss_window: int = 5
-
-    @classmethod
-    def paper(cls) -> "MetricConfig":
-        return cls(d_out=768, hidden=(768,))
 
 
 class FusionModel:
@@ -73,6 +68,7 @@ class FusionModel:
     def load(cls, path) -> "FusionModel":
         arrays, extra = nn.load_checkpoint(path)
         cfg_d = dict(extra["config"])
+        cfg_d.pop("loss_window", None)   # retired field, still in older checkpoints
         cfg_d["hidden"] = tuple(cfg_d["hidden"])
         model = cls(extra["d_atomic"], MetricConfig(**cfg_d))
         for name, tensor in model.params().items():
@@ -162,7 +158,7 @@ def class_distance_gap(vectors: dict[str, np.ndarray], labels: dict[str, int]) -
 
 def train_metric(atomic_table: dict[str, AtomicEmbeddings], pvs: list[PageView],
                  config: MetricConfig) -> FusionModel:
-    """Train the fusion MLP on mined triplets; atomic embeddings stay frozen."""
+    """Train the fusion MLP on mined triplets with nn.fit; atomic embeddings stay frozen."""
     triplets = mine_triplets(pvs, config.cap_per_pv, config.seed)
     triplets = [t for t in triplets
                 if t.anchor in atomic_table and t.positive in atomic_table
@@ -173,33 +169,16 @@ def train_metric(atomic_table: dict[str, AtomicEmbeddings], pvs: list[PageView],
     model = FusionModel(d_atomic, config)
     inputs = {item_id: atomic_concat(a) for item_id, a in atomic_table.items()}
 
-    opt = nn.Adam(model.params(), lr=config.lr)
-    rng = np.random.default_rng(config.seed + 1)
-    losses: list[float] = []
-    snapshot = {k: t.data.copy() for k, t in model.params().items()}
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(triplets))
-        epoch_loss, n_batches = 0.0, 0
-        for start in range(0, len(triplets), config.batch_size):
-            batch = [triplets[i] for i in order[start:start + config.batch_size]]
-            a = nn.Tensor(np.stack([inputs[t.anchor] for t in batch]))
-            p = nn.Tensor(np.stack([inputs[t.positive] for t in batch]))
-            n = nn.Tensor(np.stack([inputs[t.negative] for t in batch]))
-            loss = triplet_loss_batch(model.fuse_batch(a), model.fuse_batch(p),
-                                      model.fuse_batch(n), config.margin)
-            if not np.isfinite(loss.data):
-                for k, t in model.params().items():
-                    t.data = snapshot[k]
-                raise NumericError(f"non-finite triplet loss at epoch {epoch}; "
-                                   "last good parameters retained")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            epoch_loss += float(loss.data)
-            n_batches += 1
-        losses.append(epoch_loss / n_batches)
-        snapshot = {k: t.data.copy() for k, t in model.params().items()}
-    check_loss_trend(losses, config.loss_window, "metric")
+    def batch_loss(sel):
+        batch = [triplets[i] for i in sel]
+        a = nn.Tensor(np.stack([inputs[t.anchor] for t in batch]))
+        p = nn.Tensor(np.stack([inputs[t.positive] for t in batch]))
+        n = nn.Tensor(np.stack([inputs[t.negative] for t in batch]))
+        return triplet_loss_batch(model.fuse_batch(a), model.fuse_batch(p),
+                                  model.fuse_batch(n), config.margin), {}
+
+    nn.fit(model.params(), len(triplets), batch_loss, lr=config.lr, epochs=config.epochs,
+           batch_size=config.batch_size, seed=config.seed, stage="metric")
     return model
 
 

@@ -1,6 +1,6 @@
 """Minimal neural substrate: float64 tensors with reverse-mode gradients,
-dense layers, scaled dot-product attention, losses, Adam, and a
-finite-difference gradient checker.
+dense layers, scaled dot-product attention, losses, Adam, the one training
+loop all three models use (`fit`), and a finite-difference gradient checker.
 
 Every op is hand-differentiated against a fixed vocabulary; there is no
 general autodiff beyond what the models in this package need.
@@ -9,13 +9,17 @@ general autodiff beyond what the models in this package need.
 from __future__ import annotations
 
 import json
+import logging
 
 import numpy as np
 
 from .errors import CheckpointError, DimensionError, NormalizationError, NumericError
 
+log = logging.getLogger(__name__)
+
 BCE_EPS = 1e-7
 DIST_EPS_SQ = 1e-24
+LOSS_WINDOW = 5   # epochs averaged by the loss-trend check
 
 
 def _f64(x) -> np.ndarray:
@@ -482,13 +486,6 @@ class DenseNet:
         return out
 
 
-def dense_forward(net: DenseNet, x):
-    """Forward pass through a DenseNet; plain ndarray in, plain ndarray out."""
-    if isinstance(x, Tensor):
-        return net.forward(x)
-    return net.forward(Tensor(x)).data
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -533,8 +530,59 @@ class Adam:
             p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
 
-def adam_step(state: Adam, grads: dict[str, np.ndarray] | None = None) -> None:
-    state.step(grads)
+# ---------------------------------------------------------------------------
+# training loop
+
+
+def check_loss_trend(losses, window: int, stage: str) -> bool:
+    """Warn when the window-smoothed loss increases; returns True if clean."""
+    if len(losses) < 2 * window:
+        return True
+    smoothed = np.convolve(losses, np.ones(window) / window, mode="valid")
+    if np.any(np.diff(smoothed) > 1e-9):
+        log.warning("%s: smoothed training loss increased over a window of %d", stage, window)
+        return False
+    return True
+
+
+def fit(params: dict[str, Tensor], n: int, batch_loss, *, lr: float, epochs: int,
+        batch_size: int, seed: int, stage: str) -> list[dict]:
+    """Adam on params over n examples, one permutation per epoch from a
+    generator seeded with seed + 1. batch_loss(indices) returns (scalar loss
+    tensor, {name: {key: value}} batch stats). A non-finite loss puts back the
+    parameters of the last finished epoch and raises NumericError. Returns one
+    {"epoch", "loss", name: {key: value}} record per epoch of batch means."""
+    opt = Adam(params, lr=lr)
+    rng = np.random.default_rng(seed + 1)
+    history: list[dict] = []
+    snapshot = {k: t.data.copy() for k, t in params.items()}
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        epoch_loss, n_batches = 0.0, 0
+        stat_sums: dict[str, dict] = {}
+        for start in range(0, n, batch_size):
+            loss, stats = batch_loss(order[start:start + batch_size])
+            if not np.isfinite(loss.data):
+                for k, t in params.items():
+                    t.data = snapshot[k]
+                raise NumericError(f"non-finite {stage} loss at epoch {epoch}; "
+                                   "last good parameters retained")
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            epoch_loss += float(loss.data)
+            n_batches += 1
+            for name, values in stats.items():
+                sums = stat_sums.setdefault(name, {})
+                sums.update({key: sums.get(key, 0.0) + value for key, value in values.items()})
+        record = {"epoch": epoch, "loss": epoch_loss / n_batches}
+        for name, sums in stat_sums.items():
+            record[name] = {key: sums[key] / n_batches for key in sorted(sums)}
+        history.append(record)
+        log.info("%s: %s", stage, record)
+        snapshot = {k: t.data.copy() for k, t in params.items()}
+    check_loss_trend([r["loss"] for r in history], LOSS_WINDOW, stage)
+    return history
 
 
 # ---------------------------------------------------------------------------

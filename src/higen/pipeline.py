@@ -263,13 +263,7 @@ def _evaluate(config: PipelineConfig, model, trie, train, test, st: _Stages) -> 
 def expand_variant(decoded, trie, i2i_table: ex.I2ITable, cluster_k: int | None,
                    use_i2i: bool, cap: int, per_seed_n: int) -> ex.RecallSet:
     """Combine direct decode results with the configured expansions."""
-    direct = ex.RecallSet([])
-    seen = set()
-    for d, lp in decoded:
-        item_id = trie.lookup(d.tokens)
-        if item_id is not None and item_id not in seen:
-            seen.add(item_id)
-            direct.entries.append(ex.RecallEntry(item_id, "direct", float(lp)))
+    direct = ex.direct_hits(decoded, trie)
     cluster = ex.RecallSet([])
     if cluster_k is not None:
         k_eff = min(cluster_k, trie.max_depth)

@@ -7,15 +7,12 @@ context and query sequences with scaled dot-product attention.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import nn
-from .errors import DataError, NumericError
-
-log = logging.getLogger(__name__)
+from .errors import DataError
 
 PAD = 0  # shared index for padding / unknown / "no-history"
 
@@ -49,12 +46,6 @@ class TwoTowerConfig:
     query_len: int = 4
     context_len: int = 4
     sem_len: int = 4
-    loss_window: int = 5
-
-    @classmethod
-    def paper(cls) -> "TwoTowerConfig":
-        return cls(d_k=256, d_u=256, d_e=256, d_atomic=256,
-                   user_hidden=(512,), head_hidden=(512,))
 
 
 @dataclass
@@ -223,6 +214,7 @@ class TwoTowerModel:
     def load(cls, path) -> "TwoTowerModel":
         arrays, extra = nn.load_checkpoint(path)
         cfg_d = dict(extra["config"])
+        cfg_d.pop("loss_window", None)   # retired field, still in older checkpoints
         cfg_d["user_hidden"] = tuple(cfg_d["user_hidden"])
         cfg_d["head_hidden"] = tuple(cfg_d["head_hidden"])
         model = cls(Vocab.from_json(extra["vocab"]), TwoTowerConfig(**cfg_d))
@@ -266,20 +258,9 @@ def embed_loss(y_r_hat, y_c_hat, y_r, y_c, w_c: float) -> nn.Tensor:
     return nn.add(nn.bce_mean(y_r_hat, y_r), nn.scale(nn.bce_mean(y_c_hat, y_c), w_c))
 
 
-def check_loss_trend(losses, window: int, stage: str) -> bool:
-    """Warn when the window-smoothed loss increases; returns True if clean."""
-    if len(losses) < 2 * window:
-        return True
-    smoothed = np.convolve(losses, np.ones(window) / window, mode="valid")
-    if np.any(np.diff(smoothed) > 1e-9):
-        log.warning("%s: smoothed training loss increased over a window of %d", stage, window)
-        return False
-    return True
-
-
 def train_embedding(rows, catalog, config: TwoTowerConfig) -> TwoTowerModel:
-    """Train the two-tower model; aborts on NaN loss keeping the last good
-    epoch's parameters."""
+    """Train the two-tower model with nn.fit; a NaN loss aborts keeping the
+    last good epoch's parameters."""
     if not rows:
         raise DataError("empty dataset")
     vocab = Vocab.build(rows, catalog)
@@ -291,32 +272,13 @@ def train_embedding(rows, catalog, config: TwoTowerConfig) -> TwoTowerModel:
     model.eff_std = np.where(std > 0, std, 1.0)
     data = replace(raw, eff=(raw.eff - model.eff_mean) / model.eff_std)
 
-    params = model.params()
-    opt = nn.Adam(params, lr=config.lr)
-    rng = np.random.default_rng(config.seed + 1)
-    losses: list[float] = []
-    snapshot = {k: t.data.copy() for k, t in params.items()}
-    for epoch in range(config.epochs):
-        order = rng.permutation(data.size)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, data.size, config.batch_size):
-            batch = data.take(order[start:start + config.batch_size])
-            y_r_hat, y_c_hat = model.forward(batch)
-            loss = embed_loss(y_r_hat, y_c_hat, batch.y_r, batch.y_c, config.w_c)
-            if not np.isfinite(loss.data):
-                for k, t in params.items():
-                    t.data = snapshot[k]
-                raise NumericError(f"non-finite embedding loss at epoch {epoch}; "
-                                   "last good parameters retained")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            epoch_loss += float(loss.data)
-            n_batches += 1
-        losses.append(epoch_loss / n_batches)
-        snapshot = {k: t.data.copy() for k, t in params.items()}
-    check_loss_trend(losses, config.loss_window, "embedding")
+    def batch_loss(sel):
+        batch = data.take(sel)
+        y_r_hat, y_c_hat = model.forward(batch)
+        return embed_loss(y_r_hat, y_c_hat, batch.y_r, batch.y_c, config.w_c), {}
+
+    nn.fit(model.params(), data.size, batch_loss, lr=config.lr, epochs=config.epochs,
+           batch_size=config.batch_size, seed=config.seed, stage="embedding")
     return model
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -66,14 +67,14 @@ class TestDenseNet:
         net.weights[0].data = np.eye(3)
         net.biases[0].data = np.zeros(3)
         x = rng.normal(size=(2, 3))
-        np.testing.assert_allclose(nn.dense_forward(net, x), x)
+        np.testing.assert_allclose(net.forward(x).data, x)
 
     def test_relu_clamps(self):
         rng = np.random.default_rng(0)
         net = nn.DenseNet([1, 1], ["relu"], rng)
         net.weights[0].data = np.array([[-1.0]])
         net.biases[0].data = np.array([0.0])
-        np.testing.assert_allclose(nn.dense_forward(net, [[2.0]]), [[0.0]])
+        np.testing.assert_allclose(net.forward([[2.0]]).data, [[0.0]])
 
     def test_two_layer_matches_scalar_oracle(self):
         rng = np.random.default_rng(11)
@@ -81,19 +82,19 @@ class TestDenseNet:
         x = rng.normal(size=(3, 4))
         want = ref_dense(x, [w.data for w in net.weights], [b.data for b in net.biases],
                          net.activations)
-        np.testing.assert_allclose(nn.dense_forward(net, x), want, atol=1e-10)
+        np.testing.assert_allclose(net.forward(x).data, want, atol=1e-10)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(0)
         net = nn.DenseNet([4, 2], ["identity"], rng)
         with pytest.raises(DimensionError):
-            nn.dense_forward(net, np.zeros((1, 3)))
+            net.forward(np.zeros((1, 3)))
 
     def test_deterministic_forward(self):
         rng = np.random.default_rng(0)
         net = nn.DenseNet([4, 4, 2], ["tanh", "identity"], rng)
         x = np.random.default_rng(5).normal(size=(2, 4))
-        assert np.array_equal(nn.dense_forward(net, x), nn.dense_forward(net, x))
+        assert np.array_equal(net.forward(x).data, net.forward(x).data)
 
 
 class TestBinaryCrossEntropy:
@@ -117,28 +118,76 @@ class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
         p = nn.Tensor([1.0, -2.0], requires_grad=True)
         opt = nn.Adam({"p": p}, lr=0.1)
-        nn.adam_step(opt, {"p": np.zeros(2)})
+        opt.step({"p": np.zeros(2)})
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_first_step_closed_form(self):
         # m_hat = g, v_hat = g^2 at t=1, so the step is lr * g / (|g| + eps)
         p = nn.Tensor([0.0], requires_grad=True)
         opt = nn.Adam({"p": p}, lr=0.1)
-        nn.adam_step(opt, {"p": np.array([1.0])})
+        opt.step({"p": np.array([1.0])})
         assert p.data[0] == pytest.approx(-0.1, rel=1e-6)
 
     def test_symmetry(self):
         p = nn.Tensor([3.0, 3.0], requires_grad=True)
         opt = nn.Adam({"p": p}, lr=0.05)
         for _ in range(7):
-            nn.adam_step(opt, {"p": np.array([0.7, 0.7])})
+            opt.step({"p": np.array([0.7, 0.7])})
         assert p.data[0] == p.data[1]
 
     def test_nonfinite_gradient_names_parameter(self):
         p = nn.Tensor([0.0], requires_grad=True)
         opt = nn.Adam({"p": p}, lr=0.1)
         with pytest.raises(NumericError, match="'p'"):
-            nn.adam_step(opt, {"p": np.array([np.nan])})
+            opt.step({"p": np.array([np.nan])})
+
+
+class TestFit:
+    @staticmethod
+    def _toy(nan_at_call=None):
+        """Mean squared distance of one row vector to a batch of targets."""
+        p = nn.Tensor([[1.0, -2.0, 0.5]], requires_grad=True)
+        targets = np.array([[0.0, 1.0, 2.0], [3.0, -1.0, 0.0], [1.0, 1.0, 1.0],
+                            [-2.0, 0.0, 4.0]])
+        calls = []
+
+        def batch_loss(sel):
+            calls.append(len(sel))
+            diff = nn.sub(nn.gather(p, np.zeros(len(sel), dtype=np.intp)), targets[sel])
+            loss = nn.mean_all(nn.mul(diff, diff))
+            if len(calls) == nan_at_call:
+                loss = nn.scale(loss, float("nan"))
+            return loss, {"size": {"rows": float(len(sel))}}
+
+        return {"p": p}, batch_loss
+
+    def test_history_holds_epoch_means(self):
+        params, batch_loss = self._toy()
+        history = nn.fit(params, 4, batch_loss, lr=0.1, epochs=3, batch_size=3, seed=0,
+                         stage="toy")
+        assert [r["epoch"] for r in history] == [0, 1, 2]
+        assert all(r["size"] == {"rows": 2.0} for r in history)  # batches of 3 and 1
+        assert all(np.isfinite(r["loss"]) for r in history)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_loss_restores_last_finished_epoch(self):
+        # two batches per epoch; the 6th call is the second batch of epoch 2,
+        # so one step of that epoch has already moved the parameters
+        want, batch_loss = self._toy()
+        nn.fit(want, 4, batch_loss, lr=0.1, epochs=2, batch_size=2, seed=0, stage="toy")
+        params, batch_loss = self._toy(nan_at_call=6)
+        with pytest.raises(NumericError, match="non-finite toy loss at epoch 2"):
+            nn.fit(params, 4, batch_loss, lr=0.1, epochs=5, batch_size=2, seed=0, stage="toy")
+        assert np.array_equal(params["p"].data, want["p"].data)
+
+    def test_loss_trend_warns_only_on_rise(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="higen.nn"):
+            assert nn.check_loss_trend([1.0 - 0.1 * i for i in range(10)], 5, "falling")
+        assert not caplog.records
+        with caplog.at_level(logging.WARNING, logger="higen.nn"):
+            assert not nn.check_loss_trend([0.1 * i for i in range(10)], 5, "rising")
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "rising" in caplog.records[0].getMessage()
 
 
 class TestGradcheck:

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from higen import cli
+from higen import decoder as dec
+from higen import fusion as fu
+from higen import representation as rep
 from higen.config import PipelineConfig, variant_parse
 from higen.errors import ConfigError
 from higen.evaluate import EvalReport
@@ -209,6 +213,51 @@ class TestExitCodes:
                        "--input", str(tmp_path / "unused.jsonl")])
         assert rc == cli.EXIT_DATA
 
+    def test_catalog_line_missing_field_is_3(self, corpus, tmp_path, capsys):
+        bad_catalog = tmp_path / "catalog.jsonl"
+        bad_catalog.write_text((corpus / "catalog.jsonl").read_text() + '{"item_id": "x"}\n')
+        cfg = json.loads((corpus / "config.json").read_text())
+        cfg.update(catalog_path=str(bad_catalog), workdir=str(tmp_path / "w"))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert cli.main(["run-all", "--config", str(p)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "line 61" in err and "category_path" in err
+
+    @pytest.mark.parametrize("line", ['{"user_id": "u0"}', '{"query": ', '["q"]',
+                                      '{"query": "q", "context": 5}'])
+    def test_malformed_decode_input_is_3(self, ran, tmp_path, capsys, line):
+        inp = tmp_path / "queries.jsonl"
+        inp.write_text(json.dumps({"query": "c101 w0"}) + "\n" + line + "\n")
+        rc = cli.main(["decode", "--index", str(ran / "work" / "index.json"),
+                       "--checkpoint", str(ran / "work" / "decoder.ckpt.json"),
+                       "--input", str(inp), "--output", str(tmp_path / "out.jsonl")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{inp} line 2" in err
+
+    @pytest.mark.parametrize("rec", [{"query": "q"}, {"results": [{"logprob": -1.0}]},
+                                     {"results": 3}, {"results": [{"docid": "999-999"}]},
+                                     {"results": [{"docid": "1-x"}]}])
+    def test_malformed_expand_input_is_3(self, ran, tmp_path, capsys, rec):
+        inp = tmp_path / "decoded.jsonl"
+        inp.write_text(json.dumps(rec) + "\n")
+        rc = cli.main(["expand", "--index", str(ran / "work" / "index.json"),
+                       "--input", str(inp), "--output", str(tmp_path / "out.jsonl")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{inp} line 1" in err
+
+    def test_missing_decode_input_is_3(self, ran, tmp_path, capsys):
+        rc = cli.main(["decode", "--index", str(ran / "work" / "index.json"),
+                       "--checkpoint", str(ran / "work" / "decoder.ckpt.json"),
+                       "--input", str(tmp_path / "nope.jsonl")])
+        assert rc == cli.EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_is_4(self, corpus, tmp_path):
         catalog = (corpus / "catalog.jsonl").read_text().splitlines()
@@ -223,3 +272,20 @@ class TestExitCodes:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert cli.main(["run-all", "--config", str(p)]) == 4
+
+
+class TestCheckpointCompat:
+    @pytest.mark.parametrize("name,load", [("embed.ckpt.json", rep.TwoTowerModel.load),
+                                           ("fusion.ckpt.json", fu.FusionModel.load),
+                                           ("decoder.ckpt.json", dec.DecoderModel.load)])
+    def test_retired_loss_window_key_loads(self, ran, tmp_path, name, load):
+        # checkpoints written before the loss-trend window became a constant
+        # carry it in their config
+        payload = json.loads((ran / "work" / name).read_text())
+        payload["extra"]["config"]["loss_window"] = 5
+        old = tmp_path / name
+        old.write_text(json.dumps(payload))
+        model, fresh = load(old), load(ran / "work" / name)
+        assert "loss_window" not in model.config.__dict__
+        for (ka, ta), (kb, tb) in zip(model.params().items(), fresh.params().items()):
+            assert ka == kb and np.array_equal(ta.data, tb.data)
