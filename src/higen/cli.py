@@ -14,7 +14,7 @@ from . import docid as di
 from . import expansion as ex
 from .config import PipelineConfig, variant_parse
 from .errors import ConfigError, DataError, HigenError, NumericError
-from .pipeline import expand_variant, run_ablation_study, run_kfold, run_pipeline
+from .pipeline import STAGES, expand_variant, run_ablation_study, run_kfold, run_pipeline
 
 log = logging.getLogger(__name__)
 
@@ -32,16 +32,13 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
-def _stage_command(stage):
-    def run(args) -> int:
-        cfg = _load_config(args)
-        cfg.stages = (stage,) if stage != "eval" else ("eval",)
-        report = run_pipeline(cfg)
-        if stage == "eval":
-            print(report.summary())
-        return 0
-
-    return run
+def cmd_stage(args) -> int:
+    cfg = _load_config(args)
+    cfg.stages = (args.stage,)
+    report = run_pipeline(cfg)
+    if args.stage == "eval":
+        print(report.summary())
+    return 0
 
 
 def cmd_run_all(args) -> int:
@@ -86,7 +83,6 @@ def cmd_gen_synthetic(args) -> int:
     dt.save_dataset(out / "train.jsonl", corpus.train_rows)
     dt.save_dataset(out / "test.jsonl", corpus.test_rows)
     dt.write_oracle_jsonl(out / "oracle.jsonl", corpus.oracle_pairs)
-    dt.save_category_tree(out / "category_tree.jsonl", corpus.category_tree)
     cfg = PipelineConfig.desk(
         catalog_path=str(out / "catalog.jsonl"), train_path=str(out / "train.jsonl"),
         test_path=str(out / "test.jsonl"), oracle_path=str(out / "oracle.jsonl"),
@@ -194,14 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--overlap", type=float, default=0.5)
     gen.set_defaults(func=cmd_gen_synthetic)
 
-    for stage, name in (("embed", "train-embed"), ("metric", "train-metric"),
-                        ("docids", "build-docids"), ("decoder", "train-decoder"),
-                        ("eval", "eval")):
-        p = sub.add_parser(name, help=f"run the {stage} stage")
+    for stage in STAGES:
+        p = sub.add_parser(stage.command, help=f"run the {stage.name} stage")
         p.add_argument("--config", required=True)
         p.add_argument("--workdir")
         p.add_argument("--seed", type=int)
-        p.set_defaults(func=_stage_command(stage))
+        p.set_defaults(func=cmd_stage, stage=stage.name)
 
     run = sub.add_parser("run-all", help="run every stage and write the report")
     run.add_argument("--config", required=True)

@@ -125,8 +125,6 @@ class PipelineConfig:
             (self.data_schema in ("jsonl", "tsv"), "data_schema must be jsonl or tsv"),
             (self.dec_activation in ("relu", "tanh", "identity"),
              "dec_activation must be relu, tanh, or identity"),
-            (all(s in ("embed", "metric", "docids", "decoder", "eval") for s in self.stages),
-             "unknown stage name"),
         ]
         for ok, msg in checks:
             if not ok:

@@ -70,10 +70,11 @@ def _context_to_raw(context) -> list[str]:
     return [f"{i}:{t}" if t != "click" else i for i, t in context]
 
 
-def record_error(path, lineno: int, exc: Exception) -> DataError:
-    """DataError naming the file and line of a record that is not valid JSON
-    or has a missing or ill-typed field."""
-    return DataError(f"{path} line {lineno}: {type(exc).__name__}: {exc}")
+def record_error(path, lineno: int | None, exc: Exception) -> DataError:
+    """DataError naming the file and line (when known) of a record that is not
+    valid JSON or has a missing or ill-typed field."""
+    where = f"{path} line {lineno}" if lineno else str(path)
+    return DataError(f"{where}: {type(exc).__name__}: {exc}")
 
 
 def _row_from_record(rec: dict) -> DatasetRow:
@@ -157,25 +158,30 @@ def group_page_views(rows, bucket_seconds: float = PV_BUCKET_SECONDS) -> list[Pa
     return [PageView(f"{u}|{q}|{b}", tuple(entries)) for (u, q, b), entries in groups.items()]
 
 
-def load_catalog(path) -> list[Item]:
-    items = []
+def read_jsonl(path, parse) -> list:
+    """parse(record) for each non-blank line of a JSONL file. An unreadable
+    file, bad JSON or a missing or ill-typed field raises DataError naming the
+    file and line."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
-        raise DataError(f"cannot read catalog {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    out = []
     with fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                items.append(Item(str(rec["item_id"]),
-                                  tuple(int(c) for c in rec["category_path"]),
-                                  tuple(str(t) for t in rec["semantic_tokens"]),
-                                  tuple(float(x) for x in rec["efficiency"]),
-                                  float(rec["efficient_score"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise record_error(path, lineno, exc) from None
+            if line.strip():
+                try:
+                    out.append(parse(json.loads(line)))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise record_error(path, lineno, exc) from None
+    return out
+
+
+def load_catalog(path) -> list[Item]:
+    items = read_jsonl(path, lambda rec: Item(
+        str(rec["item_id"]), tuple(int(c) for c in rec["category_path"]),
+        tuple(str(t) for t in rec["semantic_tokens"]),
+        tuple(float(x) for x in rec["efficiency"]), float(rec["efficient_score"])))
     ids = [it.item_id for it in items]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate item ids in catalog")
@@ -189,44 +195,6 @@ def save_catalog(path, items) -> None:
                                  "semantic_tokens": list(it.semantic_tokens),
                                  "efficiency": list(it.efficiency),
                                  "efficient_score": it.efficient_score}) + "\n")
-
-
-def load_category_tree(path) -> dict[int, tuple[int, ...]]:
-    """JSONL {category_id, parent_id, name} -> full root-to-leaf path per id."""
-    parents: dict[int, int | None] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            parent = rec.get("parent_id")
-            parents[int(rec["category_id"])] = None if parent is None else int(parent)
-    paths: dict[int, tuple[int, ...]] = {}
-    for cid in parents:
-        path_ids = [cid]
-        cur = parents[cid]
-        while cur is not None:
-            path_ids.append(cur)
-            if cur not in parents:
-                raise DataError(f"category {path_ids[-2]} references unknown parent {cur}")
-            cur = parents[cur]
-            if len(path_ids) > 64:
-                raise DataError("category tree contains a cycle")
-        paths[cid] = tuple(reversed(path_ids))
-    return paths
-
-
-def save_category_tree(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-
-
-def url_to_category(url: str, parts: int = 2) -> str:
-    """Derive a category key from a URL host: its first `parts` dot-separated
-    labels (configurable because log formats differ)."""
-    host = url.split("//")[-1].split("/")[0]
-    return ".".join(host.split(".")[:parts])
 
 
 def zero_shot_split(train_rows, test_rows):
@@ -249,7 +217,6 @@ class SyntheticCorpus:
     train_rows: list[DatasetRow]
     test_rows: list[DatasetRow]
     oracle_pairs: list[tuple[int, int, float]]
-    category_tree: list[dict]
 
 
 def generate_synthetic(n_items: int = 500, n_categories: int = 50,
@@ -263,7 +230,6 @@ def generate_synthetic(n_items: int = 500, n_categories: int = 50,
         raise DataError("need at least one item per category")
     rng = np.random.default_rng(seed)
     cat_ids = [101 + c for c in range(n_categories)]
-    tree = [{"category_id": cid, "parent_id": None, "name": f"cat{cid}"} for cid in cat_ids]
 
     items: list[Item] = []
     for i in range(n_items):
@@ -325,7 +291,7 @@ def generate_synthetic(n_items: int = 500, n_categories: int = 50,
         for b in range(a + 1, n_categories):
             if a // category_group == b // category_group:
                 oracle_pairs.append((cat_ids[a], cat_ids[b], 0.6))
-    return SyntheticCorpus(items, train_rows, test_rows, oracle_pairs, tree)
+    return SyntheticCorpus(items, train_rows, test_rows, oracle_pairs)
 
 
 def write_oracle_jsonl(path, pairs) -> None:
@@ -335,10 +301,5 @@ def write_oracle_jsonl(path, pairs) -> None:
 
 
 def read_oracle_jsonl(path) -> list[tuple[int, int, float]]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                out.append((int(rec["a"]), int(rec["b"]), float(rec["similarity"])))
-    return out
+    return read_jsonl(path, lambda rec: (int(rec["a"]), int(rec["b"]),
+                                         float(rec["similarity"])))

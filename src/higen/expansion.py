@@ -8,6 +8,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
+from .data import read_jsonl
 from .docid import DocId, DocIdTrie
 from .errors import ConfigError, DataError
 
@@ -89,14 +90,8 @@ class I2ITable:
 
     @classmethod
     def load(cls, path) -> "I2ITable":
-        neighbors: dict[str, list[tuple[str, float]]] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    neighbors[rec["item_id"]] = [(str(n), float(s))
-                                                 for n, s in rec["neighbors"]]
-        return cls(neighbors)
+        return cls(dict(read_jsonl(path, lambda rec: (
+            rec["item_id"], [(str(n), float(s)) for n, s in rec["neighbors"]]))))
 
 
 def swing_scores(interactions, alpha: float = 1.0, top_n: int = 50) -> I2ITable:

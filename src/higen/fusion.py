@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import PageView
+from .data import PageView, read_jsonl
 from .errors import ConfigError, DataError, DimensionError
 from .representation import AtomicEmbeddings
 
@@ -189,12 +189,8 @@ def write_fusion_jsonl(path, table: dict[str, np.ndarray]) -> None:
 
 
 def read_fusion_jsonl(path) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                out[rec["item_id"]] = np.asarray(rec["fusion"], dtype=float)
+    out = dict(read_jsonl(path, lambda rec: (rec["item_id"],
+                                             np.asarray(rec["fusion"], dtype=float))))
     if not out:
         raise DataError(f"empty fusion table at {path}")
     return out

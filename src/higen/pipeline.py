@@ -1,5 +1,21 @@
-"""Stage orchestration: embed -> metric -> docids -> decoder -> eval, each
-writing a content-hashed artifact so unchanged stages are skipped on re-run."""
+"""Stage orchestration driven by one table.
+
+`STAGES` holds the pipeline embed -> metric -> docids -> decoder -> eval as
+rows of `Stage(name, command, reads, cfg, writes, run)`. `reads` names the
+files a stage reads: config path fields (`catalog_path`, ...) for inputs and
+file names in the workdir for artifacts of earlier stages. `cfg` names the
+config fields it uses and `writes` the artifacts it leaves in the workdir.
+
+`run_pipeline` walks the table for the stages in `config.stages`. A stage's
+key hashes the package source, its `cfg` values and the content of every
+file in `reads`. The stage is skipped when the key equals `<stage>.hash`
+and every file in `writes` exists. Otherwise the hash file is deleted and
+the stage runs into a scratch directory inside the workdir, given a
+namespace that holds only its `cfg` fields and input paths; its outputs are
+then moved into place with `os.replace` and the key is recorded last. A
+stage that fails leaves the earlier artifacts as they were and no hash, so
+the next run re-runs it.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +23,12 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 from . import data as dt
 from . import decoder as dec
@@ -22,225 +42,194 @@ from .evaluate import EvalReport, recall_curve
 
 log = logging.getLogger(__name__)
 
-STAGE_ORDER = ("embed", "metric", "docids", "decoder", "eval")
+# Any edit to the package changes every stage key.
+SOURCE_HASH = hashlib.sha256(b"".join(
+    p.name.encode() + p.read_bytes() for p in sorted(Path(__file__).parent.glob("*.py"))
+)).hexdigest()
+
+
+@dataclass(frozen=True)
+class Stage:
+    name: str
+    command: str                 # CLI subcommand
+    reads: tuple[str, ...]       # config path fields, then workdir artifacts
+    cfg: tuple[str, ...]         # config fields the stage uses
+    writes: tuple[str, ...]      # artifacts the stage leaves in the workdir
+    run: Callable                # run(c, work, out): reads work/, writes out/
 
 
 def _file_hash(path) -> str:
+    if not path:
+        return ""      # optional input left unset
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(65536), b""):
+                h.update(chunk)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     return h.hexdigest()
 
 
-def _payload_hash(payload: dict) -> str:
+def _stage_key(stage: Stage, config: PipelineConfig, workdir: Path) -> str:
+    echo = config.echo()
+    payload = {"source": SOURCE_HASH, "cfg": {n: echo[n] for n in stage.cfg},
+               "reads": {r: _file_hash(echo[r] if r.endswith("_path") else workdir / r)
+                         for r in stage.reads}}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _cfg_subset(config: PipelineConfig, names) -> dict:
-    echo = config.echo()
-    return {n: echo[n] for n in names}
-
-
-class _Stages:
-    """Skip-if-unchanged bookkeeping around the artifact directory."""
-
-    def __init__(self, workdir: Path):
-        self.workdir = workdir
-        self.timings: dict[str, float] = {}
-        self.skipped: list[str] = []
-
-    def path(self, name: str) -> Path:
-        return self.workdir / name
-
-    def up_to_date(self, stage: str, payload: dict, artifacts) -> bool:
-        digest = _payload_hash(payload)
-        hash_file = self.workdir / f"{stage}.hash"
-        if hash_file.exists() and hash_file.read_text() == digest and \
-                all(self.path(a).exists() for a in artifacts):
-            self.skipped.append(stage)
-            self.timings[stage] = 0.0
-            log.info("stage %s: unchanged, skipping", stage)
-            return True
-        return False
-
-    def mark(self, stage: str, payload: dict, started: float) -> None:
-        (self.workdir / f"{stage}.hash").write_text(_payload_hash(payload))
-        self.timings[stage] = time.perf_counter() - started
-        log.info("stage %s: %.2fs", stage, self.timings[stage])
-
-
 def run_pipeline(config: PipelineConfig) -> EvalReport:
+    """Run the stages named in config.stages, in table order. The report
+    carries this call's timings and skipped stages, and the metrics when
+    the eval stage is among them."""
     config.validate()
     if not config.catalog_path or not config.train_path:
         raise ConfigError("catalog_path and train_path are required")
+    unknown = set(config.stages) - {stage.name for stage in STAGES}
+    if unknown:
+        raise ConfigError(f"unknown stage names: {sorted(unknown)}")
     workdir = Path(config.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    st = _Stages(workdir)
-
-    catalog = dt.load_catalog(config.catalog_path)
-    if not catalog:
-        raise DataError(f"empty catalog at {config.catalog_path}")
-    train = dt.load_dataset(config.train_path, config.data_schema, catalog)
-    if not train.rows:
-        raise DataError(f"empty dataset at {config.train_path}")
-    test = dt.load_dataset(config.test_path, config.data_schema, catalog) \
-        if config.test_path else None
-    oracle_pairs = dt.read_oracle_jsonl(config.oracle_path) if config.oracle_path else []
-    input_hashes = {"catalog": _file_hash(config.catalog_path),
-                    "train": _file_hash(config.train_path),
-                    "test": _file_hash(config.test_path) if config.test_path else "",
-                    "oracle": _file_hash(config.oracle_path) if config.oracle_path else ""}
-
-    atomic_path = st.path("atomic.jsonl")
-    embed_ckpt = st.path("embed.ckpt.json")
-    fusion_path = st.path("fusion.jsonl")
-    index_path = st.path("index.json")
-    decoder_ckpt = st.path("decoder.ckpt.json")
-    report_path = st.path("report.json")
-
-    if "embed" in config.stages:
-        payload = {"inputs": {k: input_hashes[k] for k in ("catalog", "train")},
-                   "cfg": _cfg_subset(config, (
-                       "seed", "lr_embed", "batch_embed", "epochs_embed", "embed_dim",
-                       "d_k", "d_u", "embed_hidden", "tau", "w_c", "query_len",
-                       "context_len", "sem_len"))}
-        if not st.up_to_date("embed", payload, ("atomic.jsonl", "embed.ckpt.json")):
-            started = time.perf_counter()
-            cfg = rep.TwoTowerConfig(
-                d_k=config.d_k, d_u=config.d_u, d_e=config.embed_dim,
-                d_atomic=config.embed_dim, user_hidden=config.embed_hidden,
-                head_hidden=config.embed_hidden, tau=config.tau, w_c=config.w_c,
-                lr=config.lr_embed, batch_size=config.batch_embed,
-                epochs=config.epochs_embed, seed=config.seed,
-                query_len=config.query_len, context_len=config.context_len,
-                sem_len=config.sem_len)
-            model = rep.train_embedding(train.rows, catalog, cfg)
-            rep.write_atomic_jsonl(atomic_path, rep.export_atomic_embeddings(model, catalog))
-            model.save(embed_ckpt)
-            st.mark("embed", payload, started)
-
-    if "metric" in config.stages:
-        payload = {"inputs": {"atomic": _file_hash(atomic_path), "train": input_hashes["train"]},
-                   "cfg": _cfg_subset(config, (
-                       "seed", "lr_metric", "batch_metric", "epochs_metric", "fusion_dim",
-                       "fusion_hidden", "margin", "cap_per_pv", "normalize_fusion"))}
-        if not st.up_to_date("metric", payload, ("fusion.jsonl",)):
-            started = time.perf_counter()
-            atomic = rep.read_atomic_jsonl(atomic_path)
-            cfg = fu.MetricConfig(d_out=config.fusion_dim, hidden=config.fusion_hidden,
-                                  margin=config.margin, lr=config.lr_metric,
-                                  batch_size=config.batch_metric, epochs=config.epochs_metric,
-                                  cap_per_pv=config.cap_per_pv, seed=config.seed,
-                                  normalize=config.normalize_fusion)
-            fmodel = fu.train_metric(atomic, train.page_views, cfg)
-            fu.write_fusion_jsonl(fusion_path, fu.fuse_table(atomic, fmodel))
-            fmodel.save(st.path("fusion.ckpt.json"))
-            st.mark("metric", payload, started)
-
-    if "docids" in config.stages:
-        payload = {"inputs": {"fusion": _file_hash(fusion_path),
-                              "catalog": input_hashes["catalog"]},
-                   "cfg": _cfg_subset(config, (
-                       "seed", "kmeans_k", "max_cluster", "docid_max_len",
-                       "category_clustering"))}
-        if not st.up_to_date("docids", payload, ("index.json",)):
-            started = time.perf_counter()
-            fusion_table = fu.read_fusion_jsonl(fusion_path)
-            scores = {it.item_id: it.efficient_score for it in catalog}
-            paths = {it.item_id: it.category_path for it in catalog}
-            docids, node_scores = di.build_docids(
-                fusion_table, scores, paths, max_len=config.docid_max_len,
-                k=config.kmeans_k, cs=config.max_cluster, seed=config.seed,
-                use_categories=config.category_clustering)
-            di.serialize_index(docids, node_scores, index_path)
-            st.mark("docids", payload, started)
-
-    semantic_len = config.semantic_len if config.category_clustering else 0
-
-    if "decoder" in config.stages:
-        payload = {"inputs": {"index": _file_hash(index_path), "train": input_hashes["train"],
-                              "oracle": input_hashes["oracle"]},
-                   "cfg": _cfg_subset(config, (
-                       "seed", "lr_decoder", "batch_decoder", "epochs_decoder", "dec_emb",
-                       "dec_model", "dec_hidden", "dec_activation", "lambda_h", "lambda_s",
-                       "lambda_e", "position_aware", "semantic_len", "query_len",
-                       "context_len"))}
-        if not st.up_to_date("decoder", payload, ("decoder.ckpt.json",)):
-            started = time.perf_counter()
-            docids, node_scores, trie = di.load_index(index_path)
-            weights = dec.PositionWeightConfig(
-                dec.RelevanceOracle(oracle_pairs), trie, lambda_h=config.lambda_h,
-                lambda_s=config.lambda_s, lambda_e=config.lambda_e,
-                semantic_len=semantic_len, position_aware=config.position_aware)
-            cfg = dec.DecoderConfig(emb=config.dec_emb, d_model=config.dec_model,
-                                    hidden=config.dec_hidden,
-                                    activation=config.dec_activation,
-                                    query_len=config.query_len,
-                                    context_len=config.context_len, lr=config.lr_decoder,
-                                    batch_size=config.batch_decoder,
-                                    epochs=config.epochs_decoder, seed=config.seed)
-            model, _history = dec.train_decoder(train.rows, catalog, docids, trie, weights,
-                                                cfg)
-            model.save(decoder_ckpt)
-            st.mark("decoder", payload, started)
-
-    report = EvalReport(config=config.echo())
-    if "eval" in config.stages:
-        payload = {"inputs": {"index": _file_hash(index_path),
-                              "decoder": _file_hash(decoder_ckpt),
-                              "train": input_hashes["train"], "test": input_hashes["test"]},
-                   "cfg": _cfg_subset(config, (
-                       "beam_width", "topk", "eval_ks", "variant", "cap", "i2i_alpha",
-                       "i2i_top_n", "per_seed_n"))}
-        if st.up_to_date("eval", payload, ("report.json",)):
-            report = EvalReport.load(report_path)
-            report.skipped_stages = list(st.skipped)
-            report.timings = st.timings
-            return report
+    timings: dict[str, float] = {}
+    skipped: list[str] = []
+    for stage in STAGES:
+        if stage.name not in config.stages:
+            continue
         started = time.perf_counter()
-        docids, node_scores, trie = di.load_index(index_path)
-        model = dec.DecoderModel.load(decoder_ckpt)
-        report = _evaluate(config, model, trie, train, test, st)
-        report.timings = dict(st.timings)
-        report.skipped_stages = list(st.skipped)
-        st.mark("eval", payload, started)
-        report.timings = dict(st.timings)
-        report.save(report_path)
+        key = _stage_key(stage, config, workdir)
+        hash_file = workdir / f"{stage.name}.hash"
+        if hash_file.exists() and hash_file.read_text() == key and \
+                all((workdir / name).exists() for name in stage.writes):
+            skipped.append(stage.name)
+            timings[stage.name] = 0.0
+            log.info("stage %s: unchanged, skipping", stage.name)
+            continue
+        hash_file.unlink(missing_ok=True)
+        out = workdir / f".{stage.name}.tmp"
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        fields = stage.cfg + tuple(r for r in stage.reads if r.endswith("_path"))
+        try:
+            stage.run(SimpleNamespace(**{n: getattr(config, n) for n in fields}), workdir, out)
+            for name in stage.writes:
+                os.replace(out / name, workdir / name)
+        finally:
+            shutil.rmtree(out, ignore_errors=True)
+        hash_file.write_text(key)
+        timings[stage.name] = time.perf_counter() - started
+        log.info("stage %s: %.2fs", stage.name, timings[stage.name])
+
+    if "eval" not in config.stages:
+        return EvalReport(config=config.echo(), timings=timings, skipped_stages=skipped)
+    report = EvalReport.load(workdir / "report.json")
+    report.config, report.timings, report.skipped_stages = config.echo(), timings, skipped
+    report.save(workdir / "report.json")     # eval's metrics with this call's record
     return report
 
 
-def _decode_rows(rows, model, trie, config):
+def _catalog(c) -> list[dt.Item]:
+    catalog = dt.load_catalog(c.catalog_path)
+    if not catalog:
+        raise DataError(f"empty catalog at {c.catalog_path}")
+    return catalog
+
+
+def _train(c, catalog) -> dt.LoadResult:
+    train = dt.load_dataset(c.train_path, c.data_schema, catalog)
+    if not train.rows:
+        raise DataError(f"empty dataset at {c.train_path}")
+    return train
+
+
+def _embed(c, work: Path, out: Path) -> None:
+    catalog = _catalog(c)
+    train = _train(c, catalog)
+    cfg = rep.TwoTowerConfig(
+        d_k=c.d_k, d_u=c.d_u, d_e=c.embed_dim, d_atomic=c.embed_dim,
+        user_hidden=c.embed_hidden, head_hidden=c.embed_hidden, tau=c.tau, w_c=c.w_c,
+        lr=c.lr_embed, batch_size=c.batch_embed, epochs=c.epochs_embed, seed=c.seed,
+        query_len=c.query_len, context_len=c.context_len, sem_len=c.sem_len)
+    model = rep.train_embedding(train.rows, catalog, cfg)
+    rep.write_atomic_jsonl(out / "atomic.jsonl", rep.export_atomic_embeddings(model, catalog))
+    model.save(out / "embed.ckpt.json")
+
+
+def _metric(c, work: Path, out: Path) -> None:
+    train = _train(c, _catalog(c))
+    atomic = rep.read_atomic_jsonl(work / "atomic.jsonl")
+    cfg = fu.MetricConfig(d_out=c.fusion_dim, hidden=c.fusion_hidden, margin=c.margin,
+                          lr=c.lr_metric, batch_size=c.batch_metric, epochs=c.epochs_metric,
+                          cap_per_pv=c.cap_per_pv, seed=c.seed, normalize=c.normalize_fusion)
+    fmodel = fu.train_metric(atomic, train.page_views, cfg)
+    fu.write_fusion_jsonl(out / "fusion.jsonl", fu.fuse_table(atomic, fmodel))
+    fmodel.save(out / "fusion.ckpt.json")
+
+
+def _docids(c, work: Path, out: Path) -> None:
+    catalog = _catalog(c)
+    docids, node_scores = di.build_docids(
+        fu.read_fusion_jsonl(work / "fusion.jsonl"),
+        {it.item_id: it.efficient_score for it in catalog},
+        {it.item_id: it.category_path for it in catalog}, max_len=c.docid_max_len,
+        k=c.kmeans_k, cs=c.max_cluster, seed=c.seed, use_categories=c.category_clustering)
+    di.serialize_index(docids, node_scores, out / "index.json")
+
+
+def _decoder(c, work: Path, out: Path) -> None:
+    catalog = _catalog(c)
+    train = _train(c, catalog)
+    oracle_pairs = dt.read_oracle_jsonl(c.oracle_path) if c.oracle_path else []
+    docids, _node_scores, trie = di.load_index(work / "index.json")
+    weights = dec.PositionWeightConfig(
+        dec.RelevanceOracle(oracle_pairs), trie, lambda_h=c.lambda_h, lambda_s=c.lambda_s,
+        lambda_e=c.lambda_e, semantic_len=c.semantic_len if c.category_clustering else 0,
+        position_aware=c.position_aware)
+    cfg = dec.DecoderConfig(emb=c.dec_emb, d_model=c.dec_model, hidden=c.dec_hidden,
+                            activation=c.dec_activation, query_len=c.query_len,
+                            context_len=c.context_len, lr=c.lr_decoder,
+                            batch_size=c.batch_decoder, epochs=c.epochs_decoder, seed=c.seed)
+    model, _history = dec.train_decoder(train.rows, catalog, docids, trie, weights, cfg)
+    model.save(out / "decoder.ckpt.json")
+
+
+def _decode_rows(rows, model, trie, c):
     predictions: dict[str, list[str]] = {}
     truths: dict[str, str] = {}
     decoded: dict[str, list] = {}
     for i, row in enumerate(rows):
         key = f"q{i}"
-        results = dec.constrained_beam_search(row, model, trie, config.beam_width,
-                                              config.topk)
+        results = dec.constrained_beam_search(row, model, trie, c.beam_width, c.topk)
         predictions[key] = [item_id for _d, _lp, item_id in results]
         decoded[key] = [(d, lp) for d, lp, _ in results]
         truths[key] = row.target_item_id
     return predictions, truths, decoded
 
 
-def _evaluate(config: PipelineConfig, model, trie, train, test, st: _Stages) -> EvalReport:
-    report = EvalReport(config=config.echo())
+def _eval(c, work: Path, out: Path) -> None:
+    """Recall of the held-in, test and zero-shot rows, and the merged recall
+    set of the configured variant. The I2I table it used goes to i2i.jsonl,
+    empty when the variant has no I2I part."""
+    catalog = _catalog(c)
+    train = _train(c, catalog)
+    test = dt.load_dataset(c.test_path, c.data_schema, catalog) if c.test_path else None
+    _docids, _node_scores, trie = di.load_index(work / "index.json")
+    model = dec.DecoderModel.load(work / "decoder.ckpt.json")
+    report = EvalReport()
     heldin = [r for r in train.rows if r.click == 1]
-    predictions, truths, decoded = _decode_rows(heldin, model, trie, config)
-    report.recall = recall_curve(predictions, truths, config.eval_ks)
+    predictions, truths, decoded = _decode_rows(heldin, model, trie, c)
+    report.recall = recall_curve(predictions, truths, c.eval_ks)
 
-    cluster_k, use_i2i = variant_parse(config.variant)
+    cluster_k, use_i2i = variant_parse(c.variant)
     i2i_table = ex.I2ITable({})
     if use_i2i:
         interactions = [(r.user_id, r.target_item_id) for r in train.rows if r.click == 1]
-        i2i_table = ex.swing_scores(interactions, alpha=config.i2i_alpha,
-                                    top_n=config.i2i_top_n)
-        i2i_table.save(st.path("i2i.jsonl"))
+        i2i_table = ex.swing_scores(interactions, alpha=c.i2i_alpha, top_n=c.i2i_top_n)
+    i2i_table.save(out / "i2i.jsonl")
     sizes, hits = [], 0
     for key in predictions:
         merged = expand_variant(decoded[key], trie, i2i_table, cluster_k, use_i2i,
-                                config.cap, config.per_seed_n)
+                                c.cap, c.per_seed_n)
         sizes.append(merged.recall_num)
         hits += truths[key] in set(merged.item_ids())
     report.recall_num = float(sum(sizes) / len(sizes)) if sizes else 0.0
@@ -249,15 +238,41 @@ def _evaluate(config: PipelineConfig, model, trie, train, test, st: _Stages) -> 
     if test is not None and test.rows:
         test_pos = [r for r in test.rows if r.click == 1]
         if test_pos:
-            preds, tr, _ = _decode_rows(test_pos, model, trie, config)
-            report.test_recall = recall_curve(preds, tr, config.eval_ks)
+            preds, tr, _ = _decode_rows(test_pos, model, trie, c)
+            report.test_recall = recall_curve(preds, tr, c.eval_ks)
         retained, removed = dt.zero_shot_split(train.rows, test.rows)
         retained_pos = [r for r in retained if r.click == 1]
         report.zero_shot_removed_fraction = removed
         if retained_pos:
-            preds, tr, _ = _decode_rows(retained_pos, model, trie, config)
-            report.zero_shot_recall = recall_curve(preds, tr, config.eval_ks)
-    return report
+            preds, tr, _ = _decode_rows(retained_pos, model, trie, c)
+            report.zero_shot_recall = recall_curve(preds, tr, c.eval_ks)
+    report.save(out / "report.json")
+
+
+STAGES = (
+    Stage("embed", "train-embed", ("catalog_path", "train_path"),
+          ("data_schema", "seed", "lr_embed", "batch_embed", "epochs_embed", "embed_dim",
+           "d_k", "d_u", "embed_hidden", "tau", "w_c", "query_len", "context_len", "sem_len"),
+          ("atomic.jsonl", "embed.ckpt.json"), _embed),
+    Stage("metric", "train-metric", ("catalog_path", "train_path", "atomic.jsonl"),
+          ("data_schema", "seed", "lr_metric", "batch_metric", "epochs_metric", "fusion_dim",
+           "fusion_hidden", "margin", "cap_per_pv", "normalize_fusion"),
+          ("fusion.jsonl", "fusion.ckpt.json"), _metric),
+    Stage("docids", "build-docids", ("catalog_path", "fusion.jsonl"),
+          ("seed", "kmeans_k", "max_cluster", "docid_max_len", "category_clustering"),
+          ("index.json",), _docids),
+    Stage("decoder", "train-decoder", ("catalog_path", "train_path", "oracle_path", "index.json"),
+          ("data_schema", "seed", "lr_decoder", "batch_decoder", "epochs_decoder", "dec_emb",
+           "dec_model", "dec_hidden", "dec_activation", "lambda_h", "lambda_s", "lambda_e",
+           "position_aware", "semantic_len", "category_clustering", "query_len",
+           "context_len"),
+          ("decoder.ckpt.json",), _decoder),
+    Stage("eval", "eval",
+          ("catalog_path", "train_path", "test_path", "index.json", "decoder.ckpt.json"),
+          ("data_schema", "beam_width", "topk", "eval_ks", "variant", "cap", "i2i_alpha",
+           "i2i_top_n", "per_seed_n"),
+          ("i2i.jsonl", "report.json"), _eval),
+)
 
 
 def expand_variant(decoded, trie, i2i_table: ex.I2ITable, cluster_k: int | None,

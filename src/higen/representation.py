@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
+from .data import read_jsonl
 from .errors import DataError
 
 PAD = 0  # shared index for padding / unknown / "no-history"
@@ -312,12 +313,5 @@ def write_atomic_jsonl(path, table: dict[str, AtomicEmbeddings]) -> None:
 
 
 def read_atomic_jsonl(path) -> dict[str, AtomicEmbeddings]:
-    import json
-    out: dict[str, AtomicEmbeddings] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            out[rec["item_id"]] = AtomicEmbeddings(np.asarray(rec["semantic"], dtype=float),
-                                                   np.asarray(rec["common"], dtype=float),
-                                                   np.asarray(rec["efficient"], dtype=float))
-    return out
+    return dict(read_jsonl(path, lambda rec: (rec["item_id"], AtomicEmbeddings(
+        *(np.asarray(rec[k], dtype=float) for k in ("semantic", "common", "efficient"))))))

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from higen import data as dt
+from higen import expansion as ex
+from higen import fusion as fu
+from higen import representation as rep
 from higen.errors import DataError
+from higen.evaluate import EvalReport
 
 
 def write_lines(path, lines):
@@ -120,40 +124,33 @@ class TestZeroShotSplit:
             dt.zero_shot_split(sample_rows(1), [])
 
 
-class TestCategoryTree:
-    def test_paths_walk_to_root(self, tmp_path):
-        path = tmp_path / "tree.jsonl"
-        dt.save_category_tree(path, [
-            {"category_id": 1, "parent_id": None, "name": "root"},
-            {"category_id": 2, "parent_id": 1, "name": "mid"},
-            {"category_id": 3, "parent_id": 2, "name": "leaf"},
-        ])
-        paths = dt.load_category_tree(path)
-        assert paths[3] == (1, 2, 3)
-        assert paths[1] == (1,)
+class TestArtifactLoaders:
+    @pytest.mark.parametrize("load,good,bad", [
+        (dt.read_oracle_jsonl, '{"a": 1, "b": 2, "similarity": 0.5}', '{"a": 101}'),
+        (fu.read_fusion_jsonl, '{"item_id": "i", "fusion": [0.5]}',
+         '{"item_id": "j", "fusion": "x"}'),
+        (rep.read_atomic_jsonl, '{"item_id": "i", "semantic": [1], "common": [1], '
+                                '"efficient": [1]}', '{"item_id": "j", "semantic": [1]}'),
+        (ex.I2ITable.load, '{"item_id": "i", "neighbors": [["j", 1.0]]}',
+         '{"item_id": "j", "neighbors": [["i"]]}'),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, load, good, bad):
+        path = tmp_path / "table.jsonl"
+        write_lines(path, [good, "", bad])
+        with pytest.raises(DataError, match=f"{path} line 3"):
+            load(path)
 
-    def test_unknown_parent_rejected(self, tmp_path):
-        path = tmp_path / "tree.jsonl"
-        dt.save_category_tree(path, [{"category_id": 2, "parent_id": 99, "name": "x"}])
-        with pytest.raises(DataError, match="unknown parent"):
-            dt.load_category_tree(path)
+    def test_missing_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            ex.I2ITable.load(tmp_path / "nope.jsonl")
 
-    def test_cycle_rejected(self, tmp_path):
-        path = tmp_path / "tree.jsonl"
-        dt.save_category_tree(path, [
-            {"category_id": 1, "parent_id": 2, "name": "a"},
-            {"category_id": 2, "parent_id": 1, "name": "b"},
-        ])
-        with pytest.raises(DataError, match="cycle"):
-            dt.load_category_tree(path)
-
-
-class TestUrlToCategory:
-    def test_first_two_host_labels(self):
-        assert dt.url_to_category("http://www.spiritplay.org/page") == "www.spiritplay"
-
-    def test_configurable_parts(self):
-        assert dt.url_to_category("sub.example.co.uk", parts=3) == "sub.example.co"
+    @pytest.mark.parametrize("text", ['{"recall": {}}', '{"recall": {"x": 1}, '
+                                      '"recall_num": 1}', '[1]', '{"recall": '])
+    def test_malformed_report_is_data_error(self, tmp_path, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match="report.json"):
+            EvalReport.load(path)
 
 
 class TestSynthetic:

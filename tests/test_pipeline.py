@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from higen import cli
 from higen import decoder as dec
 from higen import fusion as fu
+from higen import pipeline as pl
 from higen import representation as rep
 from higen.config import PipelineConfig, variant_parse
 from higen.errors import ConfigError
@@ -117,6 +119,13 @@ class TestRunPipeline:
         report = EvalReport.load(tmp_path / "stagewise" / "report.json")
         assert report.recall[1] > 0.5
 
+    def test_stage_subcommands_follow_the_table(self):
+        parser = cli.build_parser()
+        for stage in pl.STAGES:
+            args = parser.parse_args([stage.command, "--config", "cfg.json"])
+            assert args.func is cli.cmd_stage and args.stage == stage.name
+        assert [stage.name for stage in pl.STAGES] == list(PipelineConfig().stages)
+
     def test_kfold_returns_per_k_means(self, corpus, tmp_path):
         cfg = PipelineConfig.from_file(corpus / "config.json")
         cfg.workdir = str(tmp_path / "kfold")
@@ -133,6 +142,62 @@ class TestRunPipeline:
         assert set(result["mean"]) == {"full", "no_position_aware_loss",
                                        "no_category_clustering"}
         assert all(0.0 <= v <= 1.0 for v in result["mean"].values())
+
+
+@pytest.fixture
+def finished(ran, tmp_path):
+    """A copy of the finished run's workdir and a config that points at it."""
+    shutil.copytree(ran / "work", tmp_path / "work")
+    cfg = PipelineConfig.from_file(ran / "config.json")
+    cfg.workdir = str(tmp_path / "work")
+    return cfg
+
+
+class TestStageCache:
+    def test_beam_width_reruns_only_eval(self, finished):
+        finished.beam_width = 12
+        report = run_pipeline(finished)
+        assert report.skipped_stages == ["embed", "metric", "docids", "decoder"]
+        assert EvalReport.load(f"{finished.workdir}/report.json").config["beam_width"] == 12
+
+    def test_deleted_artifact_is_rebuilt(self, finished, tmp_path):
+        ckpt = tmp_path / "work" / "fusion.ckpt.json"
+        before = ckpt.read_bytes()
+        ckpt.unlink()
+        report = run_pipeline(finished)
+        # the retrain is deterministic, so nothing downstream changes
+        assert report.skipped_stages == ["embed", "docids", "decoder", "eval"]
+        assert ckpt.read_bytes() == before
+
+    def test_failed_stage_keeps_old_artifacts(self, finished, tmp_path, monkeypatch):
+        work = tmp_path / "work"
+        before = (work / "fusion.jsonl").read_bytes()
+
+        def partial_write(path, table):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write('{"item_id": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fu, "write_fusion_jsonl", partial_write)
+        broken = PipelineConfig.from_dict(finished.echo() | {"epochs_metric": 1,
+                                                            "stages": ["metric"]})
+        with pytest.raises(OSError, match="disk full"):
+            run_pipeline(broken)
+        assert (work / "fusion.jsonl").read_bytes() == before
+        assert not (work / "metric.hash").exists()
+        assert not any(p.name.startswith(".") for p in work.iterdir())   # scratch removed
+        monkeypatch.undo()
+        report = run_pipeline(finished)
+        assert report.skipped_stages == ["embed", "docids", "decoder", "eval"]
+
+    def test_source_change_reruns_every_stage(self, finished, monkeypatch):
+        monkeypatch.setattr(pl, "SOURCE_HASH", "edited")
+        assert run_pipeline(finished).skipped_stages == []
+
+    def test_unknown_stage_name_is_config_error(self, finished):
+        finished.stages = ("embed", "train")
+        with pytest.raises(ConfigError, match="train"):
+            run_pipeline(finished)
 
 
 class TestDecodeExpandCli:
@@ -250,6 +315,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"{inp} line 1" in err
+
+    def test_malformed_oracle_line_is_3(self, ran, finished, tmp_path, capsys):
+        bad_oracle = tmp_path / "oracle.jsonl"
+        lines = (ran / "oracle.jsonl").read_text().splitlines()
+        bad_oracle.write_text("\n".join(lines + ['{"a": 101}']) + "\n")
+        cfg = finished.echo() | {"oracle_path": str(bad_oracle)}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert cli.main(["train-decoder", "--config", str(p)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"line {len(lines) + 1}" in err and "'b'" in err
+
+    def test_malformed_i2i_table_is_3(self, ran, tmp_path, capsys):
+        table = tmp_path / "i2i.jsonl"
+        table.write_text(json.dumps({"item_id": "it0001"}) + "\n")
+        rc = cli.main(["expand", "--index", str(ran / "work" / "index.json"),
+                       "--variant", "i2i", "--i2i", str(table),
+                       "--input", str(tmp_path / "unused.jsonl")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{table} line 1" in err and "neighbors" in err
 
     def test_missing_decode_input_is_3(self, ran, tmp_path, capsys):
         rc = cli.main(["decode", "--index", str(ran / "work" / "index.json"),
