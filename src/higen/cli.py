@@ -64,8 +64,7 @@ def cmd_ablation(args) -> int:
     result = run_ablation_study(cfg, seeds, k=args.k)
     out = Path(cfg.workdir) / "ablation.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
+    dt.write_json(out, result, indent=2)
     for name, mean in result["mean"].items():
         print(f"{name}: mean recall@{args.k} = {mean:.4f}")
     print(f"ablation report written to {out}")
@@ -87,33 +86,10 @@ def cmd_gen_synthetic(args) -> int:
         catalog_path=str(out / "catalog.jsonl"), train_path=str(out / "train.jsonl"),
         test_path=str(out / "test.jsonl"), oracle_path=str(out / "oracle.jsonl"),
         workdir=str(out / "work"), seed=args.seed)
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(cfg.echo(), fh, indent=2)
+    dt.write_json(out / "config.json", cfg.echo(), indent=2)
     print(f"synthetic corpus written to {out} ({args.items} items, "
           f"{args.train_queries} train queries); config at {out / 'config.json'}")
     return 0
-
-
-def _read_jsonl(path):
-    """(line number, JSON object) for each non-blank line of path or stdin ("-")."""
-    try:
-        fh = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read input {path}: {exc}") from exc
-    try:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise dt.record_error(path, lineno, exc) from None
-            if not isinstance(rec, dict):
-                raise DataError(f"{path} line {lineno}: expected a JSON object")
-            yield lineno, rec
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
 
 
 def _open_out(path):
@@ -123,14 +99,12 @@ def _open_out(path):
 def cmd_decode(args) -> int:
     _docids, _scores, trie = di.load_index(args.index)
     model = dec.DecoderModel.load(args.checkpoint)
+    rows = dt.read_jsonl(args.input, lambda rec: dt.DatasetRow(
+        str(rec.get("user_id", "")), str(rec["query"]), dt._parse_context(rec.get("context", [])),
+        "", 0, 0, 0.0))
     out = _open_out(args.output)
     try:
-        for lineno, rec in _read_jsonl(args.input):
-            try:
-                row = dt.DatasetRow(str(rec.get("user_id", "")), str(rec["query"]),
-                                    dt._parse_context(rec.get("context", [])), "", 0, 0, 0.0)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise dt.record_error(args.input, lineno, exc) from None
+        for row in rows:
             results = dec.constrained_beam_search(row, model, trie, args.beam, args.topk)
             out.write(json.dumps({
                 "query": row.query,
@@ -148,22 +122,23 @@ def cmd_expand(args) -> int:
     table = ex.I2ITable.load(args.i2i) if args.i2i else ex.I2ITable({})
     if use_i2i and not args.i2i:
         raise ConfigError(f"variant '{args.variant}' needs --i2i TABLE")
+
+    def decoded(rec):
+        pairs = []
+        for res in rec["results"]:
+            node = trie.node_at(di.parse_docid_text(str(res["docid"])))
+            if node is None or node.docid is None:
+                raise DataError(f"docid {res['docid']} not present in the index")
+            pairs.append((node.docid, float(res.get("logprob", 0.0))))
+        return rec.get("query"), pairs
+
     out = _open_out(args.output)
     try:
-        for lineno, rec in _read_jsonl(args.input):
-            decoded = []
-            try:
-                for res in rec["results"]:
-                    node = trie.node_at(di.parse_docid_text(str(res["docid"])))
-                    if node is None or node.docid is None:
-                        raise DataError(f"docid {res['docid']} not present in the index")
-                    decoded.append((node.docid, float(res.get("logprob", 0.0))))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise dt.record_error(args.input, lineno, exc) from None
-            merged = expand_variant(decoded, trie, table, cluster_k, use_i2i, args.cap,
+        for query, hits in dt.read_jsonl(args.input, decoded):
+            merged = expand_variant(hits, trie, table, cluster_k, use_i2i, args.cap,
                                     args.per_seed_n)
             out.write(json.dumps({
-                "query": rec.get("query"),
+                "query": query,
                 "recall_num": merged.recall_num,
                 "items": [{"item_id": e.item_id, "source": e.source, "score": e.score}
                           for e in merged.entries]}) + "\n")

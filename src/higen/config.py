@@ -1,16 +1,50 @@
-"""Pipeline configuration: published defaults, a desk-scale preset, env-var
-overrides (HIGEN_*), and validation."""
+"""Pipeline configuration (published defaults, a desk-scale preset, env-var
+overrides (HIGEN_*), validation) and the one dataclass<->JSON round trip,
+used by `PipelineConfig` and by the configs and vocabularies in checkpoints."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ConfigError
+from .data import read_json
+from .errors import ConfigError, DataError
 
 ENV_PREFIX = "HIGEN_"
+
+
+def to_json(obj) -> dict:
+    """The fields of a dataclass in declaration order, tuples as lists."""
+    return {f.name: list(v) if isinstance(v := getattr(obj, f.name), tuple) else v
+            for f in dataclasses.fields(obj)}
+
+
+def _typed(name: str, value, default):
+    """value checked against the field's default: a list for a tuple (returned
+    as a tuple), an int for a float, a bool only for a bool; no default, any."""
+    if isinstance(default, tuple):
+        if isinstance(value, (list, tuple)):
+            return tuple(_typed(name, v, default[0]) for v in value)
+        kind = "list"
+    else:
+        kind = type(default).__name__
+        wanted = (int, float) if kind == "float" else type(default)
+        if default is dataclasses.MISSING or \
+                isinstance(value, wanted) and isinstance(value, bool) == (kind == "bool"):
+            return value
+    raise ConfigError(f"config field '{name}' expects {kind}, got {value!r}")
+
+
+def from_json(cls, d: dict):
+    """The dataclass cls from the JSON object d; unknown keys are errors."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    d = {k: v for k, v in d.items() if k != "loss_window"}   # retired, in older checkpoints
+    unknown = sorted(set(d) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    return cls(**{k: _typed(k, v, defaults[k]) for k, v in d.items()})
 
 
 @dataclass
@@ -94,8 +128,6 @@ class PipelineConfig:
         base.update(overrides)
         return cls(**base)
 
-    _TUPLE_FIELDS = ("stages", "embed_hidden", "fusion_hidden", "dec_hidden", "eval_ks")
-
     def validate(self) -> "PipelineConfig":
         checks = [
             (self.lr_embed > 0 and self.lr_metric > 0 and self.lr_decoder > 0,
@@ -133,56 +165,36 @@ class PipelineConfig:
         return self
 
     @classmethod
-    def field_names(cls) -> set[str]:
-        return {f.name for f in dataclasses.fields(cls)}
-
-    @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        unknown = sorted(set(d) - cls.field_names())
-        if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
-        clean = dict(d)
-        for name in cls._TUPLE_FIELDS:
-            if name in clean and isinstance(clean[name], list):
-                clean[name] = tuple(clean[name])
-        return cls(**clean)
+        return from_json(cls, d)
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                d = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(d, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
+            d = read_json(path)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from None
         return cls.from_dict(d)
 
     def apply_env(self, environ=None) -> "PipelineConfig":
         """HIGEN_<FIELD>=value overrides, parsed as JSON when possible."""
         environ = os.environ if environ is None else environ
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
         for key, raw in sorted(environ.items()):
             if not key.startswith(ENV_PREFIX):
                 continue
             name = key[len(ENV_PREFIX):].lower()
-            if name not in self.field_names():
+            if name not in defaults:
                 raise ConfigError(f"unknown config field in env var {key}")
             try:
                 value = json.loads(raw)
-            except json.JSONDecodeError:
-                value = raw
-            if name in self._TUPLE_FIELDS and isinstance(value, list):
-                value = tuple(value)
-            setattr(self, name, value)
+            except ValueError:
+                value = raw     # not JSON: the string itself
+            setattr(self, name, _typed(name, value, defaults[name]))
         return self
 
     def echo(self) -> dict:
-        out = dataclasses.asdict(self)
-        for name in self._TUPLE_FIELDS:
-            out[name] = list(out[name])
-        return out
+        return to_json(self)
 
 
 def variant_parse(variant: str) -> tuple[int | None, bool]:

@@ -1,15 +1,20 @@
-"""Catalog and interaction-log handling: row schemas, page-view grouping,
-zero-shot splitting, and the bundled synthetic corpus generator."""
+"""Catalog and interaction-log handling (row schemas, page-view grouping,
+zero-shot splitting, the synthetic corpus generator) and all file I/O: every
+write goes through `write_text`, every JSON document through `read_json` and
+every JSONL table but the interaction logs (`load_dataset`) `read_jsonl`."""
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import CheckpointError, DataError, NumericError
 
 log = logging.getLogger(__name__)
 
@@ -70,13 +75,6 @@ def _context_to_raw(context) -> list[str]:
     return [f"{i}:{t}" if t != "click" else i for i, t in context]
 
 
-def record_error(path, lineno: int | None, exc: Exception) -> DataError:
-    """DataError naming the file and line (when known) of a record that is not
-    valid JSON or has a missing or ill-typed field."""
-    where = f"{path} line {lineno}" if lineno else str(path)
-    return DataError(f"{where}: {type(exc).__name__}: {exc}")
-
-
 def _row_from_record(rec: dict) -> DatasetRow:
     relevance = rec["relevance"]
     click = rec["click"]
@@ -135,18 +133,15 @@ def load_dataset(path, schema: str = "jsonl", catalog=None,
 
 
 def save_dataset(path, rows, schema: str = "jsonl") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in rows:
-            if schema == "jsonl":
-                fh.write(json.dumps({"user_id": r.user_id, "query": r.query,
-                                     "context": _context_to_raw(r.context),
-                                     "target_item_id": r.target_item_id,
-                                     "relevance": r.relevance, "click": r.click,
-                                     "timestamp": r.timestamp}) + "\n")
-            else:
-                ctx = ",".join(_context_to_raw(r.context))
-                fh.write("\t".join([r.user_id, r.query, ctx, r.target_item_id,
-                                    str(r.relevance), str(r.click), repr(r.timestamp)]) + "\n")
+    if schema == "jsonl":
+        write_jsonl(path, ({"user_id": r.user_id, "query": r.query,
+                            "context": _context_to_raw(r.context),
+                            "target_item_id": r.target_item_id, "relevance": r.relevance,
+                            "click": r.click, "timestamp": r.timestamp} for r in rows))
+    else:
+        write_text(path, ("\t".join([r.user_id, r.query, ",".join(_context_to_raw(r.context)),
+                                     r.target_item_id, str(r.relevance), str(r.click),
+                                     repr(r.timestamp)]) + "\n" for r in rows))
 
 
 def group_page_views(rows, bucket_seconds: float = PV_BUCKET_SECONDS) -> list[PageView]:
@@ -158,30 +153,11 @@ def group_page_views(rows, bucket_seconds: float = PV_BUCKET_SECONDS) -> list[Pa
     return [PageView(f"{u}|{q}|{b}", tuple(entries)) for (u, q, b), entries in groups.items()]
 
 
-def read_jsonl(path, parse) -> list:
-    """parse(record) for each non-blank line of a JSONL file. An unreadable
-    file, bad JSON or a missing or ill-typed field raises DataError naming the
-    file and line."""
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    out = []
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    out.append(parse(json.loads(line)))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise record_error(path, lineno, exc) from None
-    return out
-
-
 def load_catalog(path) -> list[Item]:
-    items = read_jsonl(path, lambda rec: Item(
+    items = list(read_jsonl(path, lambda rec: Item(
         str(rec["item_id"]), tuple(int(c) for c in rec["category_path"]),
         tuple(str(t) for t in rec["semantic_tokens"]),
-        tuple(float(x) for x in rec["efficiency"]), float(rec["efficient_score"])))
+        tuple(float(x) for x in rec["efficiency"]), float(rec["efficient_score"]))))
     ids = [it.item_id for it in items]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate item ids in catalog")
@@ -189,12 +165,10 @@ def load_catalog(path) -> list[Item]:
 
 
 def save_catalog(path, items) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for it in items:
-            fh.write(json.dumps({"item_id": it.item_id, "category_path": list(it.category_path),
-                                 "semantic_tokens": list(it.semantic_tokens),
-                                 "efficiency": list(it.efficiency),
-                                 "efficient_score": it.efficient_score}) + "\n")
+    write_jsonl(path, ({"item_id": it.item_id, "category_path": list(it.category_path),
+                        "semantic_tokens": list(it.semantic_tokens),
+                        "efficiency": list(it.efficiency),
+                        "efficient_score": it.efficient_score} for it in items))
 
 
 def zero_shot_split(train_rows, test_rows):
@@ -295,11 +269,103 @@ def generate_synthetic(n_items: int = 500, n_categories: int = 50,
 
 
 def write_oracle_jsonl(path, pairs) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for a, b, sim in pairs:
-            fh.write(json.dumps({"a": a, "b": b, "similarity": sim}) + "\n")
+    write_jsonl(path, ({"a": a, "b": b, "similarity": sim} for a, b, sim in pairs))
 
 
 def read_oracle_jsonl(path) -> list[tuple[int, int, float]]:
-    return read_jsonl(path, lambda rec: (int(rec["a"]), int(rec["b"]),
-                                         float(rec["similarity"])))
+    return list(read_jsonl(path, lambda rec: (int(rec["a"]), int(rec["b"]),
+                                              float(rec["similarity"]))))
+
+
+# ---------------------------------------------------------------------------
+# file I/O
+
+
+def write_text(path, chunks) -> None:
+    """Write chunks to path through a temporary file and os.replace; a fault
+    leaves the old file and no temporary one. The JSON encoder's ValueError,
+    its refusal of a non-finite number, becomes NumericError naming path."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            try:
+                fh.writelines(chunks)
+            except ValueError as exc:
+                raise NumericError(f"{path}: {exc}") from None
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_json(path, doc, indent: int | None = None) -> None:
+    write_text(path, json.JSONEncoder(allow_nan=False, indent=indent).iterencode(doc))
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+# one coder each: json.dumps and json.loads build a new one per call when given options
+_ENCODE = json.JSONEncoder(allow_nan=False).encode
+_DECODE = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+
+def write_jsonl(path, records) -> None:
+    write_text(path, (_ENCODE(rec) + "\n" for rec in records))
+
+
+def read_json(path, fields: dict[str, type] | None = None, version: int | None = None,
+              decode=None):
+    """decode(doc), or doc, for the JSON object doc in path; a bad file or JSON,
+    NaN, a "version" not an int up to `version`, a field of `fields` missing or
+    of another type, or a bad field met by decode raise CheckpointError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = _DECODE(fh.read())
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{path}: bad JSON: {exc.msg} at offset {exc.pos}") from None
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    found = doc.get("version")
+    if version is not None and not (isinstance(found, int) and found <= version):
+        raise CheckpointError(f"{path}: version {found!r} is missing or newer than {version}")
+    for name, kind in (fields or {}).items():
+        if not isinstance(doc.get(name), kind):
+            raise CheckpointError(f"{path}: field '{name}' is missing or not a {kind.__name__}")
+    try:
+        return doc if decode is None else decode(doc)
+    except CheckpointError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+def read_jsonl(path, parse):
+    """parse(record) for each non-blank line of a JSONL file or of stdin ("-"),
+    lazily; a bad file, UTF-8 or JSON, NaN, a line that is not an object, or a
+    bad field met by parse raise DataError naming the file and line."""
+    try:
+        fh = sys.stdin if str(path) == "-" else open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = _DECODE(line)
+                if not isinstance(rec, dict):
+                    raise TypeError(f"expected a JSON object, got {type(rec).__name__}")
+                value = parse(rec)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path} line {lineno}: {type(exc).__name__}: {exc}") from None
+            yield value
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    finally:
+        if fh is not sys.stdin:
+            fh.close()

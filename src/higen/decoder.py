@@ -8,11 +8,12 @@ cross-entropy; decoding walks the docID trie with beam search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
+from .config import from_json, to_json
 from .docid import DocId, DocIdTrie
 from .errors import ConfigError, DataError, DimensionError, IndexBuildError
 from .representation import Vocab
@@ -28,10 +29,6 @@ def hierarchical_weight(t: int, last: int) -> float:
     if not 0 <= t <= last:
         raise DimensionError(f"position {t} outside [0, {last}]")
     return float(np.exp(last - t) / np.exp(np.arange(last + 1)).sum())
-
-
-def hierarchical_weights(last: int) -> np.ndarray:
-    return np.array([hierarchical_weight(t, last) for t in range(last + 1)])
 
 
 class RelevanceOracle:
@@ -51,9 +48,6 @@ class RelevanceOracle:
         if a == b:
             return 1.0
         return self.table.get((a, b), self.default)
-
-    def is_relevant(self, a: int, b: int) -> bool:
-        return self.similarity(a, b) >= 0.5
 
 
 def position_weight(t: int, last: int, semantic_len: int, y_t: int, y_hat_t: int,
@@ -108,16 +102,18 @@ class PositionVocab:
     def __init__(self, docids: dict[str, DocId]):
         if not docids:
             raise DataError("cannot build a position vocabulary from no docIDs")
-        n_positions = max(len(d.tokens) for d in docids.values())
-        seen: list[set[int]] = [set() for _ in range(n_positions)]
+        seen: list[set[int]] = [set() for _ in range(max(len(d.tokens) for d in docids.values()))]
         for d in docids.values():
             for t, tok in enumerate(d.tokens):
                 seen[t].add(tok)
-        self.values = [sorted(s) for s in seen]
-        self.index = [{v: i for i, v in enumerate(vals)} for vals in self.values]
-        self.offsets = np.concatenate([[0], np.cumsum([len(v) for v in self.values])])
+        self._set_values([sorted(s) for s in seen])
+
+    def _set_values(self, values: list[list[int]]) -> None:
+        self.values = values
+        self.index = [{v: i for i, v in enumerate(vals)} for vals in values]
+        self.offsets = np.concatenate([[0], np.cumsum([len(v) for v in values])])
         self.total = int(self.offsets[-1])
-        self.n_positions = n_positions
+        self.n_positions = len(values)
 
     def size(self, t: int) -> int:
         return len(self.values[t])
@@ -137,11 +133,7 @@ class PositionVocab:
     @classmethod
     def from_json(cls, d: dict) -> "PositionVocab":
         obj = cls.__new__(cls)
-        obj.values = [list(map(int, v)) for v in d["values"]]
-        obj.index = [{v: i for i, v in enumerate(vals)} for vals in obj.values]
-        obj.offsets = np.concatenate([[0], np.cumsum([len(v) for v in obj.values])])
-        obj.total = int(obj.offsets[-1])
-        obj.n_positions = len(obj.values)
+        obj._set_values([list(map(int, v)) for v in d["values"]])
         return obj
 
 
@@ -266,22 +258,15 @@ class DecoderModel:
     # -- persistence -----------------------------------------------------------
 
     def save(self, path) -> None:
-        cfg = self.config.__dict__ | {"hidden": list(self.config.hidden)}
         nn.save_checkpoint(path, self.params(),
-                           {"vocab": self.vocab.to_json(),
-                            "pos_vocab": self.pos_vocab.to_json(), "config": cfg})
+                           {"vocab": to_json(self.vocab), "pos_vocab": self.pos_vocab.to_json(),
+                            "config": to_json(self.config)})
 
     @classmethod
     def load(cls, path) -> "DecoderModel":
-        arrays, extra = nn.load_checkpoint(path)
-        cfg_d = dict(extra["config"])
-        cfg_d.pop("loss_window", None)   # retired field, still in older checkpoints
-        cfg_d["hidden"] = tuple(cfg_d["hidden"])
-        model = cls(Vocab.from_json(extra["vocab"]), PositionVocab.from_json(extra["pos_vocab"]),
-                    DecoderConfig(**cfg_d))
-        for name, tensor in model.params().items():
-            tensor.data = arrays[name]
-        return model
+        return nn.load_checkpoint(path, lambda extra: cls(
+            from_json(Vocab, extra["vocab"]), PositionVocab.from_json(extra["pos_vocab"]),
+            from_json(DecoderConfig, extra["config"])))
 
 
 # ---------------------------------------------------------------------------

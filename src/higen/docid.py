@@ -4,13 +4,13 @@ to constrain decoding."""
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, DataError, IndexBuildError
+from .data import read_json, write_json
+from .errors import ConfigError, DataError, IndexBuildError
 
 log = logging.getLogger(__name__)
 
@@ -113,15 +113,6 @@ def kmeans(points, k: int, seed: int = 0):
     return remap[labels], centroids[order]
 
 
-def kmeans_inertia(points, labels) -> float:
-    points = np.asarray(points, dtype=float)
-    total = 0.0
-    for c in np.unique(labels):
-        members = points[labels == c]
-        total += float(((members - members.mean(axis=0)) ** 2).sum())
-    return total
-
-
 # ---------------------------------------------------------------------------
 # hierarchical clustering
 
@@ -210,12 +201,8 @@ def build_docids(fusion: dict[str, np.ndarray], scores: dict[str, float],
         for c in sorted(set(int(x) for x in labels)):
             pos = [i for i in range(len(member_ids)) if labels[i] == c]
             cluster_ids = [member_ids[i] for i in pos]
-            cluster_scores = [member_scores[i] for i in pos]
-            if len(cluster_ids) > cs:
-                rest = _hier(pts[pos], cluster_scores, cluster_ids, k, cs,
-                             max_len - len(path) - 2, child_seed(seed, 7919 * gi + c))
-            else:
-                rest = _ordinal_tokens(cluster_ids, cluster_scores)
+            rest = _hier(pts[pos], [member_scores[i] for i in pos], cluster_ids, k, cs,
+                         max_len - len(path) - 2, child_seed(seed, 7919 * gi + c))
             for local, item_id in enumerate(cluster_ids):
                 docids[item_id] = DocId(path + (c,) + rest[local], semantic_len=len(path))
 
@@ -344,33 +331,23 @@ def build_trie(docids: dict[str, DocId], node_scores: dict[tuple[int, ...], floa
 
 def serialize_index(docids: dict[str, DocId], node_scores: dict[tuple[int, ...], float],
                     path) -> None:
-    payload = {
+    write_json(path, {
         "version": INDEX_VERSION,
         "docids": {item_id: {"tokens": list(d.tokens), "semantic_len": d.semantic_len}
                    for item_id, d in sorted(docids.items())},
         "node_scores": {"-".join(str(t) for t in prefix): score
                         for prefix, score in sorted(node_scores.items())},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, allow_nan=False)
+    })
 
 
 def load_index(path):
-    """Returns (docids, node_scores, trie); refuses newer versions and
-    reports the byte offset of any corruption."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read index {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"corrupt index {path}: {exc.msg} at offset {exc.pos}") from exc
-    version = payload.get("version")
-    if not isinstance(version, int) or version > INDEX_VERSION:
-        raise CheckpointError(f"index version {version!r} is newer than supported "
-                              f"{INDEX_VERSION}")
-    docids = {item_id: DocId(tuple(rec["tokens"]), rec["semantic_len"])
-              for item_id, rec in payload["docids"].items()}
-    node_scores = {parse_docid_text(key): float(score)
-                   for key, score in payload["node_scores"].items()}
-    return docids, node_scores, build_trie(docids, node_scores)
+    """(docids, node_scores, trie); a bad index raises CheckpointError."""
+
+    def decode(doc):
+        docids = {item_id: DocId(tuple(rec["tokens"]), rec["semantic_len"])
+                  for item_id, rec in doc["docids"].items()}
+        node_scores = {parse_docid_text(key): float(score)
+                       for key, score in doc["node_scores"].items()}
+        return docids, node_scores, build_trie(docids, node_scores)
+
+    return read_json(path, {"docids": dict, "node_scores": dict}, INDEX_VERSION, decode)

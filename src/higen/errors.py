@@ -33,4 +33,4 @@ class IndexBuildError(HigenError, ValueError):
 
 
 class CheckpointError(DataError):
-    """A checkpoint or index file is corrupt, truncated, or too new."""
+    """A stored JSON document (checkpoint, index, report) is bad or too new."""

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
-from .data import record_error
-from .errors import ConfigError, DataError
+from .data import read_json, write_json
+from .errors import ConfigError
 
 
 def recall_at_k(predictions: dict, truths: dict, k: int) -> float:
@@ -69,32 +67,13 @@ class EvalReport:
                                  "config": self.config}
 
     def save(self, path) -> None:
-        """Write to a temporary file, then replace path in one step."""
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, allow_nan=False)
-        os.replace(tmp, path)
+        write_json(path, self.to_json(), indent=2)
 
     @classmethod
     def load(cls, path) -> "EvalReport":
-        def intkeys(m):
-            return None if m is None else {int(k): v for k, v in m.items()}
-
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                d = json.load(fh)
-            return cls(recall=intkeys(d["recall"]) or {}, recall_num=d["recall_num"],
-                       expanded_recall=d.get("expanded_recall"),
-                       test_recall=intkeys(d.get("test_recall")),
-                       zero_shot_recall=intkeys(d.get("zero_shot_recall")),
-                       zero_shot_removed_fraction=d.get("zero_shot_removed_fraction"),
-                       kfold_recall=intkeys(d.get("kfold_recall")),
-                       timings=d.get("timings", {}),
-                       skipped_stages=d.get("skipped_stages", []), config=d.get("config", {}))
-        except OSError as exc:
-            raise DataError(f"cannot read report {path}: {exc}") from exc
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise record_error(path, getattr(exc, "lineno", None), exc) from None
+        curves = ("recall", "test_recall", "zero_shot_recall", "kfold_recall")
+        return read_json(path, {"recall": dict, "recall_num": float}, decode=lambda d: cls(
+            **d | {k: {int(j): v for j, v in d[k].items()} for k in curves if d.get(k)}))
 
     def summary(self) -> str:
         lines = ["evaluation summary"]

@@ -4,13 +4,12 @@ item-to-item similarity (I2I variant)."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .data import read_jsonl
+from .data import read_jsonl, write_jsonl
 from .docid import DocId, DocIdTrie
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -82,11 +81,8 @@ class I2ITable:
         return self.neighbors.get(item_id, [])[:n]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for item_id in sorted(self.neighbors):
-                fh.write(json.dumps({"item_id": item_id,
-                                     "neighbors": [[n, s] for n, s in
-                                                   self.neighbors[item_id]]}) + "\n")
+        write_jsonl(path, ({"item_id": item_id, "neighbors": [[n, s] for n, s in neighbors]}
+                           for item_id, neighbors in sorted(self.neighbors.items())))
 
     @classmethod
     def load(cls, path) -> "I2ITable":

@@ -3,15 +3,15 @@ discriminative vector and refine it with page-view triplets."""
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .data import PageView, read_jsonl
-from .errors import ConfigError, DataError, DimensionError
+from .config import from_json, to_json
+from .data import PageView, read_jsonl, write_jsonl
+from .errors import ConfigError, DataError
 from .representation import AtomicEmbeddings
 
 log = logging.getLogger(__name__)
@@ -61,32 +61,18 @@ class FusionModel:
         return out
 
     def save(self, path) -> None:
-        cfg = self.config.__dict__ | {"hidden": list(self.config.hidden)}
-        nn.save_checkpoint(path, self.params(), {"d_atomic": self.d_atomic, "config": cfg})
+        nn.save_checkpoint(path, self.params(),
+                           {"d_atomic": self.d_atomic, "config": to_json(self.config)})
 
     @classmethod
     def load(cls, path) -> "FusionModel":
-        arrays, extra = nn.load_checkpoint(path)
-        cfg_d = dict(extra["config"])
-        cfg_d.pop("loss_window", None)   # retired field, still in older checkpoints
-        cfg_d["hidden"] = tuple(cfg_d["hidden"])
-        model = cls(extra["d_atomic"], MetricConfig(**cfg_d))
-        for name, tensor in model.params().items():
-            tensor.data = arrays[name]
-        return model
+        return nn.load_checkpoint(path, lambda extra: cls(
+            extra["d_atomic"], from_json(MetricConfig, extra["config"])))
 
 
 def atomic_concat(atomic: AtomicEmbeddings) -> np.ndarray:
     """Fusion input order: common, efficient, semantic."""
     return np.concatenate([atomic.common, atomic.efficient, atomic.semantic])
-
-
-def fuse(atomic: AtomicEmbeddings, model: FusionModel) -> np.ndarray:
-    x = atomic_concat(atomic)
-    if x.shape[0] != 3 * model.d_atomic:
-        raise DimensionError(f"atomic width {x.shape[0]} does not match fusion input "
-                             f"{3 * model.d_atomic}")
-    return model.fuse_batch(nn.Tensor(x[None, :])).data[0]
 
 
 def fuse_table(atomic_table: dict[str, AtomicEmbeddings],
@@ -129,31 +115,12 @@ def mine_triplets(pvs: list[PageView], cap_per_pv: int = 20, seed: int = 0) -> l
     return out
 
 
-def triplet_loss(anchor, positive, negative, margin: float) -> float:
-    """Hinge max{0, margin + d(a,p) - d(a,n)} with L2 distance."""
-    a = np.asarray(anchor, dtype=float)
-    d_ap = np.linalg.norm(a - np.asarray(positive, dtype=float))
-    d_an = np.linalg.norm(a - np.asarray(negative, dtype=float))
-    return max(0.0, margin + d_ap - d_an)
-
-
 def triplet_loss_batch(a: nn.Tensor, p: nn.Tensor, n: nn.Tensor, margin: float) -> nn.Tensor:
     """Mean hinge loss over a batch of (anchor, positive, negative) rows."""
     d_ap = nn.l2_dist_rows(a, p)
     d_an = nn.l2_dist_rows(a, n)
     hinge = nn.relu(nn.add(nn.sub(d_ap, d_an), nn.Tensor(np.full(d_ap.shape, margin))))
     return nn.mean_all(hinge)
-
-
-def class_distance_gap(vectors: dict[str, np.ndarray], labels: dict[str, int]) -> float:
-    """Mean intra-class distance minus mean inter-class distance."""
-    ids = sorted(vectors)
-    intra, inter = [], []
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            d = float(np.linalg.norm(vectors[a] - vectors[b]))
-            (intra if labels[a] == labels[b] else inter).append(d)
-    return float(np.mean(intra) - np.mean(inter))
 
 
 def train_metric(atomic_table: dict[str, AtomicEmbeddings], pvs: list[PageView],
@@ -183,9 +150,8 @@ def train_metric(atomic_table: dict[str, AtomicEmbeddings], pvs: list[PageView],
 
 
 def write_fusion_jsonl(path, table: dict[str, np.ndarray]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item_id in sorted(table):
-            fh.write(json.dumps({"item_id": item_id, "fusion": table[item_id].tolist()}) + "\n")
+    write_jsonl(path, ({"item_id": item_id, "fusion": v.tolist()}
+                       for item_id, v in sorted(table.items())))
 
 
 def read_fusion_jsonl(path) -> dict[str, np.ndarray]:

@@ -1,6 +1,7 @@
 """Minimal neural substrate: float64 tensors with reverse-mode gradients,
 dense layers, scaled dot-product attention, losses, Adam, the one training
-loop all three models use (`fit`), and a finite-difference gradient checker.
+loop all three models use (`fit`), a finite-difference gradient checker, and
+the checkpoint format (named parameters plus a JSON `extra` record).
 
 Every op is hand-differentiated against a fixed vocabulary; there is no
 general autodiff beyond what the models in this package need.
@@ -8,11 +9,11 @@ general autodiff beyond what the models in this package need.
 
 from __future__ import annotations
 
-import json
 import logging
 
 import numpy as np
 
+from .data import read_json, write_json
 from .errors import CheckpointError, DimensionError, NormalizationError, NumericError
 
 log = logging.getLogger(__name__)
@@ -403,16 +404,9 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
     return _node(-lsm[rows, targets], (logits,), bw)
 
 
-def binary_cross_entropy(prediction: float, label: int) -> float:
-    """Scalar BCE -(y log p + (1-y) log(1-p)) with predictions clamped to
-    [1e-7, 1 - 1e-7]."""
-    p = min(max(float(prediction), BCE_EPS), 1.0 - BCE_EPS)
-    y = float(label)
-    return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
-
-
 def bce_mean(p: Tensor, labels) -> Tensor:
-    """Mean BCE over a batch of probabilities (clamped like the scalar form)."""
+    """Mean BCE -(y log p + (1-y) log(1-p)) over a batch of probabilities
+    clamped to [BCE_EPS, 1 - BCE_EPS]."""
     p = _wrap(p)
     y = _f64(labels)
     if p.data.shape != y.shape:
@@ -624,33 +618,41 @@ def finite_diff_gradcheck(loss_fn, params: dict[str, Tensor], eps: float = 1e-5)
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, params: dict[str, Tensor | np.ndarray], extra: dict | None = None) -> None:
-    """Write named parameters to a versioned JSON container. float64 values
-    round-trip losslessly through Python's shortest-repr JSON floats."""
-    payload = {"version": CHECKPOINT_VERSION, "params": {}, "extra": extra or {}}
-    for name, p in params.items():
-        arr = p.data if isinstance(p, Tensor) else _f64(p)
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"non-finite values in parameter '{name}'")
-        payload["params"][name] = {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, allow_nan=False)
+def save_checkpoint(path, params: dict[str, Tensor], extra: dict | None = None) -> None:
+    """Write named parameters and the JSON record extra to a versioned JSON
+    container. float64 values round-trip losslessly through Python's
+    shortest-repr JSON floats."""
+    write_json(path, {"version": CHECKPOINT_VERSION, "params": {
+        name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
+        for name, t in params.items()}, "extra": extra or {}})
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+def _stored_array(path, name: str, rec) -> np.ndarray:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"corrupt checkpoint {path}: {exc.msg} at offset {exc.pos}") from exc
-    version = payload.get("version")
-    if not isinstance(version, int) or version > CHECKPOINT_VERSION:
-        raise CheckpointError(f"checkpoint version {version!r} is newer than supported "
-                              f"{CHECKPOINT_VERSION}")
-    params = {}
-    for name, rec in payload["params"].items():
-        arr = _f64(rec["data"]).reshape(rec["shape"])
-        params[name] = arr
-    return params, payload.get("extra", {})
+        return _f64(rec["data"]).reshape(rec["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: parameter '{name}': {exc!r}") from None
+
+
+def load_checkpoint(path, build):
+    """build(extra) on the checkpoint's extra record, with the parameters of the
+    model it returns restored in place by name and shape; a parameter missing,
+    unexpected, malformed or of another shape raises CheckpointError."""
+
+    def restore(doc):
+        # the JSON lists are converted and freed before build allocates the model
+        arrays = {name: _stored_array(path, name, rec) for name, rec in doc.pop("params").items()}
+        model = build(doc["extra"])
+        params = model.params()
+        if set(arrays) != set(params):
+            raise CheckpointError(f"{path}: parameters {sorted(set(params) - set(arrays))} are "
+                                  f"missing and {sorted(set(arrays) - set(params))} unexpected")
+        for name, tensor in params.items():
+            arr = arrays[name]
+            if arr.shape != tensor.data.shape:
+                raise CheckpointError(f"{path}: parameter '{name}' has shape {list(arr.shape)}, "
+                                      f"expected {list(tensor.data.shape)}")
+            tensor.data = arr
+        return model
+
+    return read_json(path, {"params": dict, "extra": dict}, CHECKPOINT_VERSION, restore)

@@ -116,7 +116,7 @@ def run_pipeline(config: PipelineConfig) -> EvalReport:
                 os.replace(out / name, workdir / name)
         finally:
             shutil.rmtree(out, ignore_errors=True)
-        hash_file.write_text(key)
+        dt.write_text(hash_file, [key])
         timings[stage.name] = time.perf_counter() - started
         log.info("stage %s: %.2fs", stage.name, timings[stage.name])
 

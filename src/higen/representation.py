@@ -7,12 +7,13 @@ context and query sequences with scaled dot-product attention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import nn
-from .data import read_jsonl
+from .config import from_json, to_json
+from .data import read_jsonl, write_jsonl
 from .errors import DataError
 
 PAD = 0  # shared index for padding / unknown / "no-history"
@@ -71,14 +72,6 @@ class Vocab:
         sem_tokens = {t: i + 1 for i, t in enumerate(stoks)}
         n_eff = len(catalog[0].efficiency) if catalog else 1
         return cls(users, query_tokens, items, sem_tokens, n_eff)
-
-    def to_json(self) -> dict:
-        return {"users": self.users, "query_tokens": self.query_tokens,
-                "items": self.items, "sem_tokens": self.sem_tokens, "n_eff": self.n_eff}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "Vocab":
-        return cls(d["users"], d["query_tokens"], d["items"], d["sem_tokens"], d["n_eff"])
 
 
 @dataclass
@@ -204,26 +197,20 @@ class TwoTowerModel:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
-        extra = {"vocab": self.vocab.to_json(),
-                 "config": self.config.__dict__ | {
-                     "user_hidden": list(self.config.user_hidden),
-                     "head_hidden": list(self.config.head_hidden)},
-                 "eff_mean": self.eff_mean.tolist(), "eff_std": self.eff_std.tolist()}
-        nn.save_checkpoint(path, self.params(), extra)
+        nn.save_checkpoint(path, self.params(), {
+            "vocab": to_json(self.vocab), "config": to_json(self.config),
+            "eff_mean": self.eff_mean.tolist(), "eff_std": self.eff_std.tolist()})
 
     @classmethod
     def load(cls, path) -> "TwoTowerModel":
-        arrays, extra = nn.load_checkpoint(path)
-        cfg_d = dict(extra["config"])
-        cfg_d.pop("loss_window", None)   # retired field, still in older checkpoints
-        cfg_d["user_hidden"] = tuple(cfg_d["user_hidden"])
-        cfg_d["head_hidden"] = tuple(cfg_d["head_hidden"])
-        model = cls(Vocab.from_json(extra["vocab"]), TwoTowerConfig(**cfg_d))
-        for name, tensor in model.params().items():
-            tensor.data = arrays[name]
-        model.eff_mean = np.asarray(extra["eff_mean"], dtype=float)
-        model.eff_std = np.asarray(extra["eff_std"], dtype=float)
-        return model
+        def build(extra):
+            model = cls(from_json(Vocab, extra["vocab"]),
+                        from_json(TwoTowerConfig, extra["config"]))
+            model.eff_mean = np.asarray(extra["eff_mean"], dtype=float).reshape(model.vocab.n_eff)
+            model.eff_std = np.asarray(extra["eff_std"], dtype=float).reshape(model.vocab.n_eff)
+            return model
+
+        return nn.load_checkpoint(path, build)
 
 
 def user_tower(x_u, x_q, x_c, model: TwoTowerModel) -> nn.Tensor:
@@ -303,13 +290,9 @@ def export_atomic_embeddings(model: TwoTowerModel, items) -> dict[str, AtomicEmb
 
 
 def write_atomic_jsonl(path, table: dict[str, AtomicEmbeddings]) -> None:
-    import json
-    with open(path, "w", encoding="utf-8") as fh:
-        for item_id in sorted(table):
-            a = table[item_id]
-            fh.write(json.dumps({"item_id": item_id, "semantic": a.semantic.tolist(),
-                                 "common": a.common.tolist(),
-                                 "efficient": a.efficient.tolist()}) + "\n")
+    write_jsonl(path, ({"item_id": item_id, "semantic": a.semantic.tolist(),
+                        "common": a.common.tolist(), "efficient": a.efficient.tolist()}
+                       for item_id, a in sorted(table.items())))
 
 
 def read_atomic_jsonl(path) -> dict[str, AtomicEmbeddings]:

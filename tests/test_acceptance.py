@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 from helpers import build_random_index, clustered_world, decoder_world
+from oracles import class_distance_gap, hierarchical_weights
 
 from higen import cli
 from higen import data as dt
@@ -92,7 +93,7 @@ def test_c01_gradient_correctness():
 def test_c02_position_weight_law():
     with criterion(2, "decay-weight law: sum 1, strictly decreasing, positive"):
         for last in range(1, 17):
-            w = dec.hierarchical_weights(last)
+            w = hierarchical_weights(last)
             assert abs(w.sum() - 1.0) < 1e-12, f"sum off at L={last}"
             assert np.all(np.diff(w) < 0.0), f"not strictly decreasing at L={last}"
             assert np.all(w > 0.0), f"non-positive weight at L={last}"
@@ -203,10 +204,10 @@ def test_c06_metric_learning_efficacy():
         table, labels, pvs = clustered_world(n_clusters=4, per_cluster=8, d=4, seed=3,
                                              spread=1.0, n_pvs=60)
         cfg = fu.MetricConfig(d_out=8, hidden=(16,), lr=5e-3, epochs=15, margin=0.5, seed=2)
-        before = fu.class_distance_gap(
+        before = class_distance_gap(
             fu.fuse_table(table, fu.FusionModel(4, cfg)), labels)
         model = fu.train_metric(table, pvs, cfg)
-        after = fu.class_distance_gap(fu.fuse_table(table, model), labels)
+        after = class_distance_gap(fu.fuse_table(table, model), labels)
         reduction = before - after
         assert reduction >= 0.30 * abs(before), \
             f"gap went {before:.4f} -> {after:.4f}, reduction {reduction:.4f}"

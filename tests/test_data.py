@@ -5,7 +5,7 @@ from higen import data as dt
 from higen import expansion as ex
 from higen import fusion as fu
 from higen import representation as rep
-from higen.errors import DataError
+from higen.errors import DataError, NumericError
 from higen.evaluate import EvalReport
 
 
@@ -129,6 +129,8 @@ class TestArtifactLoaders:
         (dt.read_oracle_jsonl, '{"a": 1, "b": 2, "similarity": 0.5}', '{"a": 101}'),
         (fu.read_fusion_jsonl, '{"item_id": "i", "fusion": [0.5]}',
          '{"item_id": "j", "fusion": "x"}'),
+        (fu.read_fusion_jsonl, '{"item_id": "i", "fusion": [0.5]}',
+         '{"item_id": "j", "fusion": [NaN]}'),
         (rep.read_atomic_jsonl, '{"item_id": "i", "semantic": [1], "common": [1], '
                                 '"efficient": [1]}', '{"item_id": "j", "semantic": [1]}'),
         (ex.I2ITable.load, '{"item_id": "i", "neighbors": [["j", 1.0]]}',
@@ -144,6 +146,12 @@ class TestArtifactLoaders:
         with pytest.raises(DataError, match="cannot read"):
             ex.I2ITable.load(tmp_path / "nope.jsonl")
 
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        path = tmp_path / "oracle.jsonl"
+        path.write_bytes(b'{"a": 1, "b": 2, "similarity": 0.5}\n\xff\xfe\n')
+        with pytest.raises(DataError, match="oracle.jsonl: 'utf-8' codec"):
+            dt.read_oracle_jsonl(path)
+
     @pytest.mark.parametrize("text", ['{"recall": {}}', '{"recall": {"x": 1}, '
                                       '"recall_num": 1}', '[1]', '{"recall": '])
     def test_malformed_report_is_data_error(self, tmp_path, text):
@@ -151,6 +159,26 @@ class TestArtifactLoaders:
         path.write_text(text)
         with pytest.raises(DataError, match="report.json"):
             EvalReport.load(path)
+
+
+class TestWriters:
+    @pytest.mark.parametrize("fault", ["raise", "nan"])
+    def test_failed_write_keeps_old_file(self, tmp_path, fault):
+        path = tmp_path / "table.jsonl"
+        dt.write_jsonl(path, [{"a": 1}])
+        before = path.read_bytes()
+
+        def records():
+            yield {"a": 2}
+            if fault == "raise":
+                raise OSError("disk full")
+            yield {"a": float("nan")}
+
+        with pytest.raises(OSError if fault == "raise" else NumericError,
+                           match="disk full" if fault == "raise" else str(path)):
+            dt.write_jsonl(path, records())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["table.jsonl"]
 
 
 class TestSynthetic:

