@@ -92,27 +92,21 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def _open_out(path):
-    return sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
-
-
 def cmd_decode(args) -> int:
     _docids, _scores, trie = di.load_index(args.index)
     model = dec.DecoderModel.load(args.checkpoint)
     rows = dt.read_jsonl(args.input, lambda rec: dt.DatasetRow(
         str(rec.get("user_id", "")), str(rec["query"]), dt._parse_context(rec.get("context", [])),
         "", 0, 0, 0.0))
-    out = _open_out(args.output)
-    try:
-        for row in rows:
-            results = dec.constrained_beam_search(row, model, trie, args.beam, args.topk)
-            out.write(json.dumps({
-                "query": row.query,
-                "results": [{"docid": d.text(), "item_id": item_id, "logprob": lp}
-                            for d, lp, item_id in results]}) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+
+    def line(row) -> str:
+        results = dec.constrained_beam_search(row, model, trie, args.beam, args.topk)
+        return json.dumps({
+            "query": row.query,
+            "results": [{"docid": d.text(), "item_id": item_id, "logprob": lp}
+                        for d, lp, item_id in results]}) + "\n"
+
+    dt.write_text(args.output, map(line, rows))   # lazily: decode streams
     return 0
 
 
@@ -132,19 +126,17 @@ def cmd_expand(args) -> int:
             pairs.append((node.docid, float(res.get("logprob", 0.0))))
         return rec.get("query"), pairs
 
-    out = _open_out(args.output)
-    try:
-        for query, hits in dt.read_jsonl(args.input, decoded):
-            merged = expand_variant(hits, trie, table, cluster_k, use_i2i, args.cap,
-                                    args.per_seed_n)
-            out.write(json.dumps({
-                "query": query,
-                "recall_num": merged.recall_num,
-                "items": [{"item_id": e.item_id, "source": e.source, "score": e.score}
-                          for e in merged.entries]}) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    def line(record) -> str:
+        query, hits = record
+        merged = expand_variant(hits, trie, table, cluster_k, use_i2i, args.cap,
+                                args.per_seed_n)
+        return json.dumps({
+            "query": query,
+            "recall_num": merged.recall_num,
+            "items": [{"item_id": e.item_id, "source": e.source, "score": e.score}
+                      for e in merged.entries]}) + "\n"
+
+    dt.write_text(args.output, map(line, dt.read_jsonl(args.input, decoded)))
     return 0
 
 

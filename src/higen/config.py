@@ -1,6 +1,10 @@
 """Pipeline configuration (published defaults, a desk-scale preset, env-var
 overrides (HIGEN_*), validation) and the one dataclass<->JSON round trip,
-used by `PipelineConfig` and by the configs and vocabularies in checkpoints."""
+used by `PipelineConfig` and by the configs and vocabularies in checkpoints.
+
+The length of each docID's semantic prefix is not configured: the index
+stores it per docID, as the length of the item's category path (0 without
+category clustering)."""
 
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ from .data import read_json
 from .errors import ConfigError, DataError
 
 ENV_PREFIX = "HIGEN_"
+RETIRED_KEYS = ("loss_window", "semantic_len")   # dropped on load, for older files
 
 
 def to_json(obj) -> dict:
@@ -40,7 +45,7 @@ def _typed(name: str, value, default):
 def from_json(cls, d: dict):
     """The dataclass cls from the JSON object d; unknown keys are errors."""
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    d = {k: v for k, v in d.items() if k != "loss_window"}   # retired, in older checkpoints
+    d = {k: v for k, v in d.items() if k not in RETIRED_KEYS}
     unknown = sorted(set(d) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
@@ -87,7 +92,6 @@ class PipelineConfig:
     kmeans_k: int = 10
     max_cluster: int = 100
     docid_max_len: int = 8
-    semantic_len: int = 1
     category_clustering: bool = True
 
     # decoder
@@ -143,9 +147,7 @@ class PipelineConfig:
             (self.margin > 0, "margin must be positive"),
             (self.kmeans_k >= 1, "kmeans_k must be >= 1"),
             (self.max_cluster >= 1, "max_cluster must be >= 1"),
-            (self.semantic_len >= 0, "semantic_len must be >= 0"),
-            (self.docid_max_len >= self.semantic_len + 2,
-             "docid_max_len must fit the category path plus cluster and ordinal tokens"),
+            (self.docid_max_len >= 2, "docid_max_len must fit a cluster and an ordinal token"),
             (all(v >= 0 for v in (self.lambda_h, self.lambda_s, self.lambda_e)),
              "lambda weights must be >= 0"),
             (1 <= self.topk <= self.beam_width, "need beam_width >= topk >= 1"),

@@ -1,7 +1,8 @@
 """Catalog and interaction-log handling (row schemas, page-view grouping,
 zero-shot splitting, the synthetic corpus generator) and all file I/O: every
-write goes through `write_text`, every JSON document through `read_json` and
-every JSONL table but the interaction logs (`load_dataset`) `read_jsonl`."""
+write, the CLI's `--output` included, goes through `write_text`, every JSON
+document through `read_json` and every JSONL table but the interaction logs
+(`load_dataset`) `read_jsonl`."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, DataError, NumericError
+from .errors import CheckpointError, DataError, HigenError, NumericError
 
 log = logging.getLogger(__name__)
 
@@ -98,22 +99,24 @@ def _row_from_tsv(line: str) -> DatasetRow:
 
 def load_dataset(path, schema: str = "jsonl", catalog=None,
                  pv_bucket_seconds: float = PV_BUCKET_SECONDS) -> LoadResult:
-    """Parse rows, count malformed lines (>1% aborts), group page views."""
+    """Parse rows, count malformed lines, bytes that are not UTF-8 included
+    (>1% aborts), group page views."""
     if schema not in ("jsonl", "tsv"):
         raise DataError(f"unknown dataset schema '{schema}'")
     rows: list[DatasetRow] = []
     malformed = 0
     total = 0
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     with fh:
-        for line in fh:
-            if not line.strip():
+        for raw in fh:
+            if not raw.strip():
                 continue
             total += 1
             try:
+                line = raw.decode("utf-8")
                 if schema == "jsonl":
                     rows.append(_row_from_record(json.loads(line)))
                 else:
@@ -282,14 +285,20 @@ def read_oracle_jsonl(path) -> list[tuple[int, int, float]]:
 
 
 def write_text(path, chunks) -> None:
-    """Write chunks to path through a temporary file and os.replace; a fault
-    leaves the old file and no temporary one. The JSON encoder's ValueError,
-    its refusal of a non-finite number, becomes NumericError naming path."""
+    """Write chunks to path through a temporary file and os.replace, or stream
+    them to stdout ("-"); a fault leaves the old file and no temporary one.
+    The JSON encoder's ValueError, its refusal of a non-finite number, becomes
+    NumericError naming path; the package's own errors pass through."""
+    if str(path) == "-":
+        sys.stdout.writelines(chunks)
+        return
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             try:
                 fh.writelines(chunks)
+            except HigenError:
+                raise
             except ValueError as exc:
                 raise NumericError(f"{path}: {exc}") from None
         os.replace(tmp, path)

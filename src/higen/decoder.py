@@ -16,7 +16,7 @@ from . import nn
 from .config import from_json, to_json
 from .docid import DocId, DocIdTrie
 from .errors import ConfigError, DataError, DimensionError, IndexBuildError
-from .representation import Vocab
+from .representation import Vocab, row_indices
 
 
 # ---------------------------------------------------------------------------
@@ -33,10 +33,9 @@ def hierarchical_weight(t: int, last: int) -> float:
 
 class RelevanceOracle:
     """Symmetric category-similarity table; self-similarity is 1 and unknown
-    pairs fall back to a default of 0."""
+    pairs have similarity 0."""
 
-    def __init__(self, pairs=(), default: float = 0.0):
-        self.default = float(default)
+    def __init__(self, pairs=()):
         self.table: dict[tuple[int, int], float] = {}
         for a, b, sim in pairs:
             if not 0.0 <= sim <= 1.0:
@@ -47,15 +46,15 @@ class RelevanceOracle:
     def similarity(self, a: int, b: int) -> float:
         if a == b:
             return 1.0
-        return self.table.get((a, b), self.default)
+        return self.table.get((a, b), 0.0)
 
 
 def position_weight(t: int, last: int, semantic_len: int, y_t: int, y_hat_t: int,
                     e_lookup, oracle: RelevanceOracle, lambda_h: float = 0.8,
                     lambda_s: float = 0.1, lambda_e: float = 0.1) -> float:
     """Weighted mix of hierarchical decay, semantic-relevance penalty
-    (positions up to the semantic length), and efficiency divergence
-    (positions past it)."""
+    (positions t <= semantic_len, the category path and the first cluster
+    token), and efficiency divergence (positions past it)."""
     w = lambda_h * hierarchical_weight(t, last)
     if t <= semantic_len:
         if oracle.similarity(y_t, y_hat_t) < 0.5:
@@ -67,14 +66,15 @@ def position_weight(t: int, last: int, semantic_len: int, y_t: int, y_hat_t: int
 
 @dataclass
 class PositionWeightConfig:
-    """Everything position_aware_loss needs besides the model and batch."""
+    """Everything position_aware_loss needs besides the model and batch. The
+    boundary between the semantic and the efficiency rule is not set here:
+    each target docID carries its own `semantic_len`."""
 
     oracle: RelevanceOracle
     trie: DocIdTrie
     lambda_h: float = 0.8
     lambda_s: float = 0.1
     lambda_e: float = 0.1
-    semantic_len: int = 1
     position_aware: bool = True
 
 
@@ -142,7 +142,7 @@ class DecoderBatch:
     user_idx: np.ndarray
     query_idx: np.ndarray
     context_idx: np.ndarray
-    targets: list[tuple[int, ...]]
+    targets: list[DocId]
 
     @property
     def size(self) -> int:
@@ -199,23 +199,16 @@ class DecoderModel:
     # -- feature encoding ----------------------------------------------------
 
     def prepare_rows(self, rows, docids: dict[str, DocId] | None = None) -> DecoderBatch:
-        c = self.config
-
-        def pad(tokens, length):
-            return (tokens + [0] * length)[:length]
-
-        user_idx = np.array([self.vocab.users.get(r.user_id, 0) for r in rows], dtype=np.intp)
-        query_idx = np.array([pad([self.vocab.query_tokens.get(t, 0) for t in r.query.split()],
-                                  c.query_len) for r in rows], dtype=np.intp)
-        context_idx = np.array([pad([self.vocab.items.get(i, 0) for i, _tag in r.context],
-                                    c.context_len) for r in rows], dtype=np.intp)
-        targets: list[tuple[int, ...]] = []
+        """Index arrays of rows, with the target items' docIDs when docids
+        is given."""
+        targets: list[DocId] = []
         if docids is not None:
             missing = sorted({r.target_item_id for r in rows} - set(docids))
             if missing:
                 raise DataError(f"rows target items without docIDs: {missing[:10]}")
-            targets = [docids[r.target_item_id].tokens for r in rows]
-        return DecoderBatch(user_idx, query_idx, context_idx, targets)
+            targets = [docids[r.target_item_id] for r in rows]
+        return DecoderBatch(*row_indices(rows, self.vocab, self.config.query_len,
+                                         self.config.context_len), targets)
 
     def encode(self, batch: DecoderBatch) -> nn.Tensor:
         b = batch.size
@@ -288,25 +281,28 @@ def greedy_argmax_token(model: DecoderModel, trie: DocIdTrie, logits_row: np.nda
 def position_aware_loss(batch: DecoderBatch, model: DecoderModel,
                         weights: PositionWeightConfig, ctx: nn.Tensor | None = None):
     """Mean over the batch of sum_t w_t * CE(y_t | prefix); the weights are
-    constants (no gradient flows through the greedy prediction). Returns
-    (loss tensor, per-position accuracy dict)."""
+    constants (no gradient flows through the greedy prediction). Each row's
+    target DocId sets its own boundary: positions up to its `semantic_len`
+    take the semantic-relevance penalty, later ones the efficiency
+    divergence. Returns (loss tensor, per-position accuracy dict)."""
     if ctx is None:
         ctx = model.encode(batch)
     b = batch.size
-    max_len = max(len(tok) for tok in batch.targets)
+    targets = [d.tokens for d in batch.targets]
+    max_len = max(len(tok) for tok in targets)
     total = None
     hits: dict[int, int] = {}
     counts: dict[int, int] = {}
     for t in range(max_len):
-        active = [i for i in range(b) if len(batch.targets[i]) > t]
-        prefixes = [batch.targets[i][:t] for i in active]
-        logits = model.position_logits(nn.take_rows(ctx, active), prefixes, t)
-        local_targets = np.array([model.pos_vocab.local(t, batch.targets[i][t])
+        active = [i for i in range(b) if len(targets[i]) > t]
+        prefixes = [targets[i][:t] for i in active]
+        logits = model.position_logits(nn.gather(ctx, active), prefixes, t)
+        local_targets = np.array([model.pos_vocab.local(t, targets[i][t])
                                   for i in active], dtype=np.intp)
         ce = nn.softmax_cross_entropy(logits, local_targets)
         w = np.ones(len(active))
         for pos, i in enumerate(active):
-            tokens = batch.targets[i]
+            tokens = targets[i]
             y_t = tokens[t]
             y_hat = greedy_argmax_token(model, weights.trie, logits.data[pos], tokens[:t], t)
             hits[t] = hits.get(t, 0) + (1 if y_hat == y_t else 0)
@@ -315,9 +311,9 @@ def position_aware_loss(batch: DecoderBatch, model: DecoderModel,
                 def e_lookup(tok, _prefix=tokens[:t]):
                     return weights.trie.score_at(_prefix + (tok,))
 
-                w[pos] = position_weight(t, len(tokens) - 1, weights.semantic_len, y_t, y_hat,
-                                         e_lookup, weights.oracle, weights.lambda_h,
-                                         weights.lambda_s, weights.lambda_e)
+                w[pos] = position_weight(t, len(tokens) - 1, batch.targets[i].semantic_len,
+                                         y_t, y_hat, e_lookup, weights.oracle,
+                                         weights.lambda_h, weights.lambda_s, weights.lambda_e)
         contrib = nn.sum_all(nn.mul_const(ce, w))
         total = contrib if total is None else nn.add(total, contrib)
     accuracy = {t: hits[t] / counts[t] for t in counts}
@@ -343,8 +339,7 @@ def constrained_beam_search(row, model: DecoderModel, trie: DocIdTrie, beam_widt
         raise ConfigError(f"need beam_width >= k >= 1, got beam_width={beam_width} k={k}")
     if trie.n_items == 0:
         raise IndexBuildError("cannot decode against an empty trie")
-    batch = row if isinstance(row, DecoderBatch) else model.prepare_rows([row])
-    ctx_np = model.encode(batch).data[:1]
+    ctx_np = model.encode(model.prepare_rows([row])).data[:1]
 
     active: list[BeamHypothesis] = [BeamHypothesis((), 0.0)]
     done: list[tuple[tuple[int, ...], float, str]] = []
@@ -378,11 +373,9 @@ def constrained_beam_search(row, model: DecoderModel, trie: DocIdTrie, beam_widt
 def brute_force_scores(model: DecoderModel, trie: DocIdTrie, row):
     """Score every docID in the trie by stepwise log-probability; the
     independent oracle for beam-search equivalence."""
-    batch = row if isinstance(row, DecoderBatch) else model.prepare_rows([row])
-    ctx_np = model.encode(batch).data[:1]
-    entries = trie.enumerate_docids()
+    ctx_np = model.encode(model.prepare_rows([row])).data[:1]
     scored = []
-    for tokens, item_id in entries:
+    for tokens, item_id, _score in trie.items_under(()):
         lp = 0.0
         for t in range(len(tokens)):
             ctx = nn.Tensor(ctx_np)

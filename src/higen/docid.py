@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import read_json, write_json
-from .errors import ConfigError, DataError, IndexBuildError
+from .errors import CheckpointError, ConfigError, DataError, IndexBuildError
 
 log = logging.getLogger(__name__)
 
@@ -28,9 +28,6 @@ class DocId:
 
     def text(self) -> str:
         return "-".join(str(t) for t in self.tokens)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 def parse_docid_text(text: str) -> tuple[int, ...]:
@@ -124,6 +121,9 @@ def _ordinal_tokens(ids, scores) -> list[tuple[int, ...]]:
 
 
 def _hier(points, scores, ids, k: int, cs: int, levels: int, seed: int) -> list[tuple[int, ...]]:
+    """Per-point sub-docID token tuples: recursive k-means, at most `levels`
+    deep, down to nodes of at most cs members, which are enumerated ordinally
+    by descending efficient score then id."""
     n = len(ids)
     if n <= cs:
         return _ordinal_tokens(ids, scores)
@@ -145,22 +145,6 @@ def _hier(points, scores, ids, k: int, cs: int, levels: int, seed: int) -> list[
         for local, pos in enumerate(member_pos):
             out[pos] = (c,) + sub[local]
     return out  # type: ignore[return-value]
-
-
-def hierarchical_cluster(points, k: int, cs: int, depth_budget: int,
-                         scores=None, ids=None, seed: int = 0) -> list[tuple[int, ...]]:
-    """Per-point sub-docID token tuples: recursive k-means down to nodes of
-    at most cs members, which are enumerated ordinally by descending
-    efficient score then id."""
-    points = np.asarray(points, dtype=float)
-    if depth_budget < 1:
-        raise ConfigError("depth_budget must be >= 1")
-    n = len(points)
-    if scores is None:
-        scores = [0.0] * n
-    if ids is None:
-        ids = list(range(n))
-    return _hier(points, list(scores), list(ids), k, cs, depth_budget, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -281,21 +265,9 @@ class DocIdTrie:
             raise KeyError(f"no efficiency score at prefix {tuple(prefix)}")
         return node.score
 
-    def enumerate_docids(self) -> list[tuple[tuple[int, ...], str]]:
-        """All (tokens, item_id) pairs in lexicographic token order."""
-        out: list[tuple[tuple[int, ...], str]] = []
-
-        def walk(node: TrieNode, prefix: tuple[int, ...]):
-            if node.item_id is not None:
-                out.append((prefix, node.item_id))
-            for tok in sorted(node.children):
-                walk(node.children[tok], prefix + (tok,))
-
-        walk(self.root, ())
-        return out
-
     def items_under(self, prefix) -> list[tuple[tuple[int, ...], str, float | None]]:
-        """(tokens, item_id, leaf score) for every leaf below the prefix."""
+        """(tokens, item_id, leaf score) for every leaf below the prefix, in
+        lexicographic token order."""
         node = self.node_at(prefix)
         if node is None:
             return []
@@ -341,13 +313,19 @@ def serialize_index(docids: dict[str, DocId], node_scores: dict[tuple[int, ...],
 
 
 def load_index(path):
-    """(docids, node_scores, trie); a bad index raises CheckpointError."""
+    """(docids, node_scores, trie); a bad index, one whose docID prefixes past
+    the semantic prefix lack a node score included, raises CheckpointError."""
 
     def decode(doc):
         docids = {item_id: DocId(tuple(rec["tokens"]), rec["semantic_len"])
                   for item_id, rec in doc["docids"].items()}
         node_scores = {parse_docid_text(key): float(score)
                        for key, score in doc["node_scores"].items()}
+        for d in docids.values():
+            for t in range(d.semantic_len + 1, len(d.tokens) + 1):
+                if d.tokens[:t] not in node_scores:
+                    raise CheckpointError(f"{path}: no node score for docID prefix "
+                                          f"{'-'.join(map(str, d.tokens[:t]))}")
         return docids, node_scores, build_trie(docids, node_scores)
 
     return read_json(path, {"docids": dict, "node_scores": dict}, INDEX_VERSION, decode)

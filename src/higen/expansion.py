@@ -44,16 +44,16 @@ def direct_hits(decoded, trie: DocIdTrie) -> RecallSet:
     return RecallSet(entries)
 
 
-def cluster_expand(decoded, trie: DocIdTrie, prefix_len_k: int) -> RecallSet:
+def cluster_expand(decoded, trie: DocIdTrie, prefix_len_k: int, direct: RecallSet) -> RecallSet:
     """All items sharing the first prefix_len_k docID tokens with any decoded
-    (DocId, logprob) pair. Direct hits come first in decoded order; expansion
-    items follow, ordered by their leaf efficiency score descending.
+    (DocId, logprob) pair. The direct hits, `direct_hits(decoded, trie)`, come
+    first in decoded order; expansion items follow, ordered by their leaf
+    efficiency score descending.
 
     A decoded docID shorter than the prefix matches only itself.
     """
     if prefix_len_k < 1 or prefix_len_k > trie.max_depth:
         raise ConfigError(f"prefix length {prefix_len_k} outside [1, {trie.max_depth}]")
-    direct = direct_hits(decoded, trie)
     seen = set(direct.item_ids())
 
     expanded: dict[str, float] = {}

@@ -268,11 +268,6 @@ def gather(table: Tensor, idx) -> Tensor:
     return _node(table.data[idx], (table,), bw)
 
 
-def take_rows(a: Tensor, idx) -> Tensor:
-    """Select rows of a 2-D tensor (duplicates allowed)."""
-    return gather(a, np.asarray(idx, dtype=np.intp))
-
-
 def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.shape != b.data.shape or a.data.ndim != 2:
@@ -331,35 +326,6 @@ def log_softmax_rows(x: np.ndarray) -> np.ndarray:
     m = x.max(axis=-1, keepdims=True)
     z = x - m
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def attention(q, k, v, d_k: int):
-    """Scaled dot-product attention softmax(q k^T / sqrt(d_k)) v for single
-    2-D sequences. Returns an ndarray when every input is plain numpy."""
-    plain = not any(isinstance(x, Tensor) for x in (q, k, v))
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise DimensionError("attention expects 2-D q, k, v")
-    if q.data.shape[1] != d_k:
-        raise DimensionError(f"query has {q.data.shape[1]} columns, expected d_k={d_k}")
-    if k.data.shape[1] != d_k:
-        raise DimensionError(f"keys have {k.data.shape[1]} columns, expected d_k={d_k}")
-    if k.data.shape[0] != v.data.shape[0]:
-        raise DimensionError("keys and values must have equal row counts")
-    inv = 1.0 / np.sqrt(float(d_k))
-    attn = softmax_rows(q.data @ k.data.T * inv)
-    out_data = attn @ v.data
-
-    def bw(g):
-        dv = attn.T @ g
-        da = g @ v.data.T
-        ds = attn * (da - (da * attn).sum(axis=1, keepdims=True))
-        _accum(q, ds @ k.data * inv)
-        _accum(k, ds.T @ q.data * inv)
-        _accum(v, dv)
-
-    out = _node(out_data, (q, k, v), bw)
-    return out.data if plain else out
 
 
 def attention_batched(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:

@@ -183,8 +183,7 @@ def _decoder(c, work: Path, out: Path) -> None:
     docids, _node_scores, trie = di.load_index(work / "index.json")
     weights = dec.PositionWeightConfig(
         dec.RelevanceOracle(oracle_pairs), trie, lambda_h=c.lambda_h, lambda_s=c.lambda_s,
-        lambda_e=c.lambda_e, semantic_len=c.semantic_len if c.category_clustering else 0,
-        position_aware=c.position_aware)
+        lambda_e=c.lambda_e, position_aware=c.position_aware)
     cfg = dec.DecoderConfig(emb=c.dec_emb, d_model=c.dec_model, hidden=c.dec_hidden,
                             activation=c.dec_activation, query_len=c.query_len,
                             context_len=c.context_len, lr=c.lr_decoder,
@@ -237,15 +236,15 @@ def _eval(c, work: Path, out: Path) -> None:
 
     if test is not None and test.rows:
         test_pos = [r for r in test.rows if r.click == 1]
+        retained, report.zero_shot_removed_fraction = dt.zero_shot_split(train.rows, test.rows)
         if test_pos:
             preds, tr, _ = _decode_rows(test_pos, model, trie, c)
             report.test_recall = recall_curve(preds, tr, c.eval_ks)
-        retained, removed = dt.zero_shot_split(train.rows, test.rows)
-        retained_pos = [r for r in retained if r.click == 1]
-        report.zero_shot_removed_fraction = removed
-        if retained_pos:
-            preds, tr, _ = _decode_rows(retained_pos, model, trie, c)
-            report.zero_shot_recall = recall_curve(preds, tr, c.eval_ks)
+            # the retained rows are test rows: their decodes are already in preds
+            kept = set(retained)
+            zero_shot = {key: tr[key] for key, r in zip(tr, test_pos) if r in kept}
+            if zero_shot:
+                report.zero_shot_recall = recall_curve(preds, zero_shot, c.eval_ks)
     report.save(out / "report.json")
 
 
@@ -264,8 +263,7 @@ STAGES = (
     Stage("decoder", "train-decoder", ("catalog_path", "train_path", "oracle_path", "index.json"),
           ("data_schema", "seed", "lr_decoder", "batch_decoder", "epochs_decoder", "dec_emb",
            "dec_model", "dec_hidden", "dec_activation", "lambda_h", "lambda_s", "lambda_e",
-           "position_aware", "semantic_len", "category_clustering", "query_len",
-           "context_len"),
+           "position_aware", "query_len", "context_len"),
           ("decoder.ckpt.json",), _decoder),
     Stage("eval", "eval",
           ("catalog_path", "train_path", "test_path", "index.json", "decoder.ckpt.json"),
@@ -282,7 +280,7 @@ def expand_variant(decoded, trie, i2i_table: ex.I2ITable, cluster_k: int | None,
     cluster = ex.RecallSet([])
     if cluster_k is not None:
         k_eff = min(cluster_k, trie.max_depth)
-        cluster = ex.cluster_expand(decoded, trie, k_eff)
+        cluster = ex.cluster_expand(decoded, trie, k_eff, direct)
     i2i = ex.RecallSet([])
     if use_i2i:
         i2i = ex.i2i_expand(direct.item_ids(), i2i_table, per_seed_n)

@@ -103,6 +103,17 @@ def _pad(tokens: list[int], length: int) -> list[int]:
     return out + [PAD] * (length - len(out))
 
 
+def row_indices(rows, vocab: Vocab, query_len: int, context_len: int):
+    """(user, query, context) index arrays of dataset rows, padded to the
+    given lengths; unseen ids and tokens map to PAD."""
+    user_idx = np.array([vocab.users.get(r.user_id, PAD) for r in rows], dtype=np.intp)
+    query_idx = np.array([_pad([vocab.query_tokens.get(t, PAD) for t in r.query.split()],
+                               query_len) for r in rows], dtype=np.intp)
+    context_idx = np.array([_pad([vocab.items.get(cid, PAD) for cid, _tag in r.context],
+                                 context_len) for r in rows], dtype=np.intp)
+    return user_idx, query_idx, context_idx
+
+
 def encode_rows(rows, catalog_by_id, vocab: Vocab, cfg: TwoTowerConfig,
                 eff_mean: np.ndarray | None = None,
                 eff_std: np.ndarray | None = None) -> FeatureBatch:
@@ -110,11 +121,7 @@ def encode_rows(rows, catalog_by_id, vocab: Vocab, cfg: TwoTowerConfig,
     missing = sorted({r.target_item_id for r in rows} - set(catalog_by_id))
     if missing:
         raise DataError(f"rows reference unknown items: {missing[:10]}")
-    user_idx = np.array([vocab.users.get(r.user_id, PAD) for r in rows], dtype=np.intp)
-    query_idx = np.array([_pad([vocab.query_tokens.get(t, PAD) for t in r.query.split()],
-                               cfg.query_len) for r in rows], dtype=np.intp)
-    context_idx = np.array([_pad([vocab.items.get(cid, PAD) for cid, _tag in r.context],
-                                 cfg.context_len) for r in rows], dtype=np.intp)
+    user_idx, query_idx, context_idx = row_indices(rows, vocab, cfg.query_len, cfg.context_len)
     sem_idx, sem_mask, item_idx, eff = item_arrays(
         [catalog_by_id[r.target_item_id] for r in rows], vocab, cfg)
     if eff_mean is not None:

@@ -5,6 +5,7 @@ import numpy as np
 from higen import decoder as dec
 from higen import docid as di
 from higen.data import DatasetRow, Item, PageView
+from higen.errors import ConfigError
 from higen.representation import AtomicEmbeddings
 
 
@@ -28,6 +29,21 @@ def random_index_inputs(seed, n_items=None, n_cats=None, d=8, path_len=2):
         else:
             paths[item] = (cat_ids[c],)
     return fusion, scores, paths
+
+
+def hierarchical_cluster(points, k: int, cs: int, depth_budget: int,
+                         scores=None, ids=None, seed: int = 0) -> list[tuple[int, ...]]:
+    """Per-point sub-docID token tuples from the recursion build_docids runs
+    inside each first-level cluster; scores default to 0 and ids to 0..n-1."""
+    points = np.asarray(points, dtype=float)
+    if depth_budget < 1:
+        raise ConfigError("depth_budget must be >= 1")
+    n = len(points)
+    if scores is None:
+        scores = [0.0] * n
+    if ids is None:
+        ids = list(range(n))
+    return di._hier(points, list(scores), list(ids), k, cs, depth_budget, seed)
 
 
 def build_random_index(seed, k=4, cs=8, max_len=16, **kw):

@@ -77,7 +77,7 @@ def test_c01_gradient_correctness():
         # position-weighted cross-entropy through the decoder
         docids, _scores, trie, _catalog, drows, dmodel = decoder_world(
             1, n_items=8, n_cats=2, emb=2, d_model=3, hidden=(3,))
-        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie, semantic_len=1)
+        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
         dbatch = dmodel.prepare_rows(drows[:2], docids)
 
         def decoder_loss_fn():
@@ -189,7 +189,7 @@ def test_c05_cluster_expansion_nesting():
             decoded = [(docids[ids[i]], -float(j)) for j, i in enumerate(picks)]
             prev_set, prev_num = None, None
             for k in range(trie.max_depth, 0, -1):
-                out = ex.cluster_expand(decoded, trie, k)
+                out = ex.cluster_expand(decoded, trie, k, ex.direct_hits(decoded, trie))
                 got = set(out.item_ids())
                 assert len(got) == out.recall_num
                 if prev_set is not None:

@@ -45,6 +45,17 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="1%"):
             dt.load_dataset(path)
 
+    def test_non_utf8_row_counts_against_the_budget(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        good = ('{"user_id": "u", "query": "q", "context": [], "target_item_id": "i", '
+                '"relevance": 1, "click": 1, "timestamp": 0}\n').encode()
+        path.write_bytes(good * 200 + b"\xff\xfe\n")
+        result = dt.load_dataset(path)
+        assert result.malformed == 1 and len(result.rows) == 200
+        path.write_bytes(good * 50 + b"\xff\xfe\n")
+        with pytest.raises(DataError, match="1%"):
+            dt.load_dataset(path)
+
     @pytest.mark.parametrize("schema", ["jsonl", "tsv"])
     def test_hundred_row_roundtrip(self, tmp_path, schema):
         rows = sample_rows(100)
@@ -179,6 +190,19 @@ class TestWriters:
             dt.write_jsonl(path, records())
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["table.jsonl"]
+
+
+    def test_package_error_from_the_chunks_passes_through(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_text("old\n")
+
+        def lines():
+            yield "new\n"
+            raise DataError("bad input line 2")
+
+        with pytest.raises(DataError, match="line 2"):
+            dt.write_text(path, lines())
+        assert path.read_text() == "old\n"
 
 
 class TestSynthetic:

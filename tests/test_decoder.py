@@ -1,7 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
-from helpers import decoder_world
+from helpers import decoder_world, random_index_inputs
 from oracles import hierarchical_weights
 
 from higen import decoder as dec
@@ -90,15 +90,18 @@ class TestPositionWeight:
 
 
 def handset_world(docid_map, scores, semantic_len=1):
-    """World with zeroed encoder/step nets so logits equal the head biases."""
-    docids = {item: di.DocId(tok, semantic_len) for item, tok in docid_map.items()}
+    """World with zeroed encoder/step nets so logits equal the head biases;
+    semantic_len is one length for every docID or a dict of them by item."""
+    if isinstance(semantic_len, int):
+        semantic_len = dict.fromkeys(docid_map, semantic_len)
+    docids = {item: di.DocId(tok, semantic_len[item]) for item, tok in docid_map.items()}
     node_scores = {}
     for item, d in docids.items():
         for t in range(d.semantic_len, len(d.tokens)):
             node_scores.setdefault(d.tokens[:t + 1], []).append(scores[item])
     node_scores = {p: float(np.mean(v)) for p, v in node_scores.items()}
     trie = di.build_trie(docids, node_scores)
-    catalog = [Item(i, tuple(d.tokens[:semantic_len]) or (0,), (i,), (0.5,), scores[i])
+    catalog = [Item(i, tuple(d.tokens[:d.semantic_len]) or (0,), (i,), (0.5,), scores[i])
                for i, d in docids.items()]
     rows = [DatasetRow("u0", f"q {i}", (), i, 1, 1, 0.0) for i in sorted(docids)]
     model = dec.DecoderModel(dec.Vocab.build(rows, catalog), dec.PositionVocab(docids),
@@ -112,12 +115,12 @@ class TestPositionAwareLoss:
     def test_confident_correct_model_has_near_zero_loss(self):
         docids, trie, catalog, rows, model = handset_world(
             {"a": (5, 0), "b": (5, 1), "c": (6, 0)}, {"a": 0.3, "b": 0.5, "c": 0.7})
-        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie, semantic_len=1)
+        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
         # bias logits: make the target token overwhelmingly likely per sample
         # all three rows share position-0 target distribution only when the
         # docids agree, so use a single-item world for full confidence
         docids, trie, catalog, rows, model = handset_world({"a": (5, 0)}, {"a": 0.3})
-        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie, semantic_len=1)
+        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
         batch = model.prepare_rows(rows, docids)
         loss, acc = dec.position_aware_loss(batch, model, weights)
         assert float(loss.data) < 1e-9
@@ -131,7 +134,7 @@ class TestPositionAwareLoss:
         model.head_b[0].data[:] = np.array([0.4, -0.2])          # vocab [5, 6]
         model.head_b[1].data[:] = np.array([-0.1, 0.3])          # vocab [0, 1]
         oracle = dec.RelevanceOracle([(5, 6, 0.1)])
-        weights = dec.PositionWeightConfig(oracle, trie, semantic_len=1)
+        weights = dec.PositionWeightConfig(oracle, trie)
         batch = model.prepare_rows(rows, docids)
         loss, _ = dec.position_aware_loss(batch, model, weights)
 
@@ -168,7 +171,7 @@ class TestPositionAwareLoss:
         docids, trie, catalog, rows, model = handset_world(
             {"a": (5, 0, 0), "b": (5, 0, 1)}, scores)
         model.head_b[2].data[:] = np.array([0.0, 1.0])  # prefer token 1 at t=2
-        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie, semantic_len=1)
+        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
         batch = model.prepare_rows([rows[0]], docids)   # item a, target (5,0,0)
         loss, _ = dec.position_aware_loss(batch, model, weights)
 
@@ -185,12 +188,37 @@ class TestPositionAwareLoss:
         want = w0 * ce0 + w1 * ce1 + w2 * ce2
         assert float(loss.data) == pytest.approx(want, abs=1e-10)
 
+    def test_rows_with_different_semantic_len(self):
+        # a's category path is 1 token long, b's 2: at t=2 a takes the
+        # efficiency divergence and b the semantic penalty
+        scores = {"a": 0.2, "b": 0.4, "c": 0.9, "d": 0.6}
+        docids, trie, catalog, rows, model = handset_world(
+            {"a": (5, 0, 0), "b": (6, 9, 0, 0), "c": (5, 0, 1), "d": (6, 9, 1, 0)}, scores,
+            semantic_len={"a": 1, "c": 1, "b": 2, "d": 2})
+        b0, b1, b2 = [0.4, -0.2], [0.3, -0.1], [0.0, 1.0]     # vocab [5, 6], [0, 9], [0, 1]
+        for t, bias in enumerate((b0, b1, b2)):
+            model.head_b[t].data[:] = np.array(bias)
+        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
+        loss, _ = dec.position_aware_loss(model.prepare_rows(rows[:2], docids), model, weights)
+
+        def ce(logits, i):
+            return -np.log(np.exp(logits[i]) / np.exp(logits).sum())
+
+        h = dec.hierarchical_weight
+        # a = (5, 0, 0): greedy 5, 0, then 1 (wrong, t=2 > 1: efficiency |0.2 - 0.9|)
+        want_a = (0.8 * h(0, 2) * ce(b0, 0) + 0.8 * h(1, 2) * ce(b1, 0)
+                  + (0.8 * h(2, 2) + 0.1 * abs(0.2 - 0.9)) * ce(b2, 0))
+        # b = (6, 9, 0, 0): greedy 5 (wrong, semantic), 9, then 1 (wrong, t=2 <= 2:
+        # semantic); t=3 has a one-token vocabulary, so its CE is 0
+        want_b = ((0.8 * h(0, 3) + 0.1) * ce(b0, 1) + 0.8 * h(1, 3) * ce(b1, 1)
+                  + (0.8 * h(2, 3) + 0.1) * ce(b2, 0))
+        assert float(loss.data) == pytest.approx((want_a + want_b) / 2, abs=1e-10)
+
     def test_plain_ce_mode_sums_unweighted(self):
         scores = {"a": 0.3, "b": 0.5, "c": 0.7}
         docids, trie, catalog, rows, model = handset_world(
             {"a": (5, 0), "b": (5, 1), "c": (6, 0)}, scores)
-        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie, semantic_len=1,
-                                           position_aware=False)
+        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie, position_aware=False)
         batch = model.prepare_rows(rows, docids)
         loss, _ = dec.position_aware_loss(batch, model, weights)
         want = 0.0
@@ -209,10 +237,9 @@ class TestPositionAwareLoss:
         # one) give exactly plain CE divided by the position count
         docids, trie, catalog, rows, model = handset_world({"a": (5, 0)}, {"a": 0.3})
         batch = model.prepare_rows(rows, docids)
-        aware = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie, semantic_len=1,
+        aware = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie,
                                          lambda_h=1.0, lambda_s=0.0, lambda_e=0.0)
-        plain = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie, semantic_len=1,
-                                         position_aware=False)
+        plain = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie, position_aware=False)
         l_aware, _ = dec.position_aware_loss(batch, model, aware)
         l_plain, _ = dec.position_aware_loss(batch, model, plain)
         # single-token vocabularies here: every CE is 0 -> both are zero
@@ -222,28 +249,26 @@ class TestPositionAwareLoss:
             {"a": (5, 0), "b": (5, 1), "c": (6, 0), "d": (6, 1)},
             {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4})
         batch2 = model2.prepare_rows([rows2[0]], docids2)
-        aware2 = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie2, semantic_len=1,
+        aware2 = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie2,
                                           lambda_h=1.0, lambda_s=0.0, lambda_e=0.0)
-        plain2 = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie2, semantic_len=1,
-                                          position_aware=False)
+        plain2 = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie2, position_aware=False)
         la, _ = dec.position_aware_loss(batch2, model2, aware2)
         lp, _ = dec.position_aware_loss(batch2, model2, plain2)
         assert float(lp.data) == pytest.approx(2.0 * float(la.data), abs=1e-12)
 
     def test_target_outside_position_vocab_raises(self):
         docids, trie, catalog, rows, model = handset_world({"a": (5, 0)}, {"a": 0.3})
-        bad = {"a": di.DocId((7, 0), 1)}
         batch = dec.DecoderBatch(np.zeros(1, dtype=np.intp),
                                  np.zeros((1, 4), dtype=np.intp),
-                                 np.zeros((1, 4), dtype=np.intp), [(7, 0)])
-        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie, semantic_len=1)
+                                 np.zeros((1, 4), dtype=np.intp), [di.DocId((7, 0), 1)])
+        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
         with pytest.raises(DataError, match="vocabulary"):
             dec.position_aware_loss(batch, model, weights)
 
     def test_gradcheck(self):
         docids, node_scores, trie, catalog, rows, model = decoder_world(
             1, n_items=8, n_cats=2, emb=2, d_model=3, hidden=(3,))
-        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie, semantic_len=1)
+        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
         batch = model.prepare_rows(rows[:2], docids)
 
         def loss():
@@ -303,7 +328,7 @@ class TestTrainDecoder:
     def test_memorizes_twenty_pairs(self):
         docids, node_scores, trie, catalog, rows, model = decoder_world(
             7, n_items=20, n_cats=4)
-        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie, semantic_len=1)
+        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
         cfg = dec.DecoderConfig(emb=8, d_model=24, hidden=(32,), lr=0.02, batch_size=20,
                                 epochs=150, seed=0)
         trained, history = dec.train_decoder(rows, catalog, docids, trie, weights, cfg)
@@ -314,9 +339,25 @@ class TestTrainDecoder:
         assert hits == len(rows)
         assert "position_accuracy" in history[-1]
 
+    def test_three_level_category_paths(self):
+        # the semantic prefix is 3 tokens long, so node scores start at depth 4
+        fusion, scores, paths = random_index_inputs(5, n_items=40, n_cats=4, path_len=1)
+        paths = {item: (1, 3, path[0]) for item, path in paths.items()}
+        docids, node_scores = di.build_docids(fusion, scores, paths, max_len=8, k=3, cs=4)
+        trie = di.build_trie(docids, node_scores)
+        assert {d.semantic_len for d in docids.values()} == {3}
+        catalog = [Item(i, paths[i], (f"s{i}",), (0.5,), scores[i]) for i in sorted(docids)]
+        rows = [DatasetRow(f"u{j % 3}", f"q{i}", (), i, 1, 1, 600.0 * j)
+                for j, i in enumerate(sorted(docids))]
+        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
+        cfg = dec.DecoderConfig(emb=3, d_model=4, hidden=(4,), lr=0.01, batch_size=8,
+                                epochs=2, seed=0)
+        _model, history = dec.train_decoder(rows, catalog, docids, trie, weights, cfg)
+        assert len(history) == 2 and np.isfinite(history[-1]["loss"])
+
     def test_seed_reproducibility(self):
         docids, node_scores, trie, catalog, rows, model = decoder_world(4, n_items=12)
-        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie, semantic_len=1)
+        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
         cfg = dec.DecoderConfig(emb=3, d_model=4, hidden=(4,), lr=0.01, batch_size=6,
                                 epochs=3, seed=5)
         a, _ = dec.train_decoder(rows, catalog, docids, trie, weights, cfg)

@@ -1,8 +1,9 @@
+import json
 import logging
 
 import numpy as np
 import pytest
-from helpers import build_random_index, random_index_inputs
+from helpers import build_random_index, hierarchical_cluster, random_index_inputs
 from oracles import kmeans_inertia
 
 from higen import docid as di
@@ -68,13 +69,13 @@ class TestKmeans:
 class TestHierarchicalCluster:
     def test_small_node_is_ordinal_only(self):
         pts = np.arange(5.0)[:, None]
-        tokens = di.hierarchical_cluster(pts, 4, 100, 3)
+        tokens = hierarchical_cluster(pts, 4, 100, 3)
         assert tokens == [(0,), (1,), (2,), (3,), (4,)]
 
     def test_large_node_splits(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(250, 4))
-        tokens = di.hierarchical_cluster(pts, 10, 100, 4, seed=1)
+        tokens = hierarchical_cluster(pts, 10, 100, 4, seed=1)
         assert all(len(t) >= 2 for t in tokens)
         # after the first split every cluster fits in CS here
         cluster_sizes: dict[int, int] = {}
@@ -85,7 +86,7 @@ class TestHierarchicalCluster:
     def test_identical_points_fall_back_to_ordinals(self, caplog):
         pts = np.zeros((30, 2))
         with caplog.at_level(logging.WARNING):
-            tokens = di.hierarchical_cluster(pts, 4, 8, 5)
+            tokens = hierarchical_cluster(pts, 4, 8, 5)
         assert sorted(tokens) == [(i,) for i in range(30)]
         assert any("ordinal" in rec.message for rec in caplog.records)
 
@@ -93,14 +94,14 @@ class TestHierarchicalCluster:
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(40, 2))
         with caplog.at_level(logging.WARNING):
-            tokens = di.hierarchical_cluster(pts, 2, 3, 1, seed=0)
+            tokens = hierarchical_cluster(pts, 2, 3, 1, seed=0)
         assert any("depth budget" in rec.message for rec in caplog.records)
         assert all(len(t) >= 1 for t in tokens)
 
     def test_ordinals_order_by_score_then_id(self):
         pts = np.arange(4.0)[:, None]
-        tokens = di.hierarchical_cluster(pts, 2, 100, 1, scores=[0.1, 0.9, 0.9, 0.2],
-                                         ids=["d", "b", "a", "c"])
+        tokens = hierarchical_cluster(pts, 2, 100, 1, scores=[0.1, 0.9, 0.9, 0.2],
+                                      ids=["d", "b", "a", "c"])
         # ranks: a (0.9) first by id tie-break, then b, then c (0.2), then d
         assert tokens == [(3,), (1,), (0,), (2,)]
 
@@ -189,7 +190,7 @@ class TestTrie:
 
     def test_roundtrip_enumeration(self):
         docids, node_scores, trie = build_random_index(4, n_items=200, n_cats=6)
-        got = {(tokens, item) for tokens, item in trie.enumerate_docids()}
+        got = {(tokens, item) for tokens, item, _score in trie.items_under(())}
         want = {(d.tokens, item) for item, d in docids.items()}
         assert got == want
         for item, d in docids.items():
@@ -223,7 +224,8 @@ class TestIndexIO:
         di.serialize_index(docids, node_scores, path)
         docids2, node_scores2, trie2 = di.load_index(path)
         assert docids2 == docids
-        assert trie2.enumerate_docids() == trie.enumerate_docids()
+        assert [leaf[:2] for leaf in trie2.items_under(())] == \
+            [leaf[:2] for leaf in trie.items_under(())]
         for prefix, score in node_scores.items():
             assert node_scores2[prefix] == score  # bit-exact float64 roundtrip
 
@@ -234,6 +236,18 @@ class TestIndexIO:
         blob = path.read_text()
         path.write_text(blob[: len(blob) // 3])
         with pytest.raises(CheckpointError, match="offset"):
+            di.load_index(path)
+
+    def test_missing_node_score_refused(self, tmp_path):
+        docids, node_scores, _ = build_random_index(6, n_items=30, n_cats=3)
+        path = tmp_path / "index.json"
+        di.serialize_index(docids, node_scores, path)
+        doc = json.loads(path.read_text())
+        missing = max(doc["node_scores"], key=len)
+        del doc["node_scores"][missing]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=f"index.json: no node score for docID "
+                                                  f"prefix {missing}$"):
             di.load_index(path)
 
     def test_newer_version_refused(self, tmp_path):

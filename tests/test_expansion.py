@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from helpers import build_random_index
 
+from higen import data as dt
 from higen import docid as di
 from higen import expansion as ex
+from higen import pipeline as pl
 from higen.errors import ConfigError
 
 
@@ -23,16 +25,20 @@ def small_trie():
     return docids, di.build_trie(docids, node_scores)
 
 
+def cluster_expand(decoded, trie, k):
+    return ex.cluster_expand(decoded, trie, k, ex.direct_hits(decoded, trie))
+
+
 class TestClusterExpand:
     def test_full_length_prefix_returns_decoded_only(self):
         docids, trie = small_trie()
-        out = ex.cluster_expand([(docids["a"], -0.1)], trie, 4)
+        out = cluster_expand([(docids["a"], -0.1)], trie, 4)
         assert out.item_ids() == ["a"]
         assert out.entries[0].source == "direct"
 
     def test_shared_prefix_items_included(self):
         docids, trie = small_trie()
-        out = ex.cluster_expand([(docids["a"], -0.1)], trie, 2)
+        out = cluster_expand([(docids["a"], -0.1)], trie, 2)
         assert set(out.item_ids()) == {"a", "b", "c"}
         # expansion items ordered by leaf efficiency score descending
         assert out.item_ids() == ["a", "c", "b"]
@@ -41,7 +47,7 @@ class TestClusterExpand:
     def test_prefix_beyond_short_docid_matches_only_itself(self):
         docids = {"x": di.DocId((1, 0), 1), "y": di.DocId((1, 1, 0), 1)}
         trie = di.build_trie(docids, {(1, 0): 0.5, (1, 1): 0.5, (1, 1, 0): 0.5})
-        out = ex.cluster_expand([(docids["x"], -0.2)], trie, 3)
+        out = cluster_expand([(docids["x"], -0.2)], trie, 3)
         assert out.item_ids() == ["x"]
 
     def test_nesting_over_random_indices(self):
@@ -53,7 +59,7 @@ class TestClusterExpand:
             decoded = [(docids[ids[i]], -float(j)) for j, i in enumerate(picks)]
             prev = None
             for k in range(trie.max_depth, 0, -1):
-                got = set(ex.cluster_expand(decoded, trie, k).item_ids())
+                got = set(cluster_expand(decoded, trie, k).item_ids())
                 if prev is not None:
                     assert got >= prev
                 prev = got
@@ -61,9 +67,33 @@ class TestClusterExpand:
     def test_prefix_bound_validation(self):
         docids, trie = small_trie()
         with pytest.raises(ConfigError):
-            ex.cluster_expand([], trie, 0)
+            cluster_expand([], trie, 0)
         with pytest.raises(ConfigError):
-            ex.cluster_expand([], trie, 9)
+            cluster_expand([], trie, 9)
+
+
+class TestI2IVariant:
+    def test_i2i_grows_the_recall_set_on_revisits(self):
+        # more train queries than items: users revisit items, so item pairs
+        # share clicking users and the Swing table is not empty
+        corpus = dt.generate_synthetic(n_items=60, n_categories=6, n_train_queries=300,
+                                       n_test_queries=10, n_users=5, seed=0)
+        clicked = [r for r in corpus.train_rows if r.click == 1]
+        table = ex.swing_scores([(r.user_id, r.target_item_id) for r in clicked])
+        rng = np.random.default_rng(0)
+        docids, node_scores = di.build_docids(
+            {it.item_id: rng.normal(size=4) for it in corpus.catalog},
+            {it.item_id: it.efficient_score for it in corpus.catalog},
+            {it.item_id: it.category_path for it in corpus.catalog}, max_len=8, k=4, cs=8)
+        trie = di.build_trie(docids, node_scores)
+        grown = set()
+        for row in clicked[:20]:
+            decoded = [(docids[row.target_item_id], -0.1)]
+            cluster = pl.expand_variant(decoded, trie, table, 2, False, 5000, 10)
+            both = pl.expand_variant(decoded, trie, table, 2, True, 5000, 10)
+            grown |= {e.item_id for e in both.entries if e.source == "i2i"} - \
+                set(cluster.item_ids())
+        assert grown
 
 
 class TestSwing:

@@ -13,28 +13,34 @@ from higen import nn
 from higen.errors import CheckpointError, DimensionError, NumericError
 
 
+def attention(q, k, v, d_k):
+    """Attention over one sequence: attention_batched with a batch of one."""
+    return nn.attention_batched(*(np.asarray(x, dtype=float)[None] for x in (q, k, v)),
+                                d_k).data[0]
+
+
 class TestAttention:
     def test_single_key_passthrough(self):
-        out = nn.attention([[1.0, 0.0]], [[1.0, 0.0]], [[3.0, 7.0]], 2)
+        out = attention([[1.0, 0.0]], [[1.0, 0.0]], [[3.0, 7.0]], 2)
         np.testing.assert_allclose(out, [[3.0, 7.0]])
 
     def test_equal_logits_average(self):
-        out = nn.attention([[0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]],
-                           [[2.0, 0.0], [0.0, 2.0]], 2)
+        out = attention([[0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]],
+                        [[2.0, 0.0], [0.0, 2.0]], 2)
         np.testing.assert_allclose(out, [[1.0, 1.0]])
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(7)
         q, k = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
         v = rng.normal(size=(3, 5))
-        np.testing.assert_allclose(nn.attention(q, k, v, 4), ref_attention(q, k, v, 4),
+        np.testing.assert_allclose(attention(q, k, v, 4), ref_attention(q, k, v, 4),
                                    atol=1e-10)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            nn.attention(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 4)), 4)
+            attention(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 4)), 4)
         with pytest.raises(DimensionError):
-            nn.attention(np.zeros((2, 4)), np.zeros((2, 4)), np.zeros((3, 4)), 4)
+            attention(np.zeros((2, 4)), np.zeros((2, 4)), np.zeros((3, 4)), 4)
 
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -47,8 +53,8 @@ class TestAttention:
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         q, k, v = rng.normal(size=(2, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
-        a = nn.attention(q, k, v, 3)
-        b = nn.attention(q, k, v, 3)
+        a = attention(q, k, v, 3)
+        b = attention(q, k, v, 3)
         assert np.array_equal(a, b)
 
     def test_batched_matches_single(self):
@@ -58,7 +64,7 @@ class TestAttention:
         v = rng.normal(size=(4, 5, 2))
         out = nn.attention_batched(nn.Tensor(q), nn.Tensor(k), nn.Tensor(v), 3).data
         for b in range(4):
-            np.testing.assert_allclose(out[b], nn.attention(q[b], k[b], v[b], 3), atol=1e-12)
+            np.testing.assert_allclose(out[b], ref_attention(q[b], k[b], v[b], 3), atol=1e-12)
 
 
 class TestDenseNet:
@@ -209,7 +215,8 @@ class TestGradcheck:
         v = nn.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
 
         def loss():
-            z = nn.attention(q, k, v, 3)
+            z = nn.reshape(nn.attention_batched(nn.reshape(q, (1, 2, 3)), nn.reshape(k, (1, 3, 3)),
+                                                nn.reshape(v, (1, 3, 6)), 3), (2, 6))
             return nn.mean_all(net.forward(z))
 
         params = {"q": q, "k": k, "v": v, **net.params()}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 
@@ -46,7 +47,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="beam_width"):
             PipelineConfig(beam_width=2, topk=5).validate()
         with pytest.raises(ConfigError, match="docid_max_len"):
-            PipelineConfig(docid_max_len=2, semantic_len=2).validate()
+            PipelineConfig(docid_max_len=1).validate()
+
+    def test_retired_semantic_len_key_loads(self):
+        # config.json files written while the semantic prefix was a knob
+        assert PipelineConfig.from_dict({"semantic_len": 1}) == PipelineConfig()
+
+    def test_every_field_is_read_by_a_stage(self):
+        read = {name for stage in pl.STAGES for name in stage.cfg + stage.reads}
+        unread = {f.name for f in dataclasses.fields(PipelineConfig)} - read - \
+            {"workdir", "stages", "kfold"}
+        assert not unread, f"config fields that no stage reads: {sorted(unread)}"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -247,6 +258,18 @@ class TestDecodeExpandCli:
         assert "-" in first["docid"]
         assert first["item_id"] == row["target_item_id"]  # memorized training query
 
+    def test_dash_output_streams_to_stdout(self, ran, tmp_path, capsys):
+        work = ran / "work"
+        inp = tmp_path / "queries.jsonl"
+        inp.write_text("".join(json.dumps({"query": f"c10{i} w{i}"}) + "\n" for i in range(3)))
+        args = ["decode", "--index", str(work / "index.json"),
+                "--checkpoint", str(work / "decoder.ckpt.json"), "--input", str(inp)]
+        assert cli.main(args + ["--output", str(tmp_path / "out.jsonl")]) == 0
+        capsys.readouterr()
+        assert cli.main(args + ["--output", "-"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "out.jsonl").read_text()
+        assert not (tmp_path / "-").exists()
+
     @pytest.mark.parametrize("variant", ["direct", "cluster-2", "cluster-2-i2i"])
     def test_expand_contract(self, ran, tmp_path, variant):
         work = ran / "work"
@@ -403,6 +426,49 @@ class TestExitCodes:
                        "--input", str(tmp_path / "nope.jsonl")])
         assert rc == cli.EXIT_DATA
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,first_line", [("decode", None), ("expand", None),
+                                                    ("decode", '{"query": "c101 w0"}')])
+    def test_failed_run_keeps_existing_output(self, ran, tmp_path, capsys, command, first_line):
+        work = ran / "work"
+        out = tmp_path / "res.jsonl"
+        out.write_text('{"query": "an earlier run", "results": []}\n')
+        before = out.read_bytes()
+        inp = tmp_path / "nope.jsonl"
+        if first_line is not None:       # one good line, then a malformed one
+            inp = tmp_path / "queries.jsonl"
+            inp.write_text(first_line + '\n["q"]\n')
+        ckpt = ["--checkpoint", str(work / "decoder.ckpt.json")] if command == "decode" else []
+        rc = cli.main([command, "--index", str(work / "index.json"), *ckpt,
+                       "--input", str(inp), "--output", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert not (tmp_path / "res.jsonl.tmp").exists()
+
+    def test_non_utf8_training_file_is_3(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "train.jsonl"
+        bad.write_bytes(b"\xff\xfe\n")
+        cfg = json.loads((corpus / "config.json").read_text())
+        cfg.update(train_path=str(bad), workdir=str(tmp_path / "w"))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert cli.main(["train-embed", "--config", str(p)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert "1/1 malformed rows" in err and str(bad) in err
+
+    def test_index_without_node_scores_is_3(self, finished, tmp_path, capsys):
+        index = tmp_path / "work" / "index.json"
+        doc = json.loads(index.read_text())
+        doc["node_scores"] = {}
+        index.write_text(json.dumps(doc))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(finished.echo()))
+        assert cli.main(["train-decoder", "--config", str(p)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert f"{index}: no node score for docID prefix " in err   # e.g. 101-0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_is_4(self, corpus, tmp_path):
