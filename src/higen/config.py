@@ -4,7 +4,15 @@ used by `PipelineConfig` and by the configs and vocabularies in checkpoints.
 
 The length of each docID's semantic prefix is not configured: the index
 stores it per docID, as the length of the item's category path (0 without
-category clustering)."""
+category clustering).
+
+Retired options still load from older files (`RETIRED_KEYS`). `loss_window`
+and `semantic_len` are dropped whatever they hold. Two options became
+constants and are accepted only with the one value still in use:
+`normalize_fusion` (MetricConfig `normalize`) only as false, since fused
+vectors are not L2-normalized, and `dec_activation` (DecoderConfig
+`activation`) only as "tanh", the decoder's hidden activation. Any other
+value is a ConfigError naming the key."""
 
 from __future__ import annotations
 
@@ -17,7 +25,10 @@ from .data import read_json
 from .errors import ConfigError, DataError
 
 ENV_PREFIX = "HIGEN_"
-RETIRED_KEYS = ("loss_window", "semantic_len")   # dropped on load, for older files
+# dropped on load: None takes any value, else the one value still accepted
+RETIRED_KEYS = {"loss_window": None, "semantic_len": None,
+                "normalize_fusion": False, "normalize": False,
+                "dec_activation": "tanh", "activation": "tanh"}
 
 
 def to_json(obj) -> dict:
@@ -45,11 +56,23 @@ def _typed(name: str, value, default):
 def from_json(cls, d: dict):
     """The dataclass cls from the JSON object d; unknown keys are errors."""
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for key in sorted(d.keys() & RETIRED_KEYS.keys()):
+        kept = RETIRED_KEYS[key]
+        if kept is not None and (type(d[key]), d[key]) != (type(kept), kept):
+            raise ConfigError(f"config field '{key}' is retired and accepts only "
+                              f"{json.dumps(kept)}, got {json.dumps(d[key])}")
     d = {k: v for k, v in d.items() if k not in RETIRED_KEYS}
     unknown = sorted(set(d) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
     return cls(**{k: _typed(k, v, defaults[k]) for k, v in d.items()})
+
+
+# sizes and counts that must be at least 1
+SIZE_FIELDS = ("batch_embed", "epochs_embed", "embed_dim", "d_k", "d_u", "query_len",
+               "context_len", "sem_len", "batch_metric", "epochs_metric", "fusion_dim",
+               "kmeans_k", "max_cluster", "batch_decoder", "epochs_decoder", "dec_emb",
+               "dec_model", "i2i_top_n")
 
 
 @dataclass
@@ -86,7 +109,6 @@ class PipelineConfig:
     fusion_hidden: tuple[int, ...] = (64,)
     margin: float = 0.1
     cap_per_pv: int = 20
-    normalize_fusion: bool = False
 
     # docID generation
     kmeans_k: int = 10
@@ -101,7 +123,6 @@ class PipelineConfig:
     dec_emb: int = 24
     dec_model: int = 48
     dec_hidden: tuple[int, ...] = (64,)
-    dec_activation: str = "tanh"
     lambda_h: float = 0.8
     lambda_s: float = 0.1
     lambda_e: float = 0.1
@@ -136,29 +157,23 @@ class PipelineConfig:
         checks = [
             (self.lr_embed > 0 and self.lr_metric > 0 and self.lr_decoder > 0,
              "learning rates must be positive"),
-            (self.batch_embed >= 1 and self.batch_metric >= 1 and self.batch_decoder >= 1,
-             "batch sizes must be >= 1"),
-            (self.epochs_embed >= 1 and self.epochs_metric >= 1 and self.epochs_decoder >= 1,
-             "epoch counts must be >= 1"),
-            (self.embed_dim >= 1 and self.fusion_dim >= 1 and self.d_k >= 1 and self.d_u >= 1,
-             "dimensions must be >= 1"),
+            *((getattr(self, name) >= 1, f"{name} must be >= 1") for name in SIZE_FIELDS),
+            *((all(v >= 1 for v in getattr(self, name)), f"every {name} entry must be >= 1")
+              for name in ("embed_hidden", "fusion_hidden", "dec_hidden")),
             (self.tau > 0, "tau must be positive"),
             (self.w_c >= 0, "w_c must be >= 0"),
             (self.margin > 0, "margin must be positive"),
-            (self.kmeans_k >= 1, "kmeans_k must be >= 1"),
-            (self.max_cluster >= 1, "max_cluster must be >= 1"),
             (self.docid_max_len >= 2, "docid_max_len must fit a cluster and an ordinal token"),
             (all(v >= 0 for v in (self.lambda_h, self.lambda_s, self.lambda_e)),
              "lambda weights must be >= 0"),
             (1 <= self.topk <= self.beam_width, "need beam_width >= topk >= 1"),
-            (all(k >= 1 for k in self.eval_ks), "eval_ks must be >= 1"),
+            (len(self.eval_ks) >= 1 and all(k >= 1 for k in self.eval_ks),
+             "eval_ks must be a non-empty list of ks >= 1"),
             (self.cap >= 0, "cap must be >= 0"),
             (self.i2i_alpha > 0, "i2i_alpha must be positive"),
             (self.per_seed_n >= 0, "per_seed_n must be >= 0"),
             (self.kfold == 0 or self.kfold >= 2, "kfold must be 0 or >= 2"),
             (self.data_schema in ("jsonl", "tsv"), "data_schema must be jsonl or tsv"),
-            (self.dec_activation in ("relu", "tanh", "identity"),
-             "dec_activation must be relu, tanh, or identity"),
         ]
         for ok, msg in checks:
             if not ok:

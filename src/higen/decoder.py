@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn
 from .config import from_json, to_json
-from .docid import DocId, DocIdTrie
+from .docid import DocId, DocIdTrie, TrieNode
 from .errors import ConfigError, DataError, DimensionError, IndexBuildError
 from .representation import Vocab, row_indices
 
@@ -87,7 +87,6 @@ class DecoderConfig:
     emb: int = 24
     d_model: int = 48
     hidden: tuple[int, ...] = (64,)
-    activation: str = "tanh"   # relu risks exact zero logits with zero biases
     query_len: int = 4
     context_len: int = 4
     lr: float = 5e-5
@@ -172,7 +171,8 @@ class DecoderModel:
         self.context_table = table(len(vocab.items) + 1, c.emb)
         self.pool_query = table(1, c.emb)
         self.pool_context = table(1, c.emb)
-        acts = [c.activation] * len(c.hidden) + ["identity"]
+        # tanh hidden layers: relu risks exact zero logits with zero biases
+        acts = ["tanh"] * len(c.hidden) + ["identity"]
         self.enc_net = nn.DenseNet([3 * c.emb, *c.hidden, c.d_model], acts, rng, "enc_net")
         self.tok_table = table(pos_vocab.total, c.d_model)
         self.pos_table = table(pos_vocab.n_positions, c.d_model)
@@ -266,13 +266,10 @@ class DecoderModel:
 # loss
 
 
-def greedy_argmax_token(model: DecoderModel, trie: DocIdTrie, logits_row: np.ndarray,
-                        prefix: tuple[int, ...], t: int) -> int:
-    """Highest-logit token among the trie children of the teacher-forced
-    prefix (ties go to the smallest token value)."""
-    node = trie.node_at(prefix)
-    if node is None or not node.children:
-        raise DataError(f"teacher-forced prefix {prefix} has no trie children")
+def greedy_argmax_token(model: DecoderModel, node: TrieNode, logits_row: np.ndarray,
+                        t: int) -> int:
+    """Highest-logit token among the children of the trie node of the
+    teacher-forced position-t prefix (ties go to the smallest token value)."""
     children = sorted(node.children)
     locals_ = [model.pos_vocab.local(t, v) for v in children]
     return children[int(np.argmax(logits_row[locals_]))]
@@ -290,6 +287,7 @@ def position_aware_loss(batch: DecoderBatch, model: DecoderModel,
     b = batch.size
     targets = [d.tokens for d in batch.targets]
     max_len = max(len(tok) for tok in targets)
+    nodes = [weights.trie.root] * b     # each row's trie node at its prefix
     total = None
     hits: dict[int, int] = {}
     counts: dict[int, int] = {}
@@ -302,22 +300,25 @@ def position_aware_loss(batch: DecoderBatch, model: DecoderModel,
         ce = nn.softmax_cross_entropy(logits, local_targets)
         w = np.ones(len(active))
         for pos, i in enumerate(active):
-            tokens = targets[i]
+            tokens, node = targets[i], nodes[i]
             y_t = tokens[t]
-            y_hat = greedy_argmax_token(model, weights.trie, logits.data[pos], tokens[:t], t)
+            if y_t not in node.children:
+                raise DataError(f"teacher-forced prefix {tokens[:t + 1]} is not in the trie")
+            y_hat = greedy_argmax_token(model, node, logits.data[pos], t)
             hits[t] = hits.get(t, 0) + (1 if y_hat == y_t else 0)
             counts[t] = counts.get(t, 0) + 1
             if weights.position_aware:
-                def e_lookup(tok, _prefix=tokens[:t]):
-                    return weights.trie.score_at(_prefix + (tok,))
+                def e_lookup(tok, _node=node):
+                    return _node.children[tok].score
 
                 w[pos] = position_weight(t, len(tokens) - 1, batch.targets[i].semantic_len,
                                          y_t, y_hat, e_lookup, weights.oracle,
                                          weights.lambda_h, weights.lambda_s, weights.lambda_e)
+            nodes[i] = node.children[y_t]
         contrib = nn.sum_all(nn.mul_const(ce, w))
         total = contrib if total is None else nn.add(total, contrib)
     accuracy = {t: hits[t] / counts[t] for t in counts}
-    return nn.scale(total, 1.0 / b), accuracy
+    return nn.mul_const(total, 1.0 / b), accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +329,7 @@ def position_aware_loss(batch: DecoderBatch, model: DecoderModel,
 class BeamHypothesis:
     tokens: tuple[int, ...]
     logprob: float
+    node: TrieNode     # the trie node the tokens lead to
 
 
 def constrained_beam_search(row, model: DecoderModel, trie: DocIdTrie, beam_width: int,
@@ -341,8 +343,8 @@ def constrained_beam_search(row, model: DecoderModel, trie: DocIdTrie, beam_widt
         raise IndexBuildError("cannot decode against an empty trie")
     ctx_np = model.encode(model.prepare_rows([row])).data[:1]
 
-    active: list[BeamHypothesis] = [BeamHypothesis((), 0.0)]
-    done: list[tuple[tuple[int, ...], float, str]] = []
+    active: list[BeamHypothesis] = [BeamHypothesis((), 0.0, trie.root)]
+    done: list[tuple[tuple[int, ...], float, TrieNode]] = []
     for depth in range(trie.max_depth):
         if not active:
             break
@@ -352,22 +354,17 @@ def constrained_beam_search(row, model: DecoderModel, trie: DocIdTrie, beam_widt
             # the exhaustive oracle regardless of batch shape
             logits = model.position_logits(nn.Tensor(ctx_np), [hyp.tokens], depth).data
             logprobs = nn.log_softmax_rows(logits)
-            node = trie.node_at(hyp.tokens)
-            for value in sorted(node.children):
-                child = node.children[value]
+            for value in sorted(hyp.node.children):
+                child = hyp.node.children[value]
                 lp = hyp.logprob + float(logprobs[0, model.pos_vocab.local(depth, value)])
                 if child.item_id is not None:
-                    done.append((hyp.tokens + (value,), lp, child.item_id))
+                    done.append((hyp.tokens + (value,), lp, child))
                 else:
-                    extensions.append(BeamHypothesis(hyp.tokens + (value,), lp))
+                    extensions.append(BeamHypothesis(hyp.tokens + (value,), lp, child))
         extensions.sort(key=lambda h: (-h.logprob, h.tokens))
         active = extensions[:beam_width]
     done.sort(key=lambda d: (-d[1], d[0]))
-    out = []
-    for tokens, lp, item_id in done[:k]:
-        leaf = trie.node_at(tokens)
-        out.append((leaf.docid, lp, item_id))
-    return out
+    return [(leaf.docid, lp, leaf.item_id) for _tokens, lp, leaf in done[:k]]
 
 
 def brute_force_scores(model: DecoderModel, trie: DocIdTrie, row):

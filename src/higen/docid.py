@@ -259,12 +259,6 @@ class DocIdTrie:
         node = self.node_at(tokens)
         return node.item_id if node is not None else None
 
-    def score_at(self, prefix) -> float:
-        node = self.node_at(prefix)
-        if node is None or node.score is None:
-            raise KeyError(f"no efficiency score at prefix {tuple(prefix)}")
-        return node.score
-
     def items_under(self, prefix) -> list[tuple[tuple[int, ...], str, float | None]]:
         """(tokens, item_id, leaf score) for every leaf below the prefix, in
         lexicographic token order."""

@@ -1,6 +1,11 @@
 """Serving-side recall expansion: grow the decoder's top-k into a large
 recall set by shared docID prefixes (cluster variant) and by Swing
-item-to-item similarity (I2I variant)."""
+item-to-item similarity (I2I variant).
+
+The three tiers are built independently. The cluster tier holds every item
+under the decoded prefixes, decoded items included; the I2I tier the top
+Swing neighbours of the direct hits. `merge_recall` alone sets priority:
+direct, then cluster, then I2I, each item kept at its first occurrence."""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .data import read_jsonl, write_jsonl
-from .docid import DocId, DocIdTrie
+from .docid import DocIdTrie
 from .errors import ConfigError
 
 
@@ -44,31 +49,21 @@ def direct_hits(decoded, trie: DocIdTrie) -> RecallSet:
     return RecallSet(entries)
 
 
-def cluster_expand(decoded, trie: DocIdTrie, prefix_len_k: int, direct: RecallSet) -> RecallSet:
-    """All items sharing the first prefix_len_k docID tokens with any decoded
-    (DocId, logprob) pair. The direct hits, `direct_hits(decoded, trie)`, come
-    first in decoded order; expansion items follow, ordered by their leaf
-    efficiency score descending.
-
-    A decoded docID shorter than the prefix matches only itself.
-    """
+def cluster_expand(decoded, trie: DocIdTrie, prefix_len_k: int) -> RecallSet:
+    """Every item sharing the first prefix_len_k docID tokens with any decoded
+    (DocId, logprob) pair, the decoded items included, scored by leaf
+    efficiency score and ordered by it descending. A decoded docID shorter
+    than the prefix is its own prefix."""
     if prefix_len_k < 1 or prefix_len_k > trie.max_depth:
         raise ConfigError(f"prefix length {prefix_len_k} outside [1, {trie.max_depth}]")
-    seen = set(direct.item_ids())
-
     expanded: dict[str, float] = {}
     for d, _logprob in decoded:
-        if len(d.tokens) < prefix_len_k:
-            continue   # prefix longer than the docID: only the docID itself
         for _tokens, item_id, leaf_score in trie.items_under(d.tokens[:prefix_len_k]):
-            if item_id in seen:
-                continue
             score = leaf_score if leaf_score is not None else 0.0
             if item_id not in expanded or score > expanded[item_id]:
                 expanded[item_id] = score
-    tail = [RecallEntry(i, "cluster", s)
-            for i, s in sorted(expanded.items(), key=lambda kv: (-kv[1], kv[0]))]
-    return RecallSet(direct.entries + tail)
+    return RecallSet([RecallEntry(i, "cluster", s)
+                      for i, s in sorted(expanded.items(), key=lambda kv: (-kv[1], kv[0]))])
 
 
 class I2ITable:

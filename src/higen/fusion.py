@@ -37,7 +37,6 @@ class MetricConfig:
     epochs: int = 5
     cap_per_pv: int = 20
     seed: int = 0
-    normalize: bool = False   # L2-normalize fused vectors before distances
 
 
 class FusionModel:
@@ -55,10 +54,7 @@ class FusionModel:
         return self.net.params()
 
     def fuse_batch(self, x: nn.Tensor) -> nn.Tensor:
-        out = self.net.forward(x)
-        if self.config.normalize:
-            out = nn.l2_normalize_rows(out, "fusion output")
-        return out
+        return self.net.forward(x)
 
     def save(self, path) -> None:
         nn.save_checkpoint(path, self.params(),

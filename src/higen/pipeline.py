@@ -160,7 +160,7 @@ def _metric(c, work: Path, out: Path) -> None:
     atomic = rep.read_atomic_jsonl(work / "atomic.jsonl")
     cfg = fu.MetricConfig(d_out=c.fusion_dim, hidden=c.fusion_hidden, margin=c.margin,
                           lr=c.lr_metric, batch_size=c.batch_metric, epochs=c.epochs_metric,
-                          cap_per_pv=c.cap_per_pv, seed=c.seed, normalize=c.normalize_fusion)
+                          cap_per_pv=c.cap_per_pv, seed=c.seed)
     fmodel = fu.train_metric(atomic, train.page_views, cfg)
     fu.write_fusion_jsonl(out / "fusion.jsonl", fu.fuse_table(atomic, fmodel))
     fmodel.save(out / "fusion.ckpt.json")
@@ -185,8 +185,7 @@ def _decoder(c, work: Path, out: Path) -> None:
         dec.RelevanceOracle(oracle_pairs), trie, lambda_h=c.lambda_h, lambda_s=c.lambda_s,
         lambda_e=c.lambda_e, position_aware=c.position_aware)
     cfg = dec.DecoderConfig(emb=c.dec_emb, d_model=c.dec_model, hidden=c.dec_hidden,
-                            activation=c.dec_activation, query_len=c.query_len,
-                            context_len=c.context_len, lr=c.lr_decoder,
+                            query_len=c.query_len, context_len=c.context_len, lr=c.lr_decoder,
                             batch_size=c.batch_decoder, epochs=c.epochs_decoder, seed=c.seed)
     model, _history = dec.train_decoder(train.rows, catalog, docids, trie, weights, cfg)
     model.save(out / "decoder.ckpt.json")
@@ -255,15 +254,15 @@ STAGES = (
           ("atomic.jsonl", "embed.ckpt.json"), _embed),
     Stage("metric", "train-metric", ("catalog_path", "train_path", "atomic.jsonl"),
           ("data_schema", "seed", "lr_metric", "batch_metric", "epochs_metric", "fusion_dim",
-           "fusion_hidden", "margin", "cap_per_pv", "normalize_fusion"),
+           "fusion_hidden", "margin", "cap_per_pv"),
           ("fusion.jsonl", "fusion.ckpt.json"), _metric),
     Stage("docids", "build-docids", ("catalog_path", "fusion.jsonl"),
           ("seed", "kmeans_k", "max_cluster", "docid_max_len", "category_clustering"),
           ("index.json",), _docids),
     Stage("decoder", "train-decoder", ("catalog_path", "train_path", "oracle_path", "index.json"),
           ("data_schema", "seed", "lr_decoder", "batch_decoder", "epochs_decoder", "dec_emb",
-           "dec_model", "dec_hidden", "dec_activation", "lambda_h", "lambda_s", "lambda_e",
-           "position_aware", "query_len", "context_len"),
+           "dec_model", "dec_hidden", "lambda_h", "lambda_s", "lambda_e", "position_aware",
+           "query_len", "context_len"),
           ("decoder.ckpt.json",), _decoder),
     Stage("eval", "eval",
           ("catalog_path", "train_path", "test_path", "index.json", "decoder.ckpt.json"),
@@ -280,7 +279,7 @@ def expand_variant(decoded, trie, i2i_table: ex.I2ITable, cluster_k: int | None,
     cluster = ex.RecallSet([])
     if cluster_k is not None:
         k_eff = min(cluster_k, trie.max_depth)
-        cluster = ex.cluster_expand(decoded, trie, k_eff, direct)
+        cluster = ex.cluster_expand(decoded, trie, k_eff)
     i2i = ex.RecallSet([])
     if use_i2i:
         i2i = ex.i2i_expand(direct.item_ids(), i2i_table, per_seed_n)

@@ -3,11 +3,15 @@
 Learns three per-item vectors (semantic, common, efficient) by jointly
 predicting relevance and click labels against a user tower that pools the
 context and query sequences with scaled dot-product attention.
+
+Batches carry raw efficiency features. The model standardizes them itself:
+`TwoTowerModel.atomic` applies the `eff_mean`/`eff_std` that training
+measured and the checkpoint stores, for training, export and any caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +30,6 @@ class AtomicEmbeddings:
     semantic: np.ndarray
     common: np.ndarray
     efficient: np.ndarray
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.semantic, self.common, self.efficient])
 
 
 @dataclass
@@ -84,7 +85,7 @@ class FeatureBatch:
     sem_idx: np.ndarray       # (B, sem_len)
     sem_mask: np.ndarray      # (B, sem_len) floats, 1 where a token is present
     item_idx: np.ndarray      # (B,)
-    eff: np.ndarray           # (B, n_eff)
+    eff: np.ndarray           # (B, n_eff) raw, standardized by the model
     y_r: np.ndarray           # (B,)
     y_c: np.ndarray           # (B,)
 
@@ -114,9 +115,7 @@ def row_indices(rows, vocab: Vocab, query_len: int, context_len: int):
     return user_idx, query_idx, context_idx
 
 
-def encode_rows(rows, catalog_by_id, vocab: Vocab, cfg: TwoTowerConfig,
-                eff_mean: np.ndarray | None = None,
-                eff_std: np.ndarray | None = None) -> FeatureBatch:
+def encode_rows(rows, catalog_by_id, vocab: Vocab, cfg: TwoTowerConfig) -> FeatureBatch:
     """Turn dataset rows into index arrays; unseen tokens map to PAD."""
     missing = sorted({r.target_item_id for r in rows} - set(catalog_by_id))
     if missing:
@@ -124,8 +123,6 @@ def encode_rows(rows, catalog_by_id, vocab: Vocab, cfg: TwoTowerConfig,
     user_idx, query_idx, context_idx = row_indices(rows, vocab, cfg.query_len, cfg.context_len)
     sem_idx, sem_mask, item_idx, eff = item_arrays(
         [catalog_by_id[r.target_item_id] for r in rows], vocab, cfg)
-    if eff_mean is not None:
-        eff = (eff - eff_mean) / eff_std
     return FeatureBatch(user_idx, query_idx, context_idx, sem_idx, sem_mask, item_idx, eff,
                         np.array([float(r.relevance) for r in rows]),
                         np.array([float(r.click) for r in rows]))
@@ -187,19 +184,21 @@ class TwoTowerModel:
         x_c = nn.gather(self.context_table, batch.context_idx)
         return x_u, x_q, x_c
 
-    def atomic(self, batch: FeatureBatch):
-        sem = nn.gather(self.sem_table, batch.sem_idx)            # (B, L, d)
-        weights = batch.sem_mask / batch.sem_mask.sum(axis=1, keepdims=True)
+    def atomic(self, sem_idx, sem_mask, item_idx, eff):
+        """The three atomic embeddings of items given as `item_arrays`, the
+        efficiency features raw."""
+        sem = nn.gather(self.sem_table, sem_idx)            # (B, L, d)
+        weights = sem_mask / sem_mask.sum(axis=1, keepdims=True)
         x_is = nn.sum_axis(nn.mul_const(sem, weights[:, :, None]), 1)
-        x_ic = nn.gather(self.item_table, batch.item_idx)
-        x_ie = self.eff_net.forward(nn.Tensor(batch.eff))
+        x_ic = nn.gather(self.item_table, item_idx)
+        x_ie = self.eff_net.forward(nn.Tensor((eff - self.eff_mean) / self.eff_std))
         return x_is, x_ic, x_ie
 
     def forward(self, batch: FeatureBatch):
         x_u, x_q, x_c = self.embed_inputs(batch)
         u = user_tower(x_u, x_q, x_c, self)
-        x_is, x_ic, x_ie = self.atomic(batch)
-        return item_heads((x_is, x_ic, x_ie), u, self)
+        atomic = self.atomic(batch.sem_idx, batch.sem_mask, batch.item_idx, batch.eff)
+        return item_heads(atomic, u, self)
 
     # -- persistence ---------------------------------------------------------
 
@@ -241,16 +240,16 @@ def item_heads(atomic, u, model: TwoTowerModel):
     click_vec = model.click_head.forward(nn.concat([x_ie, x_ic], axis=1))
     u_n = nn.l2_normalize_rows(u, "user tower")
     inv_tau = 1.0 / model.config.tau
-    y_r = nn.sigmoid(nn.scale(nn.rowwise_dot(u_n, nn.l2_normalize_rows(rel_vec, "relevance head")),
-                              inv_tau))
-    y_c = nn.sigmoid(nn.scale(nn.rowwise_dot(u_n, nn.l2_normalize_rows(click_vec, "click head")),
-                              inv_tau))
+    y_r = nn.sigmoid(nn.mul_const(
+        nn.rowwise_dot(u_n, nn.l2_normalize_rows(rel_vec, "relevance head")), inv_tau))
+    y_c = nn.sigmoid(nn.mul_const(
+        nn.rowwise_dot(u_n, nn.l2_normalize_rows(click_vec, "click head")), inv_tau))
     return y_r, y_c
 
 
 def embed_loss(y_r_hat, y_c_hat, y_r, y_c, w_c: float) -> nn.Tensor:
     """Relevance BCE plus w_c times click BCE, each averaged over the batch."""
-    return nn.add(nn.bce_mean(y_r_hat, y_r), nn.scale(nn.bce_mean(y_c_hat, y_c), w_c))
+    return nn.add(nn.bce_mean(y_r_hat, y_r), nn.mul_const(nn.bce_mean(y_c_hat, y_c), w_c))
 
 
 def train_embedding(rows, catalog, config: TwoTowerConfig) -> TwoTowerModel:
@@ -261,11 +260,10 @@ def train_embedding(rows, catalog, config: TwoTowerConfig) -> TwoTowerModel:
     vocab = Vocab.build(rows, catalog)
     model = TwoTowerModel(vocab, config)
     catalog_by_id = {it.item_id: it for it in catalog}
-    raw = encode_rows(rows, catalog_by_id, vocab, config)
-    model.eff_mean = raw.eff.mean(axis=0)
-    std = raw.eff.std(axis=0)
+    data = encode_rows(rows, catalog_by_id, vocab, config)
+    model.eff_mean = data.eff.mean(axis=0)
+    std = data.eff.std(axis=0)
     model.eff_std = np.where(std > 0, std, 1.0)
-    data = replace(raw, eff=(raw.eff - model.eff_mean) / model.eff_std)
 
     def batch_loss(sel):
         batch = data.take(sel)
@@ -283,14 +281,7 @@ def export_atomic_embeddings(model: TwoTowerModel, items) -> dict[str, AtomicEmb
     if unknown:
         raise DataError(f"unknown item ids at export: {unknown[:10]}")
     items = list(items)
-    sem_idx, sem_mask, item_idx, eff = item_arrays(items, model.vocab, model.config)
-    eff = (eff - model.eff_mean) / model.eff_std
-    batch = FeatureBatch(np.zeros(len(items), dtype=np.intp),
-                         np.zeros((len(items), model.config.query_len), dtype=np.intp),
-                         np.zeros((len(items), model.config.context_len), dtype=np.intp),
-                         sem_idx, sem_mask, item_idx, eff,
-                         np.zeros(len(items)), np.zeros(len(items)))
-    x_is, x_ic, x_ie = model.atomic(batch)
+    x_is, x_ic, x_ie = model.atomic(*item_arrays(items, model.vocab, model.config))
     return {it.item_id: AtomicEmbeddings(x_is.data[i].copy(), x_ic.data[i].copy(),
                                          x_ie.data[i].copy())
             for i, it in enumerate(items)}

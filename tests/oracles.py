@@ -3,15 +3,19 @@ scalar forms and helpers that only tests use.
 
 The references are deliberately written with explicit Python loops and no
 calls into the package, so they stay independent of the code paths they
-check. `fuse` and `hierarchical_weights` call into the package.
+check. `fuse`, `hierarchical_weights`, `expand_variant_direct_first` and
+the autograd test helpers `mul` and `finite_diff_gradcheck` call into the
+package.
 """
 
 import numpy as np
 
 from higen import decoder as dec
+from higen import expansion as ex
 from higen import fusion
 from higen import nn
 from higen.errors import DimensionError
+from higen.nn import Tensor, _accum, _node, _wrap
 
 
 def ref_attention(q, k, v, d_k):
@@ -120,3 +124,72 @@ def fuse(atomic, model) -> np.ndarray:
 
 def hierarchical_weights(last: int) -> np.ndarray:
     return np.array([dec.hierarchical_weight(t, last) for t in range(last + 1)])
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"cannot multiply shapes {a.data.shape} and {b.data.shape}")
+
+    def bw(g):
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
+
+    return _node(a.data * b.data, (a, b), bw)
+
+
+def finite_diff_gradcheck(loss_fn, params: dict[str, Tensor], eps: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    loss_fn must rebuild its graph from the current parameter data on every
+    call and be deterministic.
+    """
+    for p in params.values():
+        p.grad = None
+    loss = loss_fn()
+    loss.backward()
+    analytic = {k: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
+                for k, p in params.items()}
+    worst = 0.0
+    for name, p in params.items():
+        flat = p.data.reshape(-1)
+        ref = analytic[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            fp = float(loss_fn().data)
+            flat[i] = orig - eps
+            fm = float(loss_fn().data)
+            flat[i] = orig
+            numeric = (fp - fm) / (2.0 * eps)
+            rel = abs(ref[i] - numeric) / max(1e-8, abs(ref[i]) + abs(numeric))
+            worst = max(worst, rel)
+    return worst
+
+
+def expand_variant_direct_first(decoded, trie, i2i_table, cluster_k, use_i2i, cap,
+                                per_seed_n) -> ex.RecallSet:
+    """`pipeline.expand_variant` with the cluster tier built the earlier way:
+    the direct hits first, then only the items the prefixes add, and a
+    decoded docID shorter than the prefix matching only itself."""
+    direct = ex.direct_hits(decoded, trie)
+    cluster = ex.RecallSet([])
+    if cluster_k is not None:
+        k = min(cluster_k, trie.max_depth)
+        seen = set(direct.item_ids())
+        expanded = {}
+        for d, _logprob in decoded:
+            if len(d.tokens) < k:
+                continue
+            for _tokens, item_id, leaf_score in trie.items_under(d.tokens[:k]):
+                if item_id in seen:
+                    continue
+                score = leaf_score if leaf_score is not None else 0.0
+                if item_id not in expanded or score > expanded[item_id]:
+                    expanded[item_id] = score
+        tail = [ex.RecallEntry(i, "cluster", s)
+                for i, s in sorted(expanded.items(), key=lambda kv: (-kv[1], kv[0]))]
+        cluster = ex.RecallSet(direct.entries + tail)
+    i2i = ex.i2i_expand(direct.item_ids(), i2i_table, per_seed_n) if use_i2i \
+        else ex.RecallSet([])
+    return ex.merge_recall(direct, cluster, i2i, cap)

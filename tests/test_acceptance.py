@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 from helpers import build_random_index, clustered_world, decoder_world
-from oracles import class_distance_gap, hierarchical_weights
+from oracles import class_distance_gap, finite_diff_gradcheck, hierarchical_weights
 
 from higen import cli
 from higen import data as dt
@@ -58,7 +58,7 @@ def test_c01_gradient_correctness():
             y_r, y_c = model.forward(batch)
             return rep.embed_loss(y_r, y_c, batch.y_r, batch.y_c, cfg.w_c)
 
-        err_embed = nn.finite_diff_gradcheck(embed_loss_fn, model.params(), eps=1e-5)
+        err_embed = finite_diff_gradcheck(embed_loss_fn, model.params(), eps=1e-5)
         assert err_embed < 1e-4, f"embedding loss gradcheck {err_embed}"
 
         # triplet hinge through the fusion MLP
@@ -71,7 +71,7 @@ def test_c01_gradient_correctness():
                                          fmodel.fuse_batch(nn.Tensor(xp)),
                                          fmodel.fuse_batch(nn.Tensor(xn)), 0.3)
 
-        err_triplet = nn.finite_diff_gradcheck(triplet_loss_fn, fmodel.params(), eps=1e-5)
+        err_triplet = finite_diff_gradcheck(triplet_loss_fn, fmodel.params(), eps=1e-5)
         assert err_triplet < 1e-4, f"triplet loss gradcheck {err_triplet}"
 
         # position-weighted cross-entropy through the decoder
@@ -83,7 +83,7 @@ def test_c01_gradient_correctness():
         def decoder_loss_fn():
             return dec.position_aware_loss(dbatch, dmodel, weights)[0]
 
-        err_decoder = nn.finite_diff_gradcheck(decoder_loss_fn, dmodel.params(), eps=1e-5)
+        err_decoder = finite_diff_gradcheck(decoder_loss_fn, dmodel.params(), eps=1e-5)
         assert err_decoder < 1e-4, f"position-aware loss gradcheck {err_decoder}"
 
         elapsed = time.perf_counter() - started
@@ -189,7 +189,7 @@ def test_c05_cluster_expansion_nesting():
             decoded = [(docids[ids[i]], -float(j)) for j, i in enumerate(picks)]
             prev_set, prev_num = None, None
             for k in range(trie.max_depth, 0, -1):
-                out = ex.cluster_expand(decoded, trie, k, ex.direct_hits(decoded, trie))
+                out = ex.cluster_expand(decoded, trie, k)
                 got = set(out.item_ids())
                 assert len(got) == out.recall_num
                 if prev_set is not None:

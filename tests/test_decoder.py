@@ -2,11 +2,10 @@ import mpmath
 import numpy as np
 import pytest
 from helpers import decoder_world, random_index_inputs
-from oracles import hierarchical_weights
+from oracles import finite_diff_gradcheck, hierarchical_weights
 
 from higen import decoder as dec
 from higen import docid as di
-from higen import nn
 from higen.data import DatasetRow, Item
 from higen.errors import ConfigError, DataError, DimensionError, IndexBuildError
 
@@ -274,7 +273,7 @@ class TestPositionAwareLoss:
         def loss():
             return dec.position_aware_loss(batch, model, weights)[0]
 
-        assert nn.finite_diff_gradcheck(loss, model.params(), eps=1e-5) < 1e-4
+        assert finite_diff_gradcheck(loss, model.params(), eps=1e-5) < 1e-4
 
 
 class TestBeamSearch:

@@ -212,9 +212,8 @@ class TestTrie:
     def test_score_lookup(self):
         docids, node_scores, trie = build_random_index(8, n_items=50, n_cats=3)
         probe = next(iter(node_scores))
-        assert trie.score_at(probe) == node_scores[probe]
-        with pytest.raises(KeyError):
-            trie.score_at((999, 999))
+        assert trie.node_at(probe).score == node_scores[probe]
+        assert trie.node_at((999, 999)) is None
 
 
 class TestIndexIO:

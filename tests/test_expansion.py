@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 from helpers import build_random_index
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import expand_variant_direct_first
 
 from higen import data as dt
 from higen import docid as di
@@ -25,20 +28,15 @@ def small_trie():
     return docids, di.build_trie(docids, node_scores)
 
 
-def cluster_expand(decoded, trie, k):
-    return ex.cluster_expand(decoded, trie, k, ex.direct_hits(decoded, trie))
-
-
 class TestClusterExpand:
     def test_full_length_prefix_returns_decoded_only(self):
         docids, trie = small_trie()
-        out = cluster_expand([(docids["a"], -0.1)], trie, 4)
+        out = ex.cluster_expand([(docids["a"], -0.1)], trie, 4)
         assert out.item_ids() == ["a"]
-        assert out.entries[0].source == "direct"
 
     def test_shared_prefix_items_included(self):
         docids, trie = small_trie()
-        out = cluster_expand([(docids["a"], -0.1)], trie, 2)
+        out = ex.cluster_expand([(docids["a"], -0.1)], trie, 2)
         assert set(out.item_ids()) == {"a", "b", "c"}
         # expansion items ordered by leaf efficiency score descending
         assert out.item_ids() == ["a", "c", "b"]
@@ -47,7 +45,7 @@ class TestClusterExpand:
     def test_prefix_beyond_short_docid_matches_only_itself(self):
         docids = {"x": di.DocId((1, 0), 1), "y": di.DocId((1, 1, 0), 1)}
         trie = di.build_trie(docids, {(1, 0): 0.5, (1, 1): 0.5, (1, 1, 0): 0.5})
-        out = cluster_expand([(docids["x"], -0.2)], trie, 3)
+        out = ex.cluster_expand([(docids["x"], -0.2)], trie, 3)
         assert out.item_ids() == ["x"]
 
     def test_nesting_over_random_indices(self):
@@ -59,7 +57,7 @@ class TestClusterExpand:
             decoded = [(docids[ids[i]], -float(j)) for j, i in enumerate(picks)]
             prev = None
             for k in range(trie.max_depth, 0, -1):
-                got = set(cluster_expand(decoded, trie, k).item_ids())
+                got = set(ex.cluster_expand(decoded, trie, k).item_ids())
                 if prev is not None:
                     assert got >= prev
                 prev = got
@@ -67,9 +65,34 @@ class TestClusterExpand:
     def test_prefix_bound_validation(self):
         docids, trie = small_trie()
         with pytest.raises(ConfigError):
-            cluster_expand([], trie, 0)
+            ex.cluster_expand([], trie, 0)
         with pytest.raises(ConfigError):
-            cluster_expand([], trie, 9)
+            ex.cluster_expand([], trie, 9)
+
+
+class TestExpandVariant:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 1 << 16), n_items=st.integers(5, 60), n_cats=st.integers(1, 5),
+           path_len=st.sampled_from([1, 2]), data=st.data())
+    def test_matches_the_direct_first_cluster_tier(self, seed, n_items, n_cats, path_len,
+                                                   data):
+        # the cluster tier holds every item under the prefixes and merge_recall
+        # sets priority: each merged set equals the one built with the direct
+        # hits at the head of the cluster tier
+        docids, _ns, trie = build_random_index(seed, n_items=n_items, n_cats=n_cats,
+                                               path_len=path_len)
+        ids = sorted(docids)
+        picks = data.draw(st.lists(st.sampled_from(ids), max_size=8))
+        decoded = [(docids[i], data.draw(st.floats(-5.0, 0.0))) for i in picks]
+        clicks = data.draw(st.lists(st.tuples(st.sampled_from(["u0", "u1", "u2", "u3"]),
+                                              st.sampled_from(ids)), max_size=40))
+        table = ex.swing_scores(clicks)
+        k = data.draw(st.integers(1, trie.max_depth + 1))
+        cap = data.draw(st.integers(0, n_items + 2))
+        per_seed_n = data.draw(st.integers(0, 4))
+        for cluster_k, use_i2i in ((None, False), (k, False), (None, True), (k, True)):
+            args = (decoded, trie, table, cluster_k, use_i2i, cap, per_seed_n)
+            assert pl.expand_variant(*args).entries == expand_variant_direct_first(*args).entries
 
 
 class TestI2IVariant:

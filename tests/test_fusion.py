@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import class_distance_gap, fuse, ref_dense, triplet_loss
+from oracles import class_distance_gap, finite_diff_gradcheck, fuse, ref_dense, triplet_loss
 
 from higen import fusion, nn
 from higen.data import PageView
@@ -132,7 +132,7 @@ class TestTripletLoss:
                                              model.fuse_batch(nn.Tensor(xp)),
                                              model.fuse_batch(nn.Tensor(xn)), 0.5)
 
-        assert nn.finite_diff_gradcheck(loss, model.params(), eps=1e-5) < 1e-4
+        assert finite_diff_gradcheck(loss, model.params(), eps=1e-5) < 1e-4
 
 
 from helpers import clustered_world  # noqa: E402  (shared latent-cluster builder)

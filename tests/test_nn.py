@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import binary_cross_entropy, ref_attention, ref_dense
+from oracles import binary_cross_entropy, finite_diff_gradcheck, mul, ref_attention, ref_dense
 
 from higen import nn
 from higen.errors import CheckpointError, DimensionError, NumericError
@@ -161,9 +161,9 @@ class TestFit:
         def batch_loss(sel):
             calls.append(len(sel))
             diff = nn.sub(nn.gather(p, np.zeros(len(sel), dtype=np.intp)), targets[sel])
-            loss = nn.mean_all(nn.mul(diff, diff))
+            loss = nn.mean_all(mul(diff, diff))
             if len(calls) == nan_at_call:
-                loss = nn.scale(loss, float("nan"))
+                loss = nn.mul_const(loss, float("nan"))
             return loss, {"size": {"rows": float(len(sel))}}
 
         return {"p": p}, batch_loss
@@ -195,6 +195,18 @@ class TestFit:
             assert not nn.check_loss_trend([0.1 * i for i in range(10)], 5, "rising")
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "rising" in caplog.records[0].getMessage()
+        caplog.clear()
+        # a bump on the way down raises the smoothed loss once but is net progress
+        bumpy = [1.0, 0.9, 0.8, 0.7, 0.6, 1.2, 0.5, 0.4, 0.3, 0.2]
+        with caplog.at_level(logging.WARNING, logger="higen.nn"):
+            assert nn.check_loss_trend(bumpy, 5, "bumpy")
+        assert not caplog.records
+        # falls, then climbs back above where it started
+        rebound = [1.0, 0.8, 0.6, 0.4, 0.2, 0.3, 0.6, 0.9, 1.2, 1.5]
+        with caplog.at_level(logging.WARNING, logger="higen.nn"):
+            assert not nn.check_loss_trend(rebound, 5, "rebound")
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "rebound" in caplog.records[0].getMessage()
 
 
 class TestGradcheck:
@@ -202,9 +214,9 @@ class TestGradcheck:
         theta = nn.Tensor([3.0], requires_grad=True)
 
         def loss():
-            return nn.scale(nn.sum_all(nn.mul(theta, theta)), 0.5)
+            return nn.mul_const(nn.sum_all(mul(theta, theta)), 0.5)
 
-        err = nn.finite_diff_gradcheck(loss, {"theta": theta}, eps=1e-5)
+        err = finite_diff_gradcheck(loss, {"theta": theta}, eps=1e-5)
         assert err < 1e-9
 
     def test_dense_attention_composite(self):
@@ -220,7 +232,7 @@ class TestGradcheck:
             return nn.mean_all(net.forward(z))
 
         params = {"q": q, "k": k, "v": v, **net.params()}
-        assert nn.finite_diff_gradcheck(loss, params, eps=1e-5) < 1e-6
+        assert finite_diff_gradcheck(loss, params, eps=1e-5) < 1e-6
 
     def test_gather_and_normalize(self):
         rng = np.random.default_rng(4)
@@ -232,9 +244,9 @@ class TestGradcheck:
         def loss():
             x = nn.gather(table, idx)
             y = nn.l2_normalize_rows(x)
-            return nn.mean_all(nn.mul(nn.mul_const(y, c), nn.mul_const(y, c)))
+            return nn.mean_all(mul(nn.mul_const(y, c), nn.mul_const(y, c)))
 
-        assert nn.finite_diff_gradcheck(loss, {"table": table}, eps=1e-5) < 1e-6
+        assert finite_diff_gradcheck(loss, {"table": table}, eps=1e-5) < 1e-6
 
     def test_bce_and_sigmoid(self):
         rng = np.random.default_rng(9)
@@ -246,7 +258,7 @@ class TestGradcheck:
             p = nn.sigmoid(nn.reshape(nn.matmul(nn.Tensor(x), w), (4,)))
             return nn.bce_mean(p, y)
 
-        assert nn.finite_diff_gradcheck(loss, {"w": w}, eps=1e-5) < 1e-6
+        assert finite_diff_gradcheck(loss, {"w": w}, eps=1e-5) < 1e-6
 
     def test_softmax_ce_and_dist(self):
         rng = np.random.default_rng(12)
@@ -259,7 +271,7 @@ class TestGradcheck:
             d = nn.l2_dist_rows(a, b)
             return nn.add(nn.mean_all(ce), nn.mean_all(d))
 
-        assert nn.finite_diff_gradcheck(loss, {"w": w, "a": a, "b": b}, eps=1e-5) < 1e-6
+        assert finite_diff_gradcheck(loss, {"w": w, "a": a, "b": b}, eps=1e-5) < 1e-6
 
 
 def restore_into(params):

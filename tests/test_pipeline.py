@@ -53,6 +53,14 @@ class TestConfig:
         # config.json files written while the semantic prefix was a knob
         assert PipelineConfig.from_dict({"semantic_len": 1}) == PipelineConfig()
 
+    def test_config_with_retired_options_at_their_constant_loads(self, tmp_path):
+        # config.json files written while fusion normalization and the decoder
+        # activation were options carry both at the one value in use
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(PipelineConfig.desk().echo() |
+                                {"normalize_fusion": False, "dec_activation": "tanh"}))
+        assert PipelineConfig.from_file(p) == PipelineConfig.desk()
+
     def test_every_field_is_read_by_a_stage(self):
         read = {name for stage in pl.STAGES for name in stage.cfg + stage.reads}
         unread = {f.name for f in dataclasses.fields(PipelineConfig)} - read - \
@@ -225,6 +233,32 @@ class TestStageCache:
         report = run_pipeline(finished)
         assert report.skipped_stages == ["embed", "docids", "decoder", "eval"]
 
+    def test_each_stage_reads_exactly_what_it_keys(self, corpus, tmp_path, monkeypatch):
+        # a keyed field the stage never reads re-runs it on an edit that
+        # cannot change its output; an unkeyed one is missing from its namespace
+        namespaces = []
+
+        class Recording:
+            def __init__(self, **fields):
+                self._fields, self._read = fields, set()
+                namespaces.append(self)
+
+            def __getattr__(self, name):
+                if name not in self._fields:
+                    raise AttributeError(name)
+                self._read.add(name)
+                return self._fields[name]
+
+        monkeypatch.setattr(pl, "SimpleNamespace", Recording)
+        cfg = PipelineConfig.from_file(corpus / "config.json")
+        cfg.workdir = str(tmp_path / "w")
+        cfg.epochs_embed, cfg.epochs_metric, cfg.epochs_decoder = 1, 1, 1
+        run_pipeline(cfg)
+        assert len(namespaces) == len(pl.STAGES)
+        for stage, ns in zip(pl.STAGES, namespaces):
+            keyed = set(stage.cfg) | {r for r in stage.reads if r.endswith("_path")}
+            assert ns._read == keyed, f"{stage.name} never reads {sorted(keyed - ns._read)}"
+
     def test_source_change_reruns_every_stage(self, finished, monkeypatch):
         monkeypatch.setattr(pl, "SOURCE_HASH", "edited")
         assert run_pipeline(finished).skipped_stages == []
@@ -330,6 +364,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1
         assert ("'beam_width'" if source == "config" else "'topk'") in err
+
+    @pytest.mark.parametrize("key,value", [("normalize_fusion", True),
+                                           ("dec_activation", "relu")])
+    def test_retired_option_off_its_constant_is_2(self, corpus, tmp_path, capsys, key, value):
+        cfg = json.loads((corpus / "config.json").read_text())
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg | {key: value, "workdir": str(tmp_path / "w")}))
+        assert cli.main(["run-all", "--config", str(p)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert f"'{key}'" in err
+        assert not (tmp_path / "w").exists()
+
+    @pytest.mark.parametrize("env,value,field", [
+        ("HIGEN_DEC_MODEL", "0", "dec_model"), ("HIGEN_QUERY_LEN", "0", "query_len"),
+        ("HIGEN_CONTEXT_LEN", "0", "context_len"), ("HIGEN_SEM_LEN", "0", "sem_len"),
+        ("HIGEN_FUSION_HIDDEN", "[0]", "fusion_hidden"),
+        ("HIGEN_DEC_HIDDEN", "[0]", "dec_hidden"), ("HIGEN_EMBED_HIDDEN", "[0]", "embed_hidden"),
+        ("HIGEN_DEC_EMB", "0", "dec_emb"), ("HIGEN_I2I_TOP_N", "-1", "i2i_top_n"),
+        ("HIGEN_EVAL_KS", "[]", "eval_ks"),
+    ])
+    def test_size_below_one_is_2(self, corpus, tmp_path, capsys, monkeypatch, env, value,
+                                 field):
+        monkeypatch.setenv(env, value)
+        rc = cli.main(["run-all", "--config", str(corpus / "config.json"),
+                       "--workdir", str(tmp_path / "w")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert field in err
 
     def test_corrupt_index_is_3(self, ran, tmp_path):
         bad = tmp_path / "broken.json"
@@ -487,6 +551,33 @@ class TestExitCodes:
 
 
 class TestCheckpointCompat:
+    @pytest.mark.parametrize("name,load,key,kept", [
+        ("fusion.ckpt.json", fu.FusionModel.load, "normalize", False),
+        ("decoder.ckpt.json", dec.DecoderModel.load, "activation", "tanh")])
+    def test_retired_option_at_its_constant_loads(self, ran, tmp_path, name, load, key, kept):
+        # checkpoints written while the option existed hold its one value in use
+        payload = json.loads((ran / "work" / name).read_text())
+        payload["extra"]["config"][key] = kept
+        old = tmp_path / name
+        old.write_text(json.dumps(payload))
+        model, fresh = load(old), load(ran / "work" / name)
+        assert key not in model.config.__dict__
+        for (ka, ta), (kb, tb) in zip(model.params().items(), fresh.params().items()):
+            assert ka == kb and np.array_equal(ta.data, tb.data)
+
+    def test_decoder_checkpoint_with_relu_is_3(self, ran, tmp_path, capsys):
+        work = ran / "work"
+        payload = json.loads((work / "decoder.ckpt.json").read_text())
+        payload["extra"]["config"]["activation"] = "relu"
+        bad = tmp_path / "decoder.ckpt.json"
+        bad.write_text(json.dumps(payload))
+        rc = cli.main(["decode", "--index", str(work / "index.json"), "--checkpoint", str(bad),
+                       "--input", str(tmp_path / "unused.jsonl")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert str(bad) in err and "'activation'" in err
+
     @pytest.mark.parametrize("name,load", [("embed.ckpt.json", rep.TwoTowerModel.load),
                                            ("fusion.ckpt.json", fu.FusionModel.load),
                                            ("decoder.ckpt.json", dec.DecoderModel.load)])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import auc_score, ref_attention, ref_cosine, ref_dense
+from oracles import auc_score, finite_diff_gradcheck, ref_attention, ref_cosine, ref_dense
 
 from higen import nn
 from higen import representation as rep
@@ -193,7 +193,7 @@ class TestGradients:
             y_r, y_c = model.forward(batch)
             return rep.embed_loss(y_r, y_c, batch.y_r, batch.y_c, cfg.w_c)
 
-        assert nn.finite_diff_gradcheck(loss, model.params(), eps=1e-5) < 1e-4
+        assert finite_diff_gradcheck(loss, model.params(), eps=1e-5) < 1e-4
 
     def test_common_embedding_feeds_both_heads(self):
         cfg = tiny_config()
@@ -217,7 +217,7 @@ class TestTraining:
         cfg = tiny_config(d_atomic=4, d_e=4, tau=0.1, lr=0.05, epochs=250, batch_size=1)
         model = rep.train_embedding(rows, items, cfg)
         by_id = {it.item_id: it for it in items}
-        batch = rep.encode_rows(rows, by_id, model.vocab, cfg, model.eff_mean, model.eff_std)
+        batch = rep.encode_rows(rows, by_id, model.vocab, cfg)
         y_r, y_c = model.forward(batch)
         loss = rep.embed_loss(y_r, y_c, batch.y_r, batch.y_c, cfg.w_c)
         assert float(loss.data) < 0.01
@@ -232,7 +232,7 @@ class TestTraining:
         cfg = tiny_config(d_atomic=4, d_e=4, lr=0.03, epochs=120, batch_size=10, seed=1)
         model = rep.train_embedding(rows, items, cfg)
         by_id = {it.item_id: it for it in items}
-        batch = rep.encode_rows(rows, by_id, model.vocab, cfg, model.eff_mean, model.eff_std)
+        batch = rep.encode_rows(rows, by_id, model.vocab, cfg)
         _, y_c = model.forward(batch)
         assert auc_score(batch.y_c.tolist(), y_c.data.tolist()) > 0.95
 
@@ -267,16 +267,23 @@ class TestExport:
             assert np.array_equal(t1[item_id].efficient, t2[item_id].efficient)
 
     def test_export_matches_in_model_forward(self):
-        items = make_catalog(5)
+        items = make_catalog(5, eff_fn=lambda i: (3.0 + 2.0 * i, -1.0 + 0.5 * i * i))
         rows = make_rows(items)
         cfg = tiny_config(epochs=1)
         model = rep.train_embedding(rows, items, cfg)
+        assert np.all(np.abs(model.eff_mean) > 0.5) and np.all(np.abs(model.eff_std - 1) > 0.5)
         table = rep.export_atomic_embeddings(model, items)
         by_id = {it.item_id: it for it in items}
         probe = rows[2]
-        batch = rep.encode_rows([probe], by_id, model.vocab, cfg, model.eff_mean, model.eff_std)
-        _, x_ic, _ = model.atomic(batch)
+        batch = rep.encode_rows([probe], by_id, model.vocab, cfg)
+        x_is, x_ic, x_ie = model.atomic(batch.sem_idx, batch.sem_mask, batch.item_idx, batch.eff)
         np.testing.assert_array_equal(table[probe.target_item_id].common, x_ic.data[0])
+        np.testing.assert_array_equal(table[probe.target_item_id].semantic, x_is.data[0])
+        # the efficient vector sees the features standardized by the model's statistics
+        np.testing.assert_array_equal(table[probe.target_item_id].efficient, x_ie.data[0])
+        z = (np.array(by_id[probe.target_item_id].efficiency) - model.eff_mean) / model.eff_std
+        want = z @ model.eff_net.weights[0].data + model.eff_net.biases[0].data
+        np.testing.assert_allclose(x_ie.data[0], want, rtol=0, atol=1e-12)
 
     def test_unknown_item_raises(self):
         items = make_catalog(4)
