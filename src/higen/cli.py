@@ -47,11 +47,11 @@ def cmd_run_all(args) -> int:
         cfg.position_aware = False
     if args.no_category_clustering:
         cfg.category_clustering = False
-    if args.kfold:
-        cfg.kfold = args.kfold
+    if args.kfold and args.kfold < 2:
+        raise ConfigError(f"--kfold must be 0 (off) or >= 2, got {args.kfold}")
     report = run_pipeline(cfg)
-    if cfg.kfold:
-        report.kfold_recall = run_kfold(cfg)
+    if args.kfold:
+        report.kfold_recall = run_kfold(cfg, args.kfold)
         report.save(Path(cfg.workdir) / "report.json")
     print(report.summary())
     print(f"report written to {Path(cfg.workdir) / 'report.json'}")
@@ -93,8 +93,7 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    _docids, _scores, trie = di.load_index(args.index)
-    model = dec.DecoderModel.load(args.checkpoint)
+    model, trie = dec.load_for_index(args.index, args.checkpoint)
     rows = dt.read_jsonl(args.input, lambda rec: dt.DatasetRow(
         str(rec.get("user_id", "")), str(rec["query"]), dt._parse_context(rec.get("context", [])),
         "", 0, 0, 0.0))
@@ -122,7 +121,7 @@ def cmd_expand(args) -> int:
         for res in rec["results"]:
             node = trie.node_at(di.parse_docid_text(str(res["docid"])))
             if node is None or node.docid is None:
-                raise DataError(f"docid {res['docid']} not present in the index")
+                raise DataError(f"docid {res['docid']!r} not present in the index")
             pairs.append((node.docid, float(res.get("logprob", 0.0))))
         return rec.get("query"), pairs
 

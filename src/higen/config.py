@@ -7,12 +7,13 @@ stores it per docID, as the length of the item's category path (0 without
 category clustering).
 
 Retired options still load from older files (`RETIRED_KEYS`). `loss_window`
-and `semantic_len` are dropped whatever they hold. Two options became
-constants and are accepted only with the one value still in use:
-`normalize_fusion` (MetricConfig `normalize`) only as false, since fused
-vectors are not L2-normalized, and `dec_activation` (DecoderConfig
-`activation`) only as "tanh", the decoder's hidden activation. Any other
-value is a ConfigError naming the key."""
+and `semantic_len` are dropped whatever they hold. The others are accepted
+only with the one value still in use: `normalize_fusion` (MetricConfig
+`normalize`) only as false, since fused vectors are not L2-normalized;
+`dec_activation` (DecoderConfig `activation`) only as "tanh", the decoder's
+hidden activation; and `kfold` only as 0, since no stage reads it and the
+fold count is `run-all --kfold`. Any other value is a ConfigError naming
+the key."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ ENV_PREFIX = "HIGEN_"
 # dropped on load: None takes any value, else the one value still accepted
 RETIRED_KEYS = {"loss_window": None, "semantic_len": None,
                 "normalize_fusion": False, "normalize": False,
-                "dec_activation": "tanh", "activation": "tanh"}
+                "dec_activation": "tanh", "activation": "tanh", "kfold": 0}
 
 
 def to_json(obj) -> dict:
@@ -59,8 +60,9 @@ def from_json(cls, d: dict):
     for key in sorted(d.keys() & RETIRED_KEYS.keys()):
         kept = RETIRED_KEYS[key]
         if kept is not None and (type(d[key]), d[key]) != (type(kept), kept):
+            hint = "; pass the fold count as run-all --kfold" if key == "kfold" else ""
             raise ConfigError(f"config field '{key}' is retired and accepts only "
-                              f"{json.dumps(kept)}, got {json.dumps(d[key])}")
+                              f"{json.dumps(kept)}, got {json.dumps(d[key])}{hint}")
     d = {k: v for k, v in d.items() if k not in RETIRED_KEYS}
     unknown = sorted(set(d) - set(defaults))
     if unknown:
@@ -137,7 +139,6 @@ class PipelineConfig:
     i2i_alpha: float = 1.0
     i2i_top_n: int = 50
     per_seed_n: int = 10
-    kfold: int = 0
 
     @classmethod
     def desk(cls, **overrides) -> "PipelineConfig":
@@ -169,10 +170,11 @@ class PipelineConfig:
             (1 <= self.topk <= self.beam_width, "need beam_width >= topk >= 1"),
             (len(self.eval_ks) >= 1 and all(k >= 1 for k in self.eval_ks),
              "eval_ks must be a non-empty list of ks >= 1"),
+            (all(k <= self.topk for k in self.eval_ks),
+             f"every eval_ks entry must be <= topk ({self.topk}); recall stops there"),
             (self.cap >= 0, "cap must be >= 0"),
             (self.i2i_alpha > 0, "i2i_alpha must be positive"),
             (self.per_seed_n >= 0, "per_seed_n must be >= 0"),
-            (self.kfold == 0 or self.kfold >= 2, "kfold must be 0 or >= 2"),
             (self.data_schema in ("jsonl", "tsv"), "data_schema must be jsonl or tsv"),
         ]
         for ok, msg in checks:

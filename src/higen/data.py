@@ -2,7 +2,8 @@
 zero-shot splitting, the synthetic corpus generator) and all file I/O: every
 write, the CLI's `--output` included, goes through `write_text`, every JSON
 document through `read_json` and every JSONL table but the interaction logs
-(`load_dataset`) `read_jsonl`."""
+(`load_dataset`) `read_jsonl`. Logs are read as JSONL or TSV and written as
+JSONL. A page view is the rows of one `page_view_key`."""
 
 from __future__ import annotations
 
@@ -20,6 +21,9 @@ from .errors import CheckpointError, DataError, HigenError, NumericError
 log = logging.getLogger(__name__)
 
 PV_BUCKET_SECONDS = 600.0
+NEGATIVES_PER_QUERY = 2         # synthetic rows per click: irrelevant, other categories
+SAME_CATEGORY_NEGATIVES = 1     # synthetic rows per click: relevant, unclicked, same category
+CATEGORY_GROUP = 5              # synthetic categories per oracle similarity group
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,8 @@ class LoadResult:
 
 
 def _parse_context(raw) -> tuple[tuple[str, str], ...]:
+    if not isinstance(raw, list) or not all(isinstance(entry, str) for entry in raw):
+        raise DataError("context must be a list of strings")
     out = []
     for entry in raw:
         if ":" in entry:
@@ -97,8 +103,7 @@ def _row_from_tsv(line: str) -> DatasetRow:
                              "click": int(click), "timestamp": float(ts)})
 
 
-def load_dataset(path, schema: str = "jsonl", catalog=None,
-                 pv_bucket_seconds: float = PV_BUCKET_SECONDS) -> LoadResult:
+def load_dataset(path, schema: str = "jsonl", catalog=None) -> LoadResult:
     """Parse rows, count malformed lines, bytes that are not UTF-8 included
     (>1% aborts), group page views."""
     if schema not in ("jsonl", "tsv"):
@@ -121,7 +126,7 @@ def load_dataset(path, schema: str = "jsonl", catalog=None,
                     rows.append(_row_from_record(json.loads(line)))
                 else:
                     rows.append(_row_from_tsv(line))
-            except (DataError, KeyError, ValueError, TypeError):
+            except (DataError, KeyError, ValueError, TypeError, OverflowError):
                 malformed += 1
     if total and malformed / total > 0.01:
         raise DataError(f"{malformed}/{total} malformed rows exceeds the 1% budget in {path}")
@@ -132,27 +137,26 @@ def load_dataset(path, schema: str = "jsonl", catalog=None,
         unknown = sorted({r.target_item_id for r in rows} - known)
         if unknown:
             raise DataError(f"rows reference items missing from the catalog: {unknown[:10]}")
-    return LoadResult(rows, group_page_views(rows, pv_bucket_seconds), malformed)
+    return LoadResult(rows, group_page_views(rows), malformed)
 
 
-def save_dataset(path, rows, schema: str = "jsonl") -> None:
-    if schema == "jsonl":
-        write_jsonl(path, ({"user_id": r.user_id, "query": r.query,
-                            "context": _context_to_raw(r.context),
-                            "target_item_id": r.target_item_id, "relevance": r.relevance,
-                            "click": r.click, "timestamp": r.timestamp} for r in rows))
-    else:
-        write_text(path, ("\t".join([r.user_id, r.query, ",".join(_context_to_raw(r.context)),
-                                     r.target_item_id, str(r.relevance), str(r.click),
-                                     repr(r.timestamp)]) + "\n" for r in rows))
+def save_dataset(path, rows) -> None:
+    write_jsonl(path, ({"user_id": r.user_id, "query": r.query,
+                        "context": _context_to_raw(r.context),
+                        "target_item_id": r.target_item_id, "relevance": r.relevance,
+                        "click": r.click, "timestamp": r.timestamp} for r in rows))
 
 
-def group_page_views(rows, bucket_seconds: float = PV_BUCKET_SECONDS) -> list[PageView]:
-    """One PV per (user, query, timestamp bucket), entries in row order."""
+def page_view_key(row: DatasetRow) -> tuple[str, str, int]:
+    """(user, query, PV_BUCKET_SECONDS bucket of the timestamp)."""
+    return row.user_id, row.query, int(row.timestamp // PV_BUCKET_SECONDS)
+
+
+def group_page_views(rows) -> list[PageView]:
+    """One PV per page_view_key, entries in row order."""
     groups: dict[tuple, list[tuple[str, int]]] = {}
     for r in rows:
-        key = (r.user_id, r.query, int(r.timestamp // bucket_seconds))
-        groups.setdefault(key, []).append((r.target_item_id, r.click))
+        groups.setdefault(page_view_key(r), []).append((r.target_item_id, r.click))
     return [PageView(f"{u}|{q}|{b}", tuple(entries)) for (u, q, b), entries in groups.items()]
 
 
@@ -198,9 +202,8 @@ class SyntheticCorpus:
 
 def generate_synthetic(n_items: int = 500, n_categories: int = 50,
                        n_train_queries: int = 200, n_test_queries: int = 100,
-                       n_users: int = 20, seed: int = 0, negatives_per_query: int = 2,
-                       same_category_negatives: int = 1, overlap_fraction: float = 0.5,
-                       category_group: int = 5) -> SyntheticCorpus:
+                       n_users: int = 20, seed: int = 0,
+                       overlap_fraction: float = 0.5) -> SyntheticCorpus:
     """Deterministic toy corpus: every query names its target item through
     shared category/word tokens, so ground truth is exactly recoverable."""
     if n_categories < 1 or n_items < n_categories:
@@ -227,12 +230,12 @@ def generate_synthetic(n_items: int = 500, n_categories: int = 50,
             ctx = tuple((cid, "click") for cid in history.get(user, [])[-4:])
             rows.append(DatasetRow(user, qtext, ctx, target.item_id, 1, 1, ts))
             cat_pool = [j for j in by_cat[target.category_path[-1]] if j != target_idx]
-            picks = rng.choice(len(cat_pool), size=min(same_category_negatives, len(cat_pool)),
+            picks = rng.choice(len(cat_pool), size=min(SAME_CATEGORY_NEGATIVES, len(cat_pool)),
                                replace=False) if cat_pool else []
             for p in picks:
                 rows.append(DatasetRow(user, qtext, ctx, items[cat_pool[int(p)]].item_id,
                                        1, 0, ts))
-            for _ in range(negatives_per_query):
+            for _ in range(NEGATIVES_PER_QUERY):
                 j = int(rng.integers(n_items))
                 while items[j].category_path == target.category_path:
                     j = int(rng.integers(n_items))
@@ -266,7 +269,7 @@ def generate_synthetic(n_items: int = 500, n_categories: int = 50,
     oracle_pairs = []
     for a in range(n_categories):
         for b in range(a + 1, n_categories):
-            if a // category_group == b // category_group:
+            if a // CATEGORY_GROUP == b // CATEGORY_GROUP:
                 oracle_pairs.append((cat_ids[a], cat_ids[b], 0.6))
     return SyntheticCorpus(items, train_rows, test_rows, oracle_pairs)
 
@@ -349,7 +352,7 @@ def read_json(path, fields: dict[str, type] | None = None, version: int | None =
         return doc if decode is None else decode(doc)
     except CheckpointError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
@@ -370,7 +373,7 @@ def read_jsonl(path, parse):
                 if not isinstance(rec, dict):
                     raise TypeError(f"expected a JSON object, got {type(rec).__name__}")
                 value = parse(rec)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path} line {lineno}: {type(exc).__name__}: {exc}") from None
             yield value
     except UnicodeDecodeError as exc:

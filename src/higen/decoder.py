@@ -8,14 +8,16 @@ cross-entropy; decoding walks the docID trie with beam search.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .config import from_json, to_json
-from .docid import DocId, DocIdTrie, TrieNode
-from .errors import ConfigError, DataError, DimensionError, IndexBuildError
+from .docid import DocId, DocIdTrie, TrieNode, load_index
+from .errors import CheckpointError, ConfigError, DataError, DimensionError, IndexBuildError
 from .representation import Vocab, row_indices
 
 
@@ -96,11 +98,14 @@ class DecoderConfig:
 
 
 class PositionVocab:
-    """Per-position token values with a packed global embedding index."""
+    """Per-position token values with a packed global embedding index, and in
+    `docid_map` the SHA-256 of the sorted (item_id, tokens) map of its docIDs."""
 
     def __init__(self, docids: dict[str, DocId]):
         if not docids:
             raise DataError("cannot build a position vocabulary from no docIDs")
+        pairs = sorted((item_id, list(d.tokens)) for item_id, d in docids.items())
+        self.docid_map = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
         seen: list[set[int]] = [set() for _ in range(max(len(d.tokens) for d in docids.values()))]
         for d in docids.values():
             for t, tok in enumerate(d.tokens):
@@ -127,12 +132,13 @@ class PositionVocab:
         return int(self.offsets[t]) + self.local(t, value)
 
     def to_json(self) -> dict:
-        return {"values": [list(v) for v in self.values]}
+        return {"values": [list(v) for v in self.values], "docid_map": self.docid_map}
 
     @classmethod
     def from_json(cls, d: dict) -> "PositionVocab":
         obj = cls.__new__(cls)
         obj._set_values([list(map(int, v)) for v in d["values"]])
+        obj.docid_map = d.get("docid_map")    # None in checkpoints from before the record
         return obj
 
 
@@ -262,6 +268,17 @@ class DecoderModel:
             from_json(DecoderConfig, extra["config"])))
 
 
+def load_for_index(index_path, checkpoint_path) -> tuple[DecoderModel, DocIdTrie]:
+    """The decoder checkpoint and the trie of the index; a checkpoint that
+    records no docID map, or that of another index, raises CheckpointError."""
+    docids, _node_scores, trie = load_index(index_path)
+    model = DecoderModel.load(checkpoint_path)
+    if model.pos_vocab.docid_map != PositionVocab(docids).docid_map:
+        raise CheckpointError(f"{checkpoint_path} has no record of training on the docIDs of "
+                              f"{index_path}; re-run train-decoder")
+    return model, trie
+
+
 # ---------------------------------------------------------------------------
 # loss
 
@@ -276,14 +293,13 @@ def greedy_argmax_token(model: DecoderModel, node: TrieNode, logits_row: np.ndar
 
 
 def position_aware_loss(batch: DecoderBatch, model: DecoderModel,
-                        weights: PositionWeightConfig, ctx: nn.Tensor | None = None):
+                        weights: PositionWeightConfig):
     """Mean over the batch of sum_t w_t * CE(y_t | prefix); the weights are
     constants (no gradient flows through the greedy prediction). Each row's
     target DocId sets its own boundary: positions up to its `semantic_len`
     take the semantic-relevance penalty, later ones the efficiency
     divergence. Returns (loss tensor, per-position accuracy dict)."""
-    if ctx is None:
-        ctx = model.encode(batch)
+    ctx = model.encode(batch)
     b = batch.size
     targets = [d.tokens for d in batch.targets]
     max_len = max(len(tok) for tok in targets)
@@ -387,8 +403,8 @@ def brute_force_scores(model: DecoderModel, trie: DocIdTrie, row):
 # training
 
 
-def train_decoder(rows, catalog, docids: dict[str, DocId], trie: DocIdTrie,
-                  weights: PositionWeightConfig, config: DecoderConfig):
+def train_decoder(rows, catalog, docids: dict[str, DocId], weights: PositionWeightConfig,
+                  config: DecoderConfig):
     """Train with nn.fit on clicked rows whose targets have docIDs; reports
     per-position teacher-forced accuracy per epoch. Returns (model, history)."""
     clicked = [r for r in rows if r.click == 1]

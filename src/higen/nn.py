@@ -373,12 +373,10 @@ def bce_mean(p: Tensor, labels) -> Tensor:
 _ACTIVATIONS = ("relu", "tanh", "identity")
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
-    """Uniform init in +-sqrt(6 / (fan_in + fan_out))."""
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """A (fan_in, fan_out) array, uniform in +-sqrt(6 / (fan_in + fan_out))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 class DenseNet:
@@ -429,15 +427,17 @@ class DenseNet:
 
 
 class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam with bias correction."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.params = dict(params)
         self.lr = float(lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.t = 0
@@ -446,26 +446,25 @@ class Adam:
         for p in self.params.values():
             p.grad = None
 
-    def step(self, grads: dict[str, np.ndarray] | None = None) -> None:
-        """Apply one Adam update from explicit grads or from each .grad."""
+    def step(self) -> None:
+        """Apply one Adam update from each parameter's .grad; None (a position
+        head that no row of the batch reached) counts as zeros."""
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - self.BETA1 ** self.t
+        b2t = 1.0 - self.BETA2 ** self.t
         for name, p in self.params.items():
-            g = grads.get(name) if grads is not None else p.grad
+            g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            if g.shape != p.data.shape:
-                raise DimensionError(f"gradient shape mismatch for parameter '{name}'")
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient for parameter '{name}'")
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +542,7 @@ def save_checkpoint(path, params: dict[str, Tensor], extra: dict | None = None) 
 def _stored_array(path, name: str, rec) -> np.ndarray:
     try:
         return _f64(rec["data"]).reshape(rec["shape"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: parameter '{name}': {exc!r}") from None
 
 

@@ -187,7 +187,7 @@ def _decoder(c, work: Path, out: Path) -> None:
     cfg = dec.DecoderConfig(emb=c.dec_emb, d_model=c.dec_model, hidden=c.dec_hidden,
                             query_len=c.query_len, context_len=c.context_len, lr=c.lr_decoder,
                             batch_size=c.batch_decoder, epochs=c.epochs_decoder, seed=c.seed)
-    model, _history = dec.train_decoder(train.rows, catalog, docids, trie, weights, cfg)
+    model, _history = dec.train_decoder(train.rows, catalog, docids, weights, cfg)
     model.save(out / "decoder.ckpt.json")
 
 
@@ -211,8 +211,7 @@ def _eval(c, work: Path, out: Path) -> None:
     catalog = _catalog(c)
     train = _train(c, catalog)
     test = dt.load_dataset(c.test_path, c.data_schema, catalog) if c.test_path else None
-    _docids, _node_scores, trie = di.load_index(work / "index.json")
-    model = dec.DecoderModel.load(work / "decoder.ckpt.json")
+    model, trie = dec.load_for_index(work / "index.json", work / "decoder.ckpt.json")
     report = EvalReport()
     heldin = [r for r in train.rows if r.click == 1]
     predictions, truths, decoded = _decode_rows(heldin, model, trie, c)
@@ -286,23 +285,21 @@ def expand_variant(decoded, trie, i2i_table: ex.I2ITable, cluster_k: int | None,
     return ex.merge_recall(direct, cluster, i2i, cap)
 
 
-def run_kfold(config: PipelineConfig) -> dict[int, float]:
-    """k-fold cross-validation over the training rows; mean test recall@k."""
-    if config.kfold < 2:
-        raise ConfigError("kfold requires kfold >= 2")
+def run_kfold(config: PipelineConfig, k: int) -> dict[int, float]:
+    """k-fold cross-validation over the training rows; mean test recall per eval_ks."""
+    if k < 2:
+        raise ConfigError("kfold requires k >= 2")
     catalog = dt.load_catalog(config.catalog_path)
     rows = dt.load_dataset(config.train_path, config.data_schema, catalog).rows
     # folds cut along page-view boundaries so triplet mining stays possible
     group_of: dict[tuple, int] = {}
     fold_of_row = []
     for r in rows:
-        key = (r.user_id, r.query, int(r.timestamp // dt.PV_BUCKET_SECONDS))
-        if key not in group_of:
-            group_of[key] = len(group_of)
-        fold_of_row.append(group_of[key] % config.kfold)
+        group = group_of.setdefault(dt.page_view_key(r), len(group_of))
+        fold_of_row.append(group % k)
     base = Path(config.workdir)
-    sums = {int(k): 0.0 for k in config.eval_ks}
-    for fold in range(config.kfold):
+    sums = {int(at): 0.0 for at in config.eval_ks}
+    for fold in range(k):
         fold_dir = base / f"fold{fold}"
         fold_dir.mkdir(parents=True, exist_ok=True)
         train_rows = [r for i, r in enumerate(rows) if fold_of_row[i] != fold]
@@ -312,16 +309,19 @@ def run_kfold(config: PipelineConfig) -> dict[int, float]:
         sub = PipelineConfig.from_dict(config.echo() | {
             "train_path": str(fold_dir / "train.jsonl"),
             "test_path": str(fold_dir / "test.jsonl"),
-            "workdir": str(fold_dir / "work"), "kfold": 0, "data_schema": "jsonl"})
+            "workdir": str(fold_dir / "work"), "data_schema": "jsonl"})
         rep_fold = run_pipeline(sub)
-        for k, v in (rep_fold.test_recall or {}).items():
-            sums[k] += v
-    return {k: v / config.kfold for k, v in sums.items()}
+        for at, v in (rep_fold.test_recall or {}).items():
+            sums[at] += v
+    return {at: v / k for at, v in sums.items()}
 
 
 def run_ablation_study(base: PipelineConfig, seeds, k: int = 10) -> dict:
     """Mean recall@k for the full configuration against the loss and
-    clustering ablations over several seeds."""
+    clustering ablations over several seeds. A seed's variants share the
+    workdir <workdir>/ablation/<seed>, and the stage keys rebuild what each
+    changes: the loss ablation the decoder onward, the clustering one the
+    docIDs onward. Only the last variant's artifacts stay."""
     variants = {"full": {}, "no_position_aware_loss": {"position_aware": False},
                 "no_category_clustering": {"category_clustering": False}}
     per_seed: dict[str, list[float]] = {name: [] for name in variants}
@@ -329,7 +329,7 @@ def run_ablation_study(base: PipelineConfig, seeds, k: int = 10) -> dict:
     for seed in seeds:
         for name, tweak in variants.items():
             sub = PipelineConfig.from_dict(base.echo() | tweak | {
-                "seed": int(seed), "workdir": str(base_dir / "ablation" / name / str(seed))})
+                "seed": int(seed), "workdir": str(base_dir / "ablation" / str(seed))})
             report = run_pipeline(sub)
             per_seed[name].append(report.recall.get(k, 0.0))
     return {"k": k, "per_seed": per_seed,

@@ -4,7 +4,7 @@ import numpy as np
 
 from higen import decoder as dec
 from higen import docid as di
-from higen.data import DatasetRow, Item, PageView
+from higen.data import DatasetRow, Item, PageView, _context_to_raw, write_text
 from higen.errors import ConfigError
 from higen.representation import AtomicEmbeddings
 
@@ -93,3 +93,11 @@ def clustered_world(n_clusters=4, per_cluster=6, d=4, seed=0, spread=0.6, n_pvs=
         diff = [ids_by_cluster[other][k % per_cluster]]
         pvs.append(PageView(f"pv{k}", tuple((i, 1) for i in same) + tuple((i, 0) for i in diff)))
     return table, labels, pvs
+
+
+def save_tsv(path, rows):
+    """Rows in the tab-separated schema load_dataset reads; the package writes
+    JSONL only."""
+    write_text(path, ("\t".join([r.user_id, r.query, ",".join(_context_to_raw(r.context)),
+                                 r.target_item_id, str(r.relevance), str(r.click),
+                                 repr(r.timestamp)]) + "\n" for r in rows))

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from helpers import save_tsv
 
 from higen import data as dt
 from higen import expansion as ex
@@ -56,11 +59,23 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="1%"):
             dt.load_dataset(path)
 
+    @pytest.mark.parametrize("edit", [{"context": [["it0001"]]}, {"context": [{"a": 1}]},
+                                      {"context": "ab"}, {"timestamp": 10 ** 400}])
+    def test_row_with_a_bad_field_is_malformed(self, tmp_path, edit):
+        # a context that is not a list of strings, or a number no float holds
+        path = tmp_path / "rows.jsonl"
+        good = {"user_id": "u", "query": "q", "context": ["i:pay"], "target_item_id": "i",
+                "relevance": 1, "click": 1, "timestamp": 0}
+        write_lines(path, [json.dumps(good)] * 200 + [json.dumps(good | edit)])
+        result = dt.load_dataset(path)
+        assert result.malformed == 1 and len(result.rows) == 200
+        assert result.rows[0].context == (("i", "pay"),)
+
     @pytest.mark.parametrize("schema", ["jsonl", "tsv"])
     def test_hundred_row_roundtrip(self, tmp_path, schema):
         rows = sample_rows(100)
         path = tmp_path / f"rows.{schema}"
-        dt.save_dataset(path, rows, schema)
+        (save_tsv if schema == "tsv" else dt.save_dataset)(path, rows)
         result = dt.load_dataset(path, schema)
         assert result.rows == rows
 
@@ -89,7 +104,7 @@ class TestPageViews:
             dt.DatasetRow("u1", "q", (), "c", 0, 0, 700.0),   # next bucket
             dt.DatasetRow("u2", "q", (), "d", 1, 1, 0.0),     # other user
         ]
-        pvs = dt.group_page_views(rows, bucket_seconds=600.0)
+        pvs = dt.group_page_views(rows)
         assert len(pvs) == 3
         first = pvs[0]
         assert first.entries == (("a", 1), ("b", 0))

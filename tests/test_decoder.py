@@ -330,7 +330,7 @@ class TestTrainDecoder:
         weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
         cfg = dec.DecoderConfig(emb=8, d_model=24, hidden=(32,), lr=0.02, batch_size=20,
                                 epochs=150, seed=0)
-        trained, history = dec.train_decoder(rows, catalog, docids, trie, weights, cfg)
+        trained, history = dec.train_decoder(rows, catalog, docids, weights, cfg)
         hits = 0
         for row in rows:
             got = dec.constrained_beam_search(row, trained, trie, 3, 1)
@@ -351,7 +351,7 @@ class TestTrainDecoder:
         weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
         cfg = dec.DecoderConfig(emb=3, d_model=4, hidden=(4,), lr=0.01, batch_size=8,
                                 epochs=2, seed=0)
-        _model, history = dec.train_decoder(rows, catalog, docids, trie, weights, cfg)
+        _model, history = dec.train_decoder(rows, catalog, docids, weights, cfg)
         assert len(history) == 2 and np.isfinite(history[-1]["loss"])
 
     def test_seed_reproducibility(self):
@@ -359,8 +359,8 @@ class TestTrainDecoder:
         weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
         cfg = dec.DecoderConfig(emb=3, d_model=4, hidden=(4,), lr=0.01, batch_size=6,
                                 epochs=3, seed=5)
-        a, _ = dec.train_decoder(rows, catalog, docids, trie, weights, cfg)
-        b, _ = dec.train_decoder(rows, catalog, docids, trie, weights, cfg)
+        a, _ = dec.train_decoder(rows, catalog, docids, weights, cfg)
+        b, _ = dec.train_decoder(rows, catalog, docids, weights, cfg)
         for ta, tb in zip(a.params().values(), b.params().values()):
             assert np.array_equal(ta.data, tb.data)
 

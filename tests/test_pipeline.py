@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from higen import cli
 from higen import decoder as dec
+from higen import docid as di
 from higen import fusion as fu
 from higen import pipeline as pl
 from higen import representation as rep
@@ -54,17 +59,19 @@ class TestConfig:
         assert PipelineConfig.from_dict({"semantic_len": 1}) == PipelineConfig()
 
     def test_config_with_retired_options_at_their_constant_loads(self, tmp_path):
-        # config.json files written while fusion normalization and the decoder
-        # activation were options carry both at the one value in use
+        # config.json files written while fusion normalization, the decoder
+        # activation and the fold count were options carry them at the one
+        # value in use
         p = tmp_path / "config.json"
         p.write_text(json.dumps(PipelineConfig.desk().echo() |
-                                {"normalize_fusion": False, "dec_activation": "tanh"}))
+                                {"normalize_fusion": False, "dec_activation": "tanh",
+                                 "kfold": 0}))
         assert PipelineConfig.from_file(p) == PipelineConfig.desk()
 
     def test_every_field_is_read_by_a_stage(self):
         read = {name for stage in pl.STAGES for name in stage.cfg + stage.reads}
         unread = {f.name for f in dataclasses.fields(PipelineConfig)} - read - \
-            {"workdir", "stages", "kfold"}
+            {"workdir", "stages"}
         assert not unread, f"config fields that no stage reads: {sorted(unread)}"
 
     def test_unknown_key_rejected(self):
@@ -162,23 +169,43 @@ class TestRunPipeline:
     def test_kfold_returns_per_k_means(self, corpus, tmp_path):
         cfg = PipelineConfig.from_file(corpus / "config.json")
         cfg.workdir = str(tmp_path / "kfold")
-        cfg.kfold = 2
         cfg.epochs_decoder = 40
-        got = run_kfold(cfg)
+        got = run_kfold(cfg, 2)
         assert set(got) == {1, 5, 10}
         assert all(0.0 <= v <= 1.0 for v in got.values())
 
-    def test_ablation_study_means(self, corpus, tmp_path):
+    def test_ablation_study_means(self, corpus, tmp_path, monkeypatch):
         cfg = PipelineConfig.from_file(corpus / "config.json")
         cfg.workdir = str(tmp_path / "study")
+        reports = []
+
+        def recording(config):
+            reports.append(run_pipeline(config))
+            return reports[-1]
+
+        monkeypatch.setattr(pl, "run_pipeline", recording)
         result = run_ablation_study(cfg, seeds=[0], k=10)
+        monkeypatch.undo()
         assert set(result["mean"]) == {"full", "no_position_aware_loss",
                                        "no_category_clustering"}
         assert all(0.0 <= v <= 1.0 for v in result["mean"].values())
+        # the variants share a workdir: each rebuilds only the stages it changes,
+        # and ends where a run of its own in a fresh workdir ends
+        assert [r.skipped_stages for r in reports] == \
+            [[], ["embed", "metric", "docids"], ["embed", "metric"]]
+        for name, report in zip(("position_aware", "category_clustering"), reports[1:]):
+            fresh = run_pipeline(PipelineConfig.from_dict(cfg.echo() | {
+                name: False, "seed": 0, "workdir": str(tmp_path / name)}))
+            assert report.metrics() == fresh.metrics()
 
 
 def drop_param(doc, name):
     del doc["params"][name]
+    return doc
+
+
+def overflow_param(doc, name):
+    doc["params"][name]["data"][0] = 10 ** 400     # no float holds it
     return doc
 
 
@@ -366,7 +393,7 @@ class TestExitCodes:
         assert ("'beam_width'" if source == "config" else "'topk'") in err
 
     @pytest.mark.parametrize("key,value", [("normalize_fusion", True),
-                                           ("dec_activation", "relu")])
+                                           ("dec_activation", "relu"), ("kfold", 3)])
     def test_retired_option_off_its_constant_is_2(self, corpus, tmp_path, capsys, key, value):
         cfg = json.loads((corpus / "config.json").read_text())
         p = tmp_path / "cfg.json"
@@ -383,7 +410,7 @@ class TestExitCodes:
         ("HIGEN_FUSION_HIDDEN", "[0]", "fusion_hidden"),
         ("HIGEN_DEC_HIDDEN", "[0]", "dec_hidden"), ("HIGEN_EMBED_HIDDEN", "[0]", "embed_hidden"),
         ("HIGEN_DEC_EMB", "0", "dec_emb"), ("HIGEN_I2I_TOP_N", "-1", "i2i_top_n"),
-        ("HIGEN_EVAL_KS", "[]", "eval_ks"),
+        ("HIGEN_EVAL_KS", "[]", "eval_ks"), ("HIGEN_EVAL_KS", "[1, 10, 50]", "topk"),
     ])
     def test_size_below_one_is_2(self, corpus, tmp_path, capsys, monkeypatch, env, value,
                                  field):
@@ -408,6 +435,7 @@ class TestExitCodes:
         ("--checkpoint", lambda doc: {"version": 1, "extra": {}}, "'params'"),
         ("--checkpoint", lambda doc: drop_param(doc, "head0.b"), "['head0.b'] are missing"),
         ("--checkpoint", lambda doc: shrink_param(doc, "head0.b"), "'head0.b' has shape [1]"),
+        ("--checkpoint", lambda doc: overflow_param(doc, "head0.b"), "'head0.b'"),
     ])
     def test_bad_index_or_checkpoint_is_3(self, ran, tmp_path, capsys, flag, edit, named):
         work = ran / "work"
@@ -436,7 +464,10 @@ class TestExitCodes:
         assert "line 61" in err and "category_path" in err
 
     @pytest.mark.parametrize("line", ['{"user_id": "u0"}', '{"query": ', '["q"]',
-                                      '{"query": "q", "context": 5}'])
+                                      '{"query": "q", "context": 5}',
+                                      '{"query": "x", "context": [["a"]]}',
+                                      '{"query": "x", "context": [{"a": 1}]}',
+                                      '{"query": "x", "context": "ab"}'])
     def test_malformed_decode_input_is_3(self, ran, tmp_path, capsys, line):
         inp = tmp_path / "queries.jsonl"
         inp.write_text(json.dumps({"query": "c101 w0"}) + "\n" + line + "\n")
@@ -460,6 +491,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"{inp} line 1" in err
+
+    def test_logprob_no_float_holds_is_3(self, ran, tmp_path, capsys):
+        # ended in an OverflowError traceback
+        index = json.loads((ran / "work" / "index.json").read_text())
+        docid = "-".join(map(str, index["docids"]["it0000"]["tokens"]))
+        inp = tmp_path / "decoded.jsonl"
+        inp.write_text('{"results": [{"docid": "%s", "logprob": 1%s}]}\n' % (docid, "0" * 400))
+        rc = cli.main(["expand", "--index", str(ran / "work" / "index.json"),
+                       "--input", str(inp), "--output", str(tmp_path / "out.jsonl")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert f"{inp} line 1: OverflowError" in err
 
     def test_malformed_oracle_line_is_3(self, ran, finished, tmp_path, capsys):
         bad_oracle = tmp_path / "oracle.jsonl"
@@ -522,6 +566,32 @@ class TestExitCodes:
         assert "Traceback" not in err and err.count("\n") == 1
         assert "1/1 malformed rows" in err and str(bad) in err
 
+    @pytest.mark.parametrize("argv,env", [(["--kfold", "1"], {}), (["--kfold", "-1"], {}),
+                                          ([], {"HIGEN_KFOLD": "3"})])
+    def test_bad_fold_count_is_2(self, corpus, tmp_path, capsys, monkeypatch, argv, env):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        rc = cli.main(["run-all", "--config", str(corpus / "config.json"),
+                       "--workdir", str(tmp_path / "w"), *argv])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert "kfold" in err.lower()
+        assert not (tmp_path / "w").exists()      # before any stage runs
+
+    def test_context_that_is_not_strings_is_skipped_in_training(self, corpus, tmp_path,
+                                                                 capsys):
+        train = tmp_path / "train.jsonl"
+        rows = (corpus / "train.jsonl").read_text().splitlines()
+        bad = json.loads(rows[0]) | {"context": [["it0001"]]}
+        train.write_text("\n".join(rows + [json.dumps(bad)]) + "\n")
+        cfg = json.loads((corpus / "config.json").read_text())
+        cfg.update(train_path=str(train), workdir=str(tmp_path / "w"), epochs_embed=1)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert cli.main(["train-embed", "--config", str(p)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_index_without_node_scores_is_3(self, finished, tmp_path, capsys):
         index = tmp_path / "work" / "index.json"
         doc = json.loads(index.read_text())
@@ -548,6 +618,75 @@ class TestExitCodes:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert cli.main(["run-all", "--config", str(p)]) == 4
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() |
+    st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+# docID texts near the 60-item index: category tokens 101-106, small cluster
+# tokens and ordinals, sometimes with whitespace or junk around them
+DOCID_TEXTS = st.builds(
+    lambda tokens, end: "-".join(map(str, tokens)) + end,
+    st.lists(st.sampled_from([0, 1, 2, 3, 101, 102, 106]), min_size=1, max_size=4),
+    st.sampled_from(["", " ", "\n", "-", "x"]))
+
+
+def json_line(strategy):
+    return strategy.map(lambda value: json.dumps(value).encode())
+
+
+DECODE_LINES = st.one_of(st.binary(max_size=30), json_line(JSON_VALUES), json_line(
+    st.fixed_dictionaries({"query": st.text(max_size=10) | JSON_VALUES}, optional={
+        "user_id": JSON_VALUES,
+        "context": st.lists(st.text(max_size=6) | JSON_VALUES, max_size=3) | JSON_VALUES})))
+EXPAND_LINES = st.one_of(st.binary(max_size=30), json_line(JSON_VALUES), json_line(
+    st.fixed_dictionaries({"results": st.lists(st.fixed_dictionaries(
+        {"docid": DOCID_TEXTS | JSON_VALUES}, optional={"logprob": JSON_VALUES}),
+        max_size=3) | JSON_VALUES}, optional={"query": JSON_VALUES})))
+FUZZ = settings(max_examples=25, derandomize=True, deadline=None, database=None)
+
+
+class TestCliFuzz:
+    """Arbitrary JSON values and raw bytes as --input lines: the run ends
+    with exit 0 or 3, at most one line on stderr and no traceback, and a
+    failed run leaves an existing --output as it was."""
+
+    @staticmethod
+    def check(argv, lines, tmp):
+        inp, out = tmp / "in.jsonl", tmp / "out.jsonl"
+        inp.write_bytes(b"\n".join(lines) + b"\n")
+        out.write_bytes(b"an earlier run\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(argv + ["--input", str(inp), "--output", str(out)])
+        assert rc in (0, cli.EXIT_DATA), err.getvalue()
+        assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+        if rc != 0:
+            assert out.read_bytes() == b"an earlier run\n"
+
+    @FUZZ
+    @given(lines=st.lists(DECODE_LINES, min_size=1, max_size=3))
+    @example(lines=[b'{"query": "x", "context": [["a"]]}'])   # unhashable context entries
+    @example(lines=[b'{"query": "x", "context": [{"a": 1}]}'])
+    def test_decode(self, ran, tmp_path_factory, lines):
+        work = ran / "work"
+        self.check(["decode", "--index", str(work / "index.json"),
+                    "--checkpoint", str(work / "decoder.ckpt.json")],
+                   lines, tmp_path_factory.mktemp("decode"))
+
+    @FUZZ
+    @given(lines=st.lists(EXPAND_LINES, min_size=1, max_size=3),
+           variant=st.sampled_from(["direct", "cluster-2", "cluster-2-i2i"]))
+    # a docID text with a newline made a two-line message
+    @example(lines=[b'{"results": [{"docid": "101\\n"}]}'], variant="direct")
+    def test_expand(self, ran, tmp_path_factory, lines, variant):
+        work = ran / "work"
+        self.check(["expand", "--index", str(work / "index.json"), "--variant", variant,
+                    "--i2i", str(work / "i2i.jsonl")],
+                   lines, tmp_path_factory.mktemp("expand"))
 
 
 class TestCheckpointCompat:
@@ -592,3 +731,56 @@ class TestCheckpointCompat:
         assert "loss_window" not in model.config.__dict__
         for (ka, ta), (kb, tb) in zip(model.params().items(), fresh.params().items()):
             assert ka == kb and np.array_equal(ta.data, tb.data)
+
+    @pytest.fixture
+    def reindexed(self, finished, tmp_path):
+        """work2: a copy of the finished run whose index was rebuilt with
+        another seed and k, next to the decoder trained on the first index."""
+        shutil.copytree(tmp_path / "work", tmp_path / "work2")
+        cfg = PipelineConfig.from_dict(finished.echo() | {
+            "workdir": str(tmp_path / "work2"), "seed": 7, "kmeans_k": 3})
+        cfg.stages = ("docids",)
+        run_pipeline(cfg)
+        assert di.load_index(tmp_path / "work2" / "index.json")[0] != \
+            di.load_index(tmp_path / "work" / "index.json")[0]
+        return cfg
+
+    def test_decoder_of_another_index_is_3(self, reindexed, tmp_path, capsys):
+        index, ckpt = tmp_path / "work2" / "index.json", tmp_path / "work" / "decoder.ckpt.json"
+        inp, out = tmp_path / "queries.jsonl", tmp_path / "out.jsonl"
+        inp.write_text(json.dumps({"query": "c101 w0"}) + "\n")
+        out.write_text("an earlier run\n")
+        rc = cli.main(["decode", "--index", str(index), "--checkpoint", str(ckpt),
+                       "--input", str(inp), "--output", str(out)])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert str(index) in err and str(ckpt) in err and "re-run train-decoder" in err
+        assert out.read_text() == "an earlier run\n"
+
+    def test_eval_refuses_decoder_of_another_index(self, reindexed, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(reindexed.echo()))
+        assert cli.main(["eval", "--config", str(p)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert str(tmp_path / "work2" / "decoder.ckpt.json") in err
+
+    def test_checkpoint_without_docid_map_loads_but_does_not_decode(self, ran, tmp_path,
+                                                                   capsys):
+        # decoder checkpoints written before the record existed
+        work = ran / "work"
+        payload = json.loads((work / "decoder.ckpt.json").read_text())
+        del payload["extra"]["pos_vocab"]["docid_map"]
+        old = tmp_path / "decoder.ckpt.json"
+        old.write_text(json.dumps(payload))
+        model = dec.DecoderModel.load(old)
+        fresh = dec.DecoderModel.load(work / "decoder.ckpt.json")
+        for (ka, ta), (kb, tb) in zip(model.params().items(), fresh.params().items()):
+            assert ka == kb and np.array_equal(ta.data, tb.data)
+        rc = cli.main(["decode", "--index", str(work / "index.json"), "--checkpoint", str(old),
+                       "--input", str(tmp_path / "unused.jsonl")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert str(old) in err and "re-run train-decoder" in err
