@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -60,7 +60,10 @@ def cmd_run_all(args) -> int:
 
 def cmd_ablation(args) -> int:
     cfg = _load_config(args)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ConfigError(f"--seeds takes comma-separated integers, got {args.seeds!r}") from None
     result = run_ablation_study(cfg, seeds, k=args.k)
     out = Path(cfg.workdir) / "ablation.json"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -98,14 +101,13 @@ def cmd_decode(args) -> int:
         str(rec.get("user_id", "")), str(rec["query"]), dt._parse_context(rec.get("context", [])),
         "", 0, 0, 0.0))
 
-    def line(row) -> str:
+    def record(row) -> dict:
         results = dec.constrained_beam_search(row, model, trie, args.beam, args.topk)
-        return json.dumps({
-            "query": row.query,
-            "results": [{"docid": d.text(), "item_id": item_id, "logprob": lp}
-                        for d, lp, item_id in results]}) + "\n"
+        return {"query": row.query,
+                "results": [{"docid": d.text(), "item_id": item_id, "logprob": lp}
+                            for d, lp, item_id in results]}
 
-    dt.write_text(args.output, map(line, rows))   # lazily: decode streams
+    dt.write_jsonl(args.output, map(record, rows))   # lazily: decode streams
     return 0
 
 
@@ -122,20 +124,21 @@ def cmd_expand(args) -> int:
             node = trie.node_at(di.parse_docid_text(str(res["docid"])))
             if node is None or node.docid is None:
                 raise DataError(f"docid {res['docid']!r} not present in the index")
-            pairs.append((node.docid, float(res.get("logprob", 0.0))))
+            logprob = float(res.get("logprob", 0.0))
+            if not math.isfinite(logprob):
+                raise ValueError(f"logprob {res['logprob']!r} is not finite")
+            pairs.append((node.docid, logprob))
         return rec.get("query"), pairs
 
-    def line(record) -> str:
-        query, hits = record
+    def record(decoded_line) -> dict:
+        query, hits = decoded_line
         merged = expand_variant(hits, trie, table, cluster_k, use_i2i, args.cap,
                                 args.per_seed_n)
-        return json.dumps({
-            "query": query,
-            "recall_num": merged.recall_num,
-            "items": [{"item_id": e.item_id, "source": e.source, "score": e.score}
-                      for e in merged.entries]}) + "\n"
+        return {"query": query, "recall_num": merged.recall_num,
+                "items": [{"item_id": e.item_id, "source": e.source, "score": e.score}
+                          for e in merged.entries]}
 
-    dt.write_text(args.output, map(line, dt.read_jsonl(args.input, decoded)))
+    dt.write_jsonl(args.output, map(record, dt.read_jsonl(args.input, decoded)))
     return 0
 
 

@@ -161,6 +161,7 @@ class PipelineConfig:
             *((getattr(self, name) >= 1, f"{name} must be >= 1") for name in SIZE_FIELDS),
             *((all(v >= 1 for v in getattr(self, name)), f"every {name} entry must be >= 1")
               for name in ("embed_hidden", "fusion_hidden", "dec_hidden")),
+            (self.seed >= 0, "seed must be >= 0"),
             (self.tau > 0, "tau must be positive"),
             (self.w_c >= 0, "w_c must be >= 0"),
             (self.margin > 0, "margin must be positive"),

@@ -4,6 +4,9 @@ A feature encoder pools (user, query, context) into one vector; each docID
 position gets its own output head over the tokens that actually occur
 there. Training uses teacher forcing with a per-position weighted
 cross-entropy; decoding walks the docID trie with beam search.
+
+The docID trie owns child order, head columns and leaf order: decoding reads
+each node's `head`, its token's column in its position's head.
 """
 
 from __future__ import annotations
@@ -98,38 +101,19 @@ class DecoderConfig:
 
 
 class PositionVocab:
-    """Per-position token values with a packed global embedding index, and in
-    `docid_map` the SHA-256 of the sorted (item_id, tokens) map of its docIDs."""
+    """The trie's per-position token values (the head columns), their offsets
+    in the token table, and the SHA-256 of its sorted (item_id, tokens) map."""
 
-    def __init__(self, docids: dict[str, DocId]):
-        if not docids:
+    def __init__(self, trie: DocIdTrie):
+        if trie.n_items == 0:
             raise DataError("cannot build a position vocabulary from no docIDs")
-        pairs = sorted((item_id, list(d.tokens)) for item_id, d in docids.items())
+        pairs = sorted((item_id, list(tokens)) for tokens, item_id, _score in trie.leaves)
         self.docid_map = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
-        seen: list[set[int]] = [set() for _ in range(max(len(d.tokens) for d in docids.values()))]
-        for d in docids.values():
-            for t, tok in enumerate(d.tokens):
-                seen[t].add(tok)
-        self._set_values([sorted(s) for s in seen])
+        self._set_values(trie.values)
 
     def _set_values(self, values: list[list[int]]) -> None:
         self.values = values
-        self.index = [{v: i for i, v in enumerate(vals)} for vals in values]
         self.offsets = np.concatenate([[0], np.cumsum([len(v) for v in values])])
-        self.total = int(self.offsets[-1])
-        self.n_positions = len(values)
-
-    def size(self, t: int) -> int:
-        return len(self.values[t])
-
-    def local(self, t: int, value: int) -> int:
-        try:
-            return self.index[t][value]
-        except (IndexError, KeyError):
-            raise DataError(f"token {value} not in the position-{t} vocabulary") from None
-
-    def global_index(self, t: int, value: int) -> int:
-        return int(self.offsets[t]) + self.local(t, value)
 
     def to_json(self) -> dict:
         return {"values": [list(v) for v in self.values], "docid_map": self.docid_map}
@@ -180,15 +164,12 @@ class DecoderModel:
         # tanh hidden layers: relu risks exact zero logits with zero biases
         acts = ["tanh"] * len(c.hidden) + ["identity"]
         self.enc_net = nn.DenseNet([3 * c.emb, *c.hidden, c.d_model], acts, rng, "enc_net")
-        self.tok_table = table(pos_vocab.total, c.d_model)
-        self.pos_table = table(pos_vocab.n_positions, c.d_model)
+        self.tok_table = table(int(pos_vocab.offsets[-1]), c.d_model)
+        self.pos_table = table(len(pos_vocab.values), c.d_model)
         self.step_net = nn.DenseNet([2 * c.d_model, *c.hidden, c.d_model], acts, rng, "step_net")
-        self.head_w: list[nn.Tensor] = []
-        self.head_b: list[nn.Tensor] = []
-        for t in range(pos_vocab.n_positions):
-            self.head_w.append(nn.Tensor(nn.glorot_uniform(rng, c.d_model, pos_vocab.size(t)),
-                                         requires_grad=True))
-            self.head_b.append(nn.Tensor(np.zeros(pos_vocab.size(t)), requires_grad=True))
+        self.head_w = [table(c.d_model, len(values)) for values in pos_vocab.values]
+        self.head_b = [nn.Tensor(np.zeros(len(values)), requires_grad=True)
+                       for values in pos_vocab.values]
 
     def params(self) -> dict[str, nn.Tensor]:
         out = {"user_table": self.user_table, "query_table": self.query_table,
@@ -232,22 +213,18 @@ class DecoderModel:
 
     # -- stepwise logits -----------------------------------------------------
 
-    def prefix_global_indices(self, prefixes: list[tuple[int, ...]], t: int) -> np.ndarray:
-        return np.array([[self.pos_vocab.global_index(j, p[j]) for j in range(t)]
-                         for p in prefixes], dtype=np.intp)
-
     def position_logits(self, ctx: nn.Tensor, prefixes: list[tuple[int, ...]],
                         t: int) -> nn.Tensor:
-        """Logits over the position-t vocabulary given teacher-forced
-        prefixes; the prefix summary is the sum of token-plus-position
-        embeddings pushed through the step network."""
-        if t >= self.pos_vocab.n_positions:
-            raise DataError(f"position {t} beyond vocabulary depth {self.pos_vocab.n_positions}")
+        """Logits over the position-t vocabulary given prefixes as their trie
+        nodes' heads, the columns the trie owns; the prefix summary is the sum
+        of token-plus-position embeddings pushed through the step network."""
+        if t >= len(self.pos_vocab.values):
+            raise DataError(f"position {t} beyond vocabulary depth {len(self.pos_vocab.values)}")
         b = ctx.data.shape[0]
         if t == 0:
             prefix_vec = nn.Tensor(np.zeros((b, self.config.d_model)))
         else:
-            idx = self.prefix_global_indices(prefixes, t)
+            idx = np.asarray(prefixes, dtype=np.intp) + self.pos_vocab.offsets[:t]
             tok_sum = nn.sum_axis(nn.gather(self.tok_table, idx), 1)
             pos_sum = nn.sum_axis(nn.gather(self.pos_table, np.arange(t, dtype=np.intp)), 0)
             prefix_vec = nn.add(tok_sum, pos_sum)
@@ -271,9 +248,9 @@ class DecoderModel:
 def load_for_index(index_path, checkpoint_path) -> tuple[DecoderModel, DocIdTrie]:
     """The decoder checkpoint and the trie of the index; a checkpoint that
     records no docID map, or that of another index, raises CheckpointError."""
-    docids, _node_scores, trie = load_index(index_path)
+    _docids, _node_scores, trie = load_index(index_path)
     model = DecoderModel.load(checkpoint_path)
-    if model.pos_vocab.docid_map != PositionVocab(docids).docid_map:
+    if model.pos_vocab.docid_map != PositionVocab(trie).docid_map:
         raise CheckpointError(f"{checkpoint_path} has no record of training on the docIDs of "
                               f"{index_path}; re-run train-decoder")
     return model, trie
@@ -283,13 +260,11 @@ def load_for_index(index_path, checkpoint_path) -> tuple[DecoderModel, DocIdTrie
 # loss
 
 
-def greedy_argmax_token(model: DecoderModel, node: TrieNode, logits_row: np.ndarray,
-                        t: int) -> int:
+def greedy_argmax_token(node: TrieNode, logits_row: np.ndarray) -> int:
     """Highest-logit token among the children of the trie node of the
-    teacher-forced position-t prefix (ties go to the smallest token value)."""
-    children = sorted(node.children)
-    locals_ = [model.pos_vocab.local(t, v) for v in children]
-    return children[int(np.argmax(logits_row[locals_]))]
+    teacher-forced prefix (ties go to the smallest token value)."""
+    heads = [child.head for child in node.children.values()]
+    return list(node.children)[int(np.argmax(logits_row[heads]))]
 
 
 def position_aware_loss(batch: DecoderBatch, model: DecoderModel,
@@ -304,33 +279,30 @@ def position_aware_loss(batch: DecoderBatch, model: DecoderModel,
     targets = [d.tokens for d in batch.targets]
     max_len = max(len(tok) for tok in targets)
     nodes = [weights.trie.root] * b     # each row's trie node at its prefix
+    heads: list[tuple[int, ...]] = [()] * b     # and that prefix as its nodes' heads
     total = None
     hits: dict[int, int] = {}
     counts: dict[int, int] = {}
     for t in range(max_len):
         active = [i for i in range(b) if len(targets[i]) > t]
-        prefixes = [targets[i][:t] for i in active]
-        logits = model.position_logits(nn.gather(ctx, active), prefixes, t)
-        local_targets = np.array([model.pos_vocab.local(t, targets[i][t])
-                                  for i in active], dtype=np.intp)
-        ce = nn.softmax_cross_entropy(logits, local_targets)
+        logits = model.position_logits(nn.gather(ctx, active), [heads[i] for i in active], t)
         w = np.ones(len(active))
         for pos, i in enumerate(active):
             tokens, node = targets[i], nodes[i]
             y_t = tokens[t]
             if y_t not in node.children:
-                raise DataError(f"teacher-forced prefix {tokens[:t + 1]} is not in the trie")
-            y_hat = greedy_argmax_token(model, node, logits.data[pos], t)
+                raise DataError(f"token {y_t} not in the position-{t} vocabulary of {tokens[:t]}")
+            y_hat = greedy_argmax_token(node, logits.data[pos])
             hits[t] = hits.get(t, 0) + (1 if y_hat == y_t else 0)
             counts[t] = counts.get(t, 0) + 1
             if weights.position_aware:
-                def e_lookup(tok, _node=node):
-                    return _node.children[tok].score
-
                 w[pos] = position_weight(t, len(tokens) - 1, batch.targets[i].semantic_len,
-                                         y_t, y_hat, e_lookup, weights.oracle,
-                                         weights.lambda_h, weights.lambda_s, weights.lambda_e)
+                                         y_t, y_hat, lambda tok: node.children[tok].score,
+                                         weights.oracle, weights.lambda_h, weights.lambda_s,
+                                         weights.lambda_e)
             nodes[i] = node.children[y_t]
+            heads[i] += (nodes[i].head,)
+        ce = nn.softmax_cross_entropy(logits, [nodes[i].head for i in active])
         contrib = nn.sum_all(nn.mul_const(ce, w))
         total = contrib if total is None else nn.add(total, contrib)
     accuracy = {t: hits[t] / counts[t] for t in counts}
@@ -344,6 +316,7 @@ def position_aware_loss(batch: DecoderBatch, model: DecoderModel,
 @dataclass(frozen=True)
 class BeamHypothesis:
     tokens: tuple[int, ...]
+    heads: tuple[int, ...]      # the heads of the nodes along the tokens
     logprob: float
     node: TrieNode     # the trie node the tokens lead to
 
@@ -359,7 +332,7 @@ def constrained_beam_search(row, model: DecoderModel, trie: DocIdTrie, beam_widt
         raise IndexBuildError("cannot decode against an empty trie")
     ctx_np = model.encode(model.prepare_rows([row])).data[:1]
 
-    active: list[BeamHypothesis] = [BeamHypothesis((), 0.0, trie.root)]
+    active: list[BeamHypothesis] = [BeamHypothesis((), (), 0.0, trie.root)]
     done: list[tuple[tuple[int, ...], float, TrieNode]] = []
     for depth in range(trie.max_depth):
         if not active:
@@ -368,15 +341,15 @@ def constrained_beam_search(row, model: DecoderModel, trie: DocIdTrie, beam_widt
         for hyp in active:
             # one hypothesis per forward pass keeps scores bit-identical to
             # the exhaustive oracle regardless of batch shape
-            logits = model.position_logits(nn.Tensor(ctx_np), [hyp.tokens], depth).data
+            logits = model.position_logits(nn.Tensor(ctx_np), [hyp.heads], depth).data
             logprobs = nn.log_softmax_rows(logits)
-            for value in sorted(hyp.node.children):
-                child = hyp.node.children[value]
-                lp = hyp.logprob + float(logprobs[0, model.pos_vocab.local(depth, value)])
+            for value, child in hyp.node.children.items():
+                lp = hyp.logprob + float(logprobs[0, child.head])
                 if child.item_id is not None:
                     done.append((hyp.tokens + (value,), lp, child))
                 else:
-                    extensions.append(BeamHypothesis(hyp.tokens + (value,), lp, child))
+                    extensions.append(BeamHypothesis(hyp.tokens + (value,),
+                                                     hyp.heads + (child.head,), lp, child))
         extensions.sort(key=lambda h: (-h.logprob, h.tokens))
         active = extensions[:beam_width]
     done.sort(key=lambda d: (-d[1], d[0]))
@@ -388,12 +361,13 @@ def brute_force_scores(model: DecoderModel, trie: DocIdTrie, row):
     independent oracle for beam-search equivalence."""
     ctx_np = model.encode(model.prepare_rows([row])).data[:1]
     scored = []
-    for tokens, item_id, _score in trie.items_under(()):
-        lp = 0.0
+    for tokens, item_id, _score in trie.leaves:
+        lp, node, heads = 0.0, trie.root, ()
         for t in range(len(tokens)):
-            ctx = nn.Tensor(ctx_np)
-            logits = model.position_logits(ctx, [tokens[:t]], t).data
-            lp = lp + float(nn.log_softmax_rows(logits)[0, model.pos_vocab.local(t, tokens[t])])
+            logits = model.position_logits(nn.Tensor(ctx_np), [heads], t).data
+            node = node.children[tokens[t]]
+            lp = lp + float(nn.log_softmax_rows(logits)[0, node.head])
+            heads += (node.head,)
         scored.append((tokens, lp, item_id))
     scored.sort(key=lambda d: (-d[1], d[0]))
     return scored
@@ -411,7 +385,7 @@ def train_decoder(rows, catalog, docids: dict[str, DocId], weights: PositionWeig
     if not clicked:
         raise DataError("no clicked rows to train the decoder on")
     vocab = Vocab.build(rows, catalog)
-    model = DecoderModel(vocab, PositionVocab(docids), config)
+    model = DecoderModel(vocab, PositionVocab(weights.trie), config)
     data = model.prepare_rows(clicked, docids)
 
     def batch_loss(sel):

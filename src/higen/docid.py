@@ -1,6 +1,9 @@
 """Structured docID construction: per-category hierarchical k-means over the
 fused item embeddings, per-node efficiency scores, and the prefix trie used
-to constrain decoding."""
+to constrain decoding.
+
+The trie owns child order, head columns and leaf order; `build_trie` fixes
+them once per index (see `DocIdTrie.lay_out`)."""
 
 from __future__ import annotations
 
@@ -213,23 +216,28 @@ def build_docids(fusion: dict[str, np.ndarray], scores: dict[str, float],
 
 
 class TrieNode:
-    __slots__ = ("children", "item_id", "score", "docid")
+    __slots__ = ("children", "item_id", "score", "docid", "head", "lo", "hi")
 
     def __init__(self):
         self.children: dict[int, TrieNode] = {}
         self.item_id: str | None = None
         self.score: float | None = None
         self.docid: DocId | None = None
+        self.head = -1          # column of this node's token in its position's head
+        self.lo = self.hi = 0   # the leaves below this node: DocIdTrie.leaves[lo:hi]
 
 
 class DocIdTrie:
     """Prefix tree over the docID set; leaves carry item ids, sub-semantic
-    nodes carry the mean member efficient score."""
+    nodes carry the mean member efficient score. `values[t]` holds the tokens
+    at depth t in ascending order, `leaves` every leaf in lexicographic order."""
 
     def __init__(self):
         self.root = TrieNode()
         self.n_items = 0
         self.max_depth = 0
+        self.values: list[list[int]] = []
+        self.leaves: list[tuple[tuple[int, ...], str, float | None]] = []
 
     def insert(self, docid: DocId, item_id: str) -> None:
         node = self.root
@@ -237,7 +245,7 @@ class DocIdTrie:
             if node.item_id is not None:
                 raise IndexBuildError(f"docID {docid.text()} extends below leaf item "
                                       f"{node.item_id}")
-            node = node.children.setdefault(tok, TrieNode())
+            node = node.children.get(tok) or node.children.setdefault(tok, TrieNode())
         if node.item_id is not None:
             raise IndexBuildError(f"duplicate docID {docid.text()}")
         if node.children:
@@ -263,31 +271,42 @@ class DocIdTrie:
         """(tokens, item_id, leaf score) for every leaf below the prefix, in
         lexicographic token order."""
         node = self.node_at(prefix)
-        if node is None:
-            return []
-        out: list[tuple[tuple[int, ...], str, float | None]] = []
+        return [] if node is None else self.leaves[node.lo:node.hi]
 
-        def walk(n: TrieNode, cur: tuple[int, ...]):
-            if n.item_id is not None:
-                out.append((cur, n.item_id, n.score))
-            for tok in sorted(n.children):
-                walk(n.children[tok], cur + (tok,))
-
-        walk(node, tuple(prefix))
-        return out
+    def lay_out(self) -> None:
+        """Fill `values`, `leaves`, and each node's head and leaf range. Children
+        inserted in token order make a preorder visit meet leaves in order."""
+        at_depth: list[list[tuple[int, TrieNode]]] = [[] for _ in range(self.max_depth)]
+        stack: list[tuple[TrieNode, int | None]] = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if depth is None:       # back from the node's subtree
+                node.hi = len(self.leaves)
+                continue
+            node.lo = len(self.leaves)
+            if node.item_id is not None:
+                self.leaves.append((node.docid.tokens, node.item_id, node.score))
+            stack.append((node, None))
+            for tok, child in reversed(node.children.items()):
+                at_depth[depth].append((tok, child))
+                stack.append((child, depth + 1))
+        for nodes in at_depth:
+            self.values.append(sorted({tok for tok, _node in nodes}))
+            column = {tok: head for head, tok in enumerate(self.values[-1])}
+            for tok, node in nodes:
+                node.head = column[tok]
 
 
 def build_trie(docids: dict[str, DocId], node_scores: dict[tuple[int, ...], float]) -> DocIdTrie:
     trie = DocIdTrie()
-    for item_id in sorted(docids):
-        trie.insert(docids[item_id], item_id)
-    if trie.n_items != len(docids):
-        raise IndexBuildError("leaf/item bijection violated")
+    for item_id, d in sorted(docids.items(), key=lambda kv: kv[1].tokens):
+        trie.insert(d, item_id)
     for prefix, score in node_scores.items():
         node = trie.node_at(prefix)
         if node is None:
             raise IndexBuildError(f"score refers to missing trie node {prefix}")
         node.score = float(score)
+    trie.lay_out()
     return trie
 
 

@@ -322,6 +322,8 @@ def run_ablation_study(base: PipelineConfig, seeds, k: int = 10) -> dict:
     workdir <workdir>/ablation/<seed>, and the stage keys rebuild what each
     changes: the loss ablation the decoder onward, the clustering one the
     docIDs onward. Only the last variant's artifacts stay."""
+    if k not in base.eval_ks:
+        raise ConfigError(f"--k {k} is not one of eval_ks {list(base.eval_ks)}")
     variants = {"full": {}, "no_position_aware_loss": {"position_aware": False},
                 "no_category_clustering": {"category_clustering": False}}
     per_seed: dict[str, list[float]] = {name: [] for name in variants}
@@ -331,6 +333,6 @@ def run_ablation_study(base: PipelineConfig, seeds, k: int = 10) -> dict:
             sub = PipelineConfig.from_dict(base.echo() | tweak | {
                 "seed": int(seed), "workdir": str(base_dir / "ablation" / str(seed))})
             report = run_pipeline(sub)
-            per_seed[name].append(report.recall.get(k, 0.0))
+            per_seed[name].append(report.recall[k])
     return {"k": k, "per_seed": per_seed,
             "mean": {name: sum(v) / len(v) for name, v in per_seed.items()}}

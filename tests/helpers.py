@@ -46,10 +46,10 @@ def hierarchical_cluster(points, k: int, cs: int, depth_budget: int,
     return di._hier(points, list(scores), list(ids), k, cs, depth_budget, seed)
 
 
-def build_random_index(seed, k=4, cs=8, max_len=16, **kw):
+def build_random_index(seed, k=4, cs=8, max_len=16, use_categories=True, **kw):
     fusion, scores, paths = random_index_inputs(seed, **kw)
     docids, node_scores = di.build_docids(fusion, scores, paths, max_len=max_len, k=k,
-                                          cs=cs, seed=seed)
+                                          cs=cs, seed=seed, use_categories=use_categories)
     return docids, node_scores, di.build_trie(docids, node_scores)
 
 
@@ -63,7 +63,7 @@ def decoder_world(seed, n_items=30, n_cats=3, emb=4, d_model=6, hidden=(8,), **c
             for i, item_id in enumerate(sorted(docids))]
     cfg = dec.DecoderConfig(emb=emb, d_model=d_model, hidden=hidden, seed=seed, **cfg_kw)
     vocab_rows = rows
-    model = dec.DecoderModel(dec.Vocab.build(vocab_rows, catalog), dec.PositionVocab(docids),
+    model = dec.DecoderModel(dec.Vocab.build(vocab_rows, catalog), dec.PositionVocab(trie),
                              cfg)
     return docids, node_scores, trie, catalog, rows, model
 

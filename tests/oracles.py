@@ -181,7 +181,7 @@ def expand_variant_direct_first(decoded, trie, i2i_table, cluster_k, use_i2i, ca
         for d, _logprob in decoded:
             if len(d.tokens) < k:
                 continue
-            for _tokens, item_id, leaf_score in trie.items_under(d.tokens[:k]):
+            for _tokens, item_id, leaf_score in items_under_walk(trie, d.tokens[:k]):
                 if item_id in seen:
                     continue
                 score = leaf_score if leaf_score is not None else 0.0
@@ -193,3 +193,22 @@ def expand_variant_direct_first(decoded, trie, i2i_table, cluster_k, use_i2i, ca
     i2i = ex.i2i_expand(direct.item_ids(), i2i_table, per_seed_n) if use_i2i \
         else ex.RecallSet([])
     return ex.merge_recall(direct, cluster, i2i, cap)
+
+
+def items_under_walk(trie, prefix) -> list[tuple[tuple[int, ...], str, float | None]]:
+    """(tokens, item_id, leaf score) for every leaf below the prefix, found by
+    a recursive walk over the sorted children; the reference for the leaf
+    slices the trie lays out once."""
+    node = trie.node_at(prefix)
+    if node is None:
+        return []
+    out = []
+
+    def walk(n, cur):
+        if n.item_id is not None:
+            out.append((cur, n.item_id, n.score))
+        for tok in sorted(n.children):
+            walk(n.children[tok], cur + (tok,))
+
+    walk(node, tuple(prefix))
+    return out

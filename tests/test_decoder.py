@@ -103,7 +103,7 @@ def handset_world(docid_map, scores, semantic_len=1):
     catalog = [Item(i, tuple(d.tokens[:d.semantic_len]) or (0,), (i,), (0.5,), scores[i])
                for i, d in docids.items()]
     rows = [DatasetRow("u0", f"q {i}", (), i, 1, 1, 0.0) for i in sorted(docids)]
-    model = dec.DecoderModel(dec.Vocab.build(rows, catalog), dec.PositionVocab(docids),
+    model = dec.DecoderModel(dec.Vocab.build(rows, catalog), dec.PositionVocab(trie),
                              dec.DecoderConfig(emb=3, d_model=4, hidden=(), seed=0))
     for w in model.head_w:
         w.data[:] = 0.0
@@ -228,7 +228,7 @@ class TestPositionAwareLoss:
                 logits = model.head_b[t].data
                 p = np.exp(logits - logits.max())
                 p /= p.sum()
-                want += -np.log(p[model.pos_vocab.local(t, tokens[t])])
+                want += -np.log(p[model.pos_vocab.values[t].index(tokens[t])])
         assert float(loss.data) == pytest.approx(want / 3.0, abs=1e-12)
 
     def test_uniform_ce_reduces_to_scaled_plain_ce(self):
@@ -282,7 +282,7 @@ class TestBeamSearch:
         single = {"only": di.DocId((3, 0), 1)}
         strie = di.build_trie(single, {(3, 0): 0.5})
         # model vocab does not know token 3 at position 0 -> rebuild over it
-        model2 = dec.DecoderModel(model.vocab, dec.PositionVocab(single), model.config)
+        model2 = dec.DecoderModel(model.vocab, dec.PositionVocab(strie), model.config)
         got = dec.constrained_beam_search(rows[0], model2, strie, 4, 1)
         assert len(got) == 1
         assert got[0][0].tokens == (3, 0) and got[0][2] == "only"
@@ -292,7 +292,7 @@ class TestBeamSearch:
         ttrie = di.build_trie(two, {(1, 0): 0.1, (2, 0): 0.2})
         rows = [DatasetRow("u0", "q", (), "a", 1, 1, 0.0)]
         cat = [Item("a", (1,), ("s",), (0.1,), 0.1), Item("b", (2,), ("s",), (0.1,), 0.1)]
-        model = dec.DecoderModel(dec.Vocab.build(rows, cat), dec.PositionVocab(two),
+        model = dec.DecoderModel(dec.Vocab.build(rows, cat), dec.PositionVocab(ttrie),
                                  dec.DecoderConfig(emb=2, d_model=3, hidden=()))
         got = dec.constrained_beam_search(rows[0], model, ttrie, 3, 3)
         assert len(got) == 2

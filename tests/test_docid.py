@@ -1,11 +1,15 @@
+import hashlib
 import json
 import logging
 
 import numpy as np
 import pytest
 from helpers import build_random_index, hierarchical_cluster, random_index_inputs
-from oracles import kmeans_inertia
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import items_under_walk, kmeans_inertia
 
+from higen import decoder as dec
 from higen import docid as di
 from higen.errors import CheckpointError, ConfigError, DataError, IndexBuildError
 
@@ -214,6 +218,39 @@ class TestTrie:
         probe = next(iter(node_scores))
         assert trie.node_at(probe).score == node_scores[probe]
         assert trie.node_at((999, 999)) is None
+
+
+class TestTrieLayout:
+    """build_trie fixes child order, head columns and leaf order once; every
+    reader relies on them."""
+
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 10_000), n_items=st.integers(1, 150),
+           categories=st.sampled_from([1, 2, None]))
+    def test_layout_matches_the_docids(self, seed, n_items, categories):
+        docids, _scores, trie = build_random_index(
+            seed, n_items=n_items, path_len=categories or 1, use_categories=bool(categories))
+        vocab = dec.PositionVocab(trie)
+        assert vocab.values == [sorted({d.tokens[t] for d in docids.values() if len(d.tokens) > t})
+                                for t in range(trie.max_depth)]
+        assert [leaf[:2] for leaf in trie.leaves] == \
+            sorted((d.tokens, item) for item, d in docids.items())
+        stack = [((), trie.root)]
+        while stack:
+            prefix, node = stack.pop()
+            assert list(node.children) == sorted(node.children)
+            assert trie.items_under(prefix) == items_under_walk(trie, prefix)
+            for tok, child in node.children.items():
+                assert child.head == vocab.values[len(prefix)].index(tok)
+                stack.append((prefix + (tok,), child))
+        assert trie.items_under((999,)) == []
+
+    def test_docid_map_is_the_sha256_of_the_item_map(self):
+        # decoder checkpoints record this hash, so it must not move
+        docids, _scores, trie = build_random_index(3, n_items=80)
+        item_map = [[item, list(docids[item].tokens)] for item in sorted(docids)]
+        want = hashlib.sha256(json.dumps(item_map).encode()).hexdigest()
+        assert dec.PositionVocab(trie).docid_map == want
 
 
 class TestIndexIO:

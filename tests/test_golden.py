@@ -1,0 +1,14 @@
+import json
+
+from make_golden import GOLDEN, seeded_run
+
+
+def test_seeded_run_matches_the_golden_record(tmp_path):
+    want = json.loads(GOLDEN.read_text())
+    got = seeded_run(tmp_path)
+    assert got["i2i_items"] > 0, "the golden corpus must exercise the I2I tier"
+    where = ("" if got["environment"] == want["environment"] else
+             f"; the record was made under another numpy/BLAS/CPU: {want['environment']}, "
+             f"this run: {got['environment']}")
+    for part in ("gen-synthetic", "i2i_items", "metrics", "artifacts", "outputs"):
+        assert got[part] == want[part], f"{part} differ from {GOLDEN.name}{where}"

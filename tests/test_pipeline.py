@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import shutil
 
 import numpy as np
@@ -505,6 +506,48 @@ class TestExitCodes:
         assert "Traceback" not in err and err.count("\n") == 1
         assert f"{inp} line 1: OverflowError" in err
 
+    @pytest.mark.parametrize("logprob", ['"nan"', '"inf"', '"-Infinity"', "1e999"])
+    def test_non_finite_logprob_is_3(self, ran, tmp_path, capsys, logprob):
+        # "nan" was accepted and written out as the invalid JSON `"score": NaN`
+        index = json.loads((ran / "work" / "index.json").read_text())
+        docid = "-".join(map(str, index["docids"]["it0000"]["tokens"]))
+        inp, out = tmp_path / "decoded.jsonl", tmp_path / "out.jsonl"
+        inp.write_text('{"results": [{"docid": "%s", "logprob": %s}]}\n' % (docid, logprob))
+        rc = cli.main(["expand", "--index", str(ran / "work" / "index.json"),
+                       "--input", str(inp), "--output", str(out)])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert f"{inp} line 1" in err and "not finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["x", "", "0,,1"])
+    def test_bad_ablation_seeds_is_2(self, corpus, tmp_path, capsys, seeds):
+        # ended in a ValueError traceback
+        rc = cli.main(["ablation", "--config", str(corpus / "config.json"),
+                       "--workdir", str(tmp_path / "w"), "--seeds", seeds])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1 and "--seeds" in err
+
+    @pytest.mark.parametrize("argv", [["run-all", "--seed", "-1"], ["ablation", "--seeds", "-1"]])
+    def test_negative_seed_is_2(self, corpus, tmp_path, capsys, argv):
+        # ended in numpy's "expected non-negative integer" traceback
+        rc = cli.main([argv[0], "--config", str(corpus / "config.json"),
+                       "--workdir", str(tmp_path / "w"), *argv[1:]])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1 and "seed must be >= 0" in err
+
+    def test_ablation_k_outside_eval_ks_is_2(self, corpus, tmp_path, capsys):
+        # reported mean recall@20 = 0.0000 for every variant and exited 0
+        rc = cli.main(["ablation", "--config", str(corpus / "config.json"),
+                       "--workdir", str(tmp_path / "w"), "--k", "20"])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--k 20" in err and "eval_ks" in err
+        assert not (tmp_path / "w").exists()
+
     def test_malformed_oracle_line_is_3(self, ran, finished, tmp_path, capsys):
         bad_oracle = tmp_path / "oracle.jsonl"
         lines = (ran / "oracle.jsonl").read_text().splitlines()
@@ -634,6 +677,16 @@ DOCID_TEXTS = st.builds(
     st.sampled_from(["", " ", "\n", "-", "x"]))
 
 
+def strict_float(text):
+    value = float(text)
+    assert math.isfinite(value), f"number {text} has no finite float"
+    return value
+
+
+def reject_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
 def json_line(strategy):
     return strategy.map(lambda value: json.dumps(value).encode())
 
@@ -651,8 +704,9 @@ FUZZ = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
 class TestCliFuzz:
     """Arbitrary JSON values and raw bytes as --input lines: the run ends
-    with exit 0 or 3, at most one line on stderr and no traceback, and a
-    failed run leaves an existing --output as it was."""
+    with exit 0 or 3, at most one line on stderr and no traceback; a failed
+    run leaves an existing --output as it was, and a finished one writes
+    strict JSON lines holding only finite numbers."""
 
     @staticmethod
     def check(argv, lines, tmp):
@@ -666,6 +720,9 @@ class TestCliFuzz:
         assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
         if rc != 0:
             assert out.read_bytes() == b"an earlier run\n"
+        else:
+            for line in out.read_text().splitlines():
+                json.loads(line, parse_constant=reject_constant, parse_float=strict_float)
 
     @FUZZ
     @given(lines=st.lists(DECODE_LINES, min_size=1, max_size=3))
@@ -682,6 +739,12 @@ class TestCliFuzz:
            variant=st.sampled_from(["direct", "cluster-2", "cluster-2-i2i"]))
     # a docID text with a newline made a two-line message
     @example(lines=[b'{"results": [{"docid": "101\\n"}]}'], variant="direct")
+    # non-finite logprobs made `"score": NaN` lines; 101-1-0 is it0000's docID
+    @example(lines=[b'{"results": [{"docid": "101-1-0", "logprob": "nan"}]}'], variant="direct")
+    @example(lines=[b'{"results": [{"docid": "101-1-0", "logprob": "inf"}]}'],
+             variant="cluster-2")
+    @example(lines=[b'{"results": [{"docid": "101-1-0", "logprob": 1e999}]}'],
+             variant="cluster-2-i2i")
     def test_expand(self, ran, tmp_path_factory, lines, variant):
         work = ran / "work"
         self.check(["expand", "--index", str(work / "index.json"), "--variant", variant,
