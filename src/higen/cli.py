@@ -95,11 +95,17 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
+def _query_row(rec) -> dt.DatasetRow:
+    user_id, query = rec.get("user_id", ""), rec["query"]
+    if not isinstance(query, str) or not isinstance(user_id, str):
+        raise DataError("query, and user_id when given, must be strings")
+    return dt.DatasetRow(user_id, query, dt._parse_context(rec.get("context", [])), "", 0, 0, 0.0)
+
+
 def cmd_decode(args) -> int:
+    dec.check_beam(args.beam, args.topk)   # before any input: an empty one decodes nothing
     model, trie = dec.load_for_index(args.index, args.checkpoint)
-    rows = dt.read_jsonl(args.input, lambda rec: dt.DatasetRow(
-        str(rec.get("user_id", "")), str(rec["query"]), dt._parse_context(rec.get("context", [])),
-        "", 0, 0, 0.0))
+    rows = dt.read_jsonl(args.input, _query_row)
 
     def record(row) -> dict:
         results = dec.constrained_beam_search(row, model, trie, args.beam, args.topk)

@@ -220,16 +220,20 @@ class DecoderModel:
         of token-plus-position embeddings pushed through the step network."""
         if t >= len(self.pos_vocab.values):
             raise DataError(f"position {t} beyond vocabulary depth {len(self.pos_vocab.values)}")
-        b = ctx.data.shape[0]
-        if t == 0:
-            prefix_vec = nn.Tensor(np.zeros((b, self.config.d_model)))
-        else:
-            idx = np.asarray(prefixes, dtype=np.intp) + self.pos_vocab.offsets[:t]
-            tok_sum = nn.sum_axis(nn.gather(self.tok_table, idx), 1)
-            pos_sum = nn.sum_axis(nn.gather(self.pos_table, np.arange(t, dtype=np.intp)), 0)
-            prefix_vec = nn.add(tok_sum, pos_sum)
+        idx = np.asarray(prefixes, dtype=np.intp) + self.pos_vocab.offsets[:t]
+        tok_sum = nn.sum_axis(nn.gather(self.tok_table, idx), 1)    # zeros when t == 0
+        pos_sum = nn.sum_axis(nn.gather(self.pos_table, np.arange(t, dtype=np.intp)), 0)
+        prefix_vec = nn.add(tok_sum, pos_sum)
         state = self.step_net.forward(nn.concat([ctx, prefix_vec], axis=1))
         return nn.add(nn.matmul(state, self.head_w[t]), self.head_b[t])
+
+    def step_logits(self, ctx: np.ndarray, heads: np.ndarray, t: int) -> np.ndarray:
+        """position_logits(ctx, heads, t).data in plain numpy for (B, t) heads. Products
+        are stacked per row as in DenseNet.infer, so a row's bits do not depend on B."""
+        tok_sum = self.tok_table.data[heads + self.pos_vocab.offsets[:t]].sum(axis=1)
+        prefix_vec = tok_sum + self.pos_table.data[:t].sum(axis=0)
+        state = self.step_net.infer(np.concatenate([ctx, prefix_vec], axis=1))
+        return (state[:, None, :] @ self.head_w[t].data)[:, 0] + self.head_b[t].data
 
     # -- persistence -----------------------------------------------------------
 
@@ -321,13 +325,17 @@ class BeamHypothesis:
     node: TrieNode     # the trie node the tokens lead to
 
 
+def check_beam(beam_width: int, k: int) -> None:
+    if k < 1 or beam_width < k:
+        raise ConfigError(f"need beam_width >= k >= 1, got beam_width={beam_width} k={k}")
+
+
 def constrained_beam_search(row, model: DecoderModel, trie: DocIdTrie, beam_width: int,
                             k: int):
     """Top-k docIDs by cumulative log-probability, extending hypotheses only
     along trie children. Ties break lexicographically on token values.
     Returns [(DocId, logprob, item_id)]."""
-    if k < 1 or beam_width < k:
-        raise ConfigError(f"need beam_width >= k >= 1, got beam_width={beam_width} k={k}")
+    check_beam(beam_width, k)
     if trie.n_items == 0:
         raise IndexBuildError("cannot decode against an empty trie")
     ctx_np = model.encode(model.prepare_rows([row])).data[:1]
@@ -338,13 +346,14 @@ def constrained_beam_search(row, model: DecoderModel, trie: DocIdTrie, beam_widt
         if not active:
             break
         extensions: list[BeamHypothesis] = []
-        for hyp in active:
-            # one hypothesis per forward pass keeps scores bit-identical to
-            # the exhaustive oracle regardless of batch shape
-            logits = model.position_logits(nn.Tensor(ctx_np), [hyp.heads], depth).data
-            logprobs = nn.log_softmax_rows(logits)
+        # one call per depth: step_logits and log_softmax_rows are row-independent,
+        # so every score keeps the bits of the one-row brute_force_scores oracle
+        heads = np.array([hyp.heads for hyp in active], dtype=np.intp)
+        logits = model.step_logits(np.repeat(ctx_np, len(active), 0), heads, depth)
+        logprobs = nn.log_softmax_rows(logits)
+        for r, hyp in enumerate(active):
             for value, child in hyp.node.children.items():
-                lp = hyp.logprob + float(logprobs[0, child.head])
+                lp = hyp.logprob + float(logprobs[r, child.head])
                 if child.item_id is not None:
                     done.append((hyp.tokens + (value,), lp, child))
                 else:

@@ -370,7 +370,9 @@ def bce_mean(p: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # dense networks
 
-_ACTIVATIONS = ("relu", "tanh", "identity")
+# each activation as a graph op (DenseNet.forward) and in plain numpy (DenseNet.infer)
+_ACTIVATIONS = {"relu": (relu, lambda x: np.where(x > 0, x, 0.0)), "tanh": (tanh, np.tanh),
+                "identity": (_wrap, lambda x: x)}
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -407,11 +409,14 @@ class DenseNet:
             raise DimensionError(
                 f"{self.name}: input shape {x.data.shape} incompatible with size {self.sizes[0]}")
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            x = add(matmul(x, w), b)
-            if act == "relu":
-                x = relu(x)
-            elif act == "tanh":
-                x = tanh(x)
+            x = _ACTIVATIONS[act][0](add(matmul(x, w), b))
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """forward(x).data without graph nodes. Each row is multiplied as its own (1, m)
+        matrix, as in a one-row forward, since a (B, m) product may change its bits."""
+        for w, b, act in zip(self.weights, self.biases, self.activations):
+            x = _ACTIVATIONS[act][1]((x[:, None, :] @ w.data)[:, 0] + b.data)
         return x
 
     def params(self) -> dict[str, Tensor]:

@@ -328,11 +328,11 @@ def run_ablation_study(base: PipelineConfig, seeds, k: int = 10) -> dict:
                 "no_category_clustering": {"category_clustering": False}}
     per_seed: dict[str, list[float]] = {name: [] for name in variants}
     base_dir = Path(base.workdir)
-    for seed in seeds:
-        for name, tweak in variants.items():
-            sub = PipelineConfig.from_dict(base.echo() | tweak | {
-                "seed": int(seed), "workdir": str(base_dir / "ablation" / str(seed))})
-            report = run_pipeline(sub)
-            per_seed[name].append(report.recall[k])
+    # every run's config is checked before the first one trains
+    runs = [(name, PipelineConfig.from_dict(base.echo() | tweak | {
+        "seed": int(seed), "workdir": str(base_dir / "ablation" / str(seed))}).validate())
+        for seed in seeds for name, tweak in variants.items()]
+    for name, sub in runs:
+        per_seed[name].append(run_pipeline(sub).recall[k])
     return {"k": k, "per_seed": per_seed,
             "mean": {name: sum(v) / len(v) for name, v in per_seed.items()}}

@@ -1,11 +1,14 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import decoder_world, random_index_inputs
 from oracles import finite_diff_gradcheck, hierarchical_weights
 
 from higen import decoder as dec
 from higen import docid as di
+from higen import nn
 from higen.data import DatasetRow, Item
 from higen.errors import ConfigError, DataError, DimensionError, IndexBuildError
 
@@ -321,6 +324,45 @@ class TestBeamSearch:
             dec.constrained_beam_search(rows[0], model, trie, 2, 3)
         with pytest.raises(IndexBuildError):
             dec.constrained_beam_search(rows[0], model, di.DocIdTrie(), 3, 1)
+
+
+class TestStepLogits:
+    """The batched plain-numpy kernel against the autograd path run one row at
+    a time: beam search scores a whole depth in one step_logits call, and c04
+    compares it with brute_force_scores, which runs position_logits per row."""
+
+    @staticmethod
+    def prefixes_by_depth(trie):
+        """The heads of every internal node's prefix, grouped by depth."""
+        out: dict[int, list[tuple[int, ...]]] = {}
+        stack = [(trie.root, ())]
+        while stack:
+            node, heads = stack.pop()
+            if node.children:
+                out.setdefault(len(heads), []).append(heads)
+            stack.extend((child, heads + (child.head,)) for child in node.children.values())
+        return out
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 10_000), hidden=st.sampled_from([(), (4,), (5, 3)]),
+           b=st.integers(1, 48))
+    def test_each_row_equals_autograd_on_that_row_alone(self, seed, hidden, b):
+        _docids, _scores, trie, _catalog, _rows, model = decoder_world(
+            seed, n_items=40, n_cats=3, hidden=hidden)
+        rng = np.random.default_rng(seed)
+        ctx = rng.normal(size=(b, model.config.d_model))
+        for t, prefixes in sorted(self.prefixes_by_depth(trie).items()):
+            heads = np.array([prefixes[i] for i in rng.integers(len(prefixes), size=b)],
+                             dtype=np.intp).reshape(b, t)
+            got = model.step_logits(ctx, heads, t)
+            for i in range(b):
+                want = model.position_logits(nn.Tensor(ctx[i:i + 1]), [tuple(heads[i])], t)
+                assert np.array_equal(got[i], want.data[0]), (t, i)
+        for net in (model.enc_net, model.step_net):
+            x = rng.normal(size=(b, net.sizes[0]))
+            got = net.infer(x)
+            for i in range(b):
+                assert np.array_equal(got[i], net.forward(x[i:i + 1]).data[0])
 
 
 class TestTrainDecoder:

@@ -90,6 +90,9 @@ class TestDenseNet:
         want = ref_dense(x, [w.data for w in net.weights], [b.data for b in net.biases],
                          net.activations)
         np.testing.assert_allclose(net.forward(x).data, want, atol=1e-10)
+        got = net.infer(x)
+        for i in range(3):
+            assert np.array_equal(got[i], net.forward(x[i:i + 1]).data[0])
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(0)

@@ -468,7 +468,11 @@ class TestExitCodes:
                                       '{"query": "q", "context": 5}',
                                       '{"query": "x", "context": [["a"]]}',
                                       '{"query": "x", "context": [{"a": 1}]}',
-                                      '{"query": "x", "context": "ab"}'])
+                                      '{"query": "x", "context": "ab"}',
+                                      # decoded as the query "None" and exited 0
+                                      '{"query": null}', '{"query": 5}',
+                                      '{"query": "x", "user_id": null}',
+                                      '{"query": "x", "user_id": 3}'])
     def test_malformed_decode_input_is_3(self, ran, tmp_path, capsys, line):
         inp = tmp_path / "queries.jsonl"
         inp.write_text(json.dumps({"query": "c101 w0"}) + "\n" + line + "\n")
@@ -479,6 +483,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"{inp} line 2" in err
+
+    @pytest.mark.parametrize("beam,topk", [("0", "2"), ("2", "0"), ("1", "2")])
+    def test_bad_beam_or_topk_on_empty_input_is_2(self, ran, tmp_path, capsys, beam, topk):
+        # checked only per row, so an empty input exited 0
+        inp = tmp_path / "queries.jsonl"
+        inp.write_text("")
+        rc = cli.main(["decode", "--index", str(ran / "work" / "index.json"),
+                       "--checkpoint", str(ran / "work" / "decoder.ckpt.json"),
+                       "--beam", beam, "--topk", topk, "--input", str(inp),
+                       "--output", str(tmp_path / "out.jsonl")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1 and "beam_width" in err
+        assert not (tmp_path / "out.jsonl").exists()
 
     @pytest.mark.parametrize("rec", [{"query": "q"}, {"results": [{"logprob": -1.0}]},
                                      {"results": 3}, {"results": [{"docid": "999-999"}]},
@@ -530,14 +548,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1 and "--seeds" in err
 
-    @pytest.mark.parametrize("argv", [["run-all", "--seed", "-1"], ["ablation", "--seeds", "-1"]])
+    @pytest.mark.parametrize("argv", [["run-all", "--seed", "-1"], ["ablation", "--seeds", "-1"],
+                                      ["ablation", "--seeds", "0,-1"]])
     def test_negative_seed_is_2(self, corpus, tmp_path, capsys, argv):
-        # ended in numpy's "expected non-negative integer" traceback
+        # ended in numpy's "expected non-negative integer" traceback; "0,-1"
+        # trained all of seed 0 first
         rc = cli.main([argv[0], "--config", str(corpus / "config.json"),
                        "--workdir", str(tmp_path / "w"), *argv[1:]])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1 and "seed must be >= 0" in err
+        assert not (tmp_path / "w").exists()
 
     def test_ablation_k_outside_eval_ks_is_2(self, corpus, tmp_path, capsys):
         # reported mean recall@20 = 0.0000 for every variant and exited 0
@@ -728,6 +749,7 @@ class TestCliFuzz:
     @given(lines=st.lists(DECODE_LINES, min_size=1, max_size=3))
     @example(lines=[b'{"query": "x", "context": [["a"]]}'])   # unhashable context entries
     @example(lines=[b'{"query": "x", "context": [{"a": 1}]}'])
+    @example(lines=[b'{"query": null}'])    # was decoded as the query "None"
     def test_decode(self, ran, tmp_path_factory, lines):
         work = ran / "work"
         self.check(["decode", "--index", str(work / "index.json"),
