@@ -87,8 +87,10 @@ def _row_from_record(rec: dict) -> DatasetRow:
     click = rec["click"]
     if relevance not in (0, 1) or click not in (0, 1):
         raise DataError(f"non-binary label in row: relevance={relevance!r} click={click!r}")
-    return DatasetRow(str(rec["user_id"]), str(rec["query"]),
-                      _parse_context(rec.get("context", [])), str(rec["target_item_id"]),
+    user_id, query, target = rec["user_id"], rec["query"], rec["target_item_id"]
+    if not all(isinstance(field, str) for field in (user_id, query, target)):
+        raise DataError("user_id, query and target_item_id must be strings")
+    return DatasetRow(user_id, query, _parse_context(rec.get("context", [])), target,
                       int(relevance), int(click), float(rec.get("timestamp", 0.0)))
 
 

@@ -11,6 +11,7 @@ each node's `head`, its token's column in its position's head.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from .representation import Vocab, row_indices
 # position weights
 
 
+@functools.cache
 def hierarchical_weight(t: int, last: int) -> float:
     """Decay weight e^(L-t) / sum_{i=0..L} e^i for position t of a docID
     whose final position index is L."""
@@ -211,6 +213,20 @@ class DecoderModel:
                               (b, self.config.emb))
         return self.enc_net.forward(nn.concat([x_u, pooled_q, pooled_c], axis=1))
 
+    def encode_infer(self, batch: DecoderBatch) -> np.ndarray:
+        """encode(batch).data in plain numpy: the same gathers and attention, then
+        enc_net.infer, so a row's bits do not depend on the batch size."""
+        b, emb = batch.size, self.config.emb
+        zeros = np.zeros(b, dtype=np.intp)
+        x_q = self.query_table.data[batch.query_idx]
+        x_c = self.context_table.data[batch.context_idx]
+        pq = self.pool_query.data[zeros].reshape(b, 1, emb)
+        pc = self.pool_context.data[zeros].reshape(b, 1, emb)
+        pooled_q = nn.attention_infer(pq, x_q, x_q, emb)[0].reshape(b, emb)
+        pooled_c = nn.attention_infer(pc, x_c, x_c, emb)[0].reshape(b, emb)
+        return self.enc_net.infer(np.concatenate(
+            [self.user_table.data[batch.user_idx], pooled_q, pooled_c], axis=1))
+
     # -- stepwise logits -----------------------------------------------------
 
     def position_logits(self, ctx: nn.Tensor, prefixes: list[tuple[int, ...]],
@@ -267,8 +283,8 @@ def load_for_index(index_path, checkpoint_path) -> tuple[DecoderModel, DocIdTrie
 def greedy_argmax_token(node: TrieNode, logits_row: np.ndarray) -> int:
     """Highest-logit token among the children of the trie node of the
     teacher-forced prefix (ties go to the smallest token value)."""
-    heads = [child.head for child in node.children.values()]
-    return list(node.children)[int(np.argmax(logits_row[heads]))]
+    kids = node.child_arrays()
+    return int(kids.tokens[np.argmax(logits_row[kids.heads])])
 
 
 def position_aware_loss(batch: DecoderBatch, model: DecoderModel,
@@ -317,14 +333,6 @@ def position_aware_loss(batch: DecoderBatch, model: DecoderModel,
 # decoding
 
 
-@dataclass(frozen=True)
-class BeamHypothesis:
-    tokens: tuple[int, ...]
-    heads: tuple[int, ...]      # the heads of the nodes along the tokens
-    logprob: float
-    node: TrieNode     # the trie node the tokens lead to
-
-
 def check_beam(beam_width: int, k: int) -> None:
     if k < 1 or beam_width < k:
         raise ConfigError(f"need beam_width >= k >= 1, got beam_width={beam_width} k={k}")
@@ -333,36 +341,43 @@ def check_beam(beam_width: int, k: int) -> None:
 def constrained_beam_search(row, model: DecoderModel, trie: DocIdTrie, beam_width: int,
                             k: int):
     """Top-k docIDs by cumulative log-probability, extending hypotheses only
-    along trie children. Ties break lexicographically on token values.
-    Returns [(DocId, logprob, item_id)]."""
+    along trie children. Ties break lexicographically on token values, which is
+    the order of the nodes' first leaf indices. Returns [(DocId, logprob, item_id)]."""
     check_beam(beam_width, k)
     if trie.n_items == 0:
         raise IndexBuildError("cannot decode against an empty trie")
-    ctx_np = model.encode(model.prepare_rows([row])).data[:1]
+    ctx = model.encode_infer(model.prepare_rows([row]))
 
-    active: list[BeamHypothesis] = [BeamHypothesis((), (), 0.0, trie.root)]
-    done: list[tuple[tuple[int, ...], float, TrieNode]] = []
+    # the live hypotheses: their trie nodes, the heads along their tokens, their logprobs
+    nodes = np.array([trie.root], dtype=object)
+    heads = np.zeros((1, 0), dtype=np.intp)
+    lps = np.zeros(1)
+    done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []    # (logprobs, los, leaves)
     for depth in range(trie.max_depth):
-        if not active:
-            break
-        extensions: list[BeamHypothesis] = []
         # one call per depth: step_logits and log_softmax_rows are row-independent,
         # so every score keeps the bits of the one-row brute_force_scores oracle
-        heads = np.array([hyp.heads for hyp in active], dtype=np.intp)
-        logits = model.step_logits(np.repeat(ctx_np, len(active), 0), heads, depth)
-        logprobs = nn.log_softmax_rows(logits)
-        for r, hyp in enumerate(active):
-            for value, child in hyp.node.children.items():
-                lp = hyp.logprob + float(logprobs[r, child.head])
-                if child.item_id is not None:
-                    done.append((hyp.tokens + (value,), lp, child))
-                else:
-                    extensions.append(BeamHypothesis(hyp.tokens + (value,),
-                                                     hyp.heads + (child.head,), lp, child))
-        extensions.sort(key=lambda h: (-h.logprob, h.tokens))
-        active = extensions[:beam_width]
-    done.sort(key=lambda d: (-d[1], d[0]))
-    return [(leaf.docid, lp, leaf.item_id) for _tokens, lp, leaf in done[:k]]
+        logprobs = nn.log_softmax_rows(
+            model.step_logits(np.repeat(ctx, len(nodes), 0), heads, depth))
+        kids = [node.child_arrays() for node in nodes]
+        parent = np.repeat(np.arange(len(kids)), [len(c.heads) for c in kids])
+        child_heads = np.concatenate([c.heads for c in kids])
+        child_lps = lps[parent] + logprobs[parent, child_heads]
+        child_los = np.concatenate([c.los for c in kids])
+        child_nodes = np.concatenate([c.nodes for c in kids])
+        leaf = np.concatenate([c.leaf for c in kids])
+        if leaf.any():
+            done.append((child_lps[leaf], child_los[leaf], child_nodes[leaf]))
+        live = np.flatnonzero(~leaf)
+        if not len(live):
+            break
+        keep = live[np.lexsort((child_los[live], -child_lps[live]))[:beam_width]]
+        nodes, lps = child_nodes[keep], child_lps[keep]
+        heads = np.concatenate([heads[parent[keep]], child_heads[keep, None]], axis=1)
+    if not done:
+        return []
+    lps, los, leaves = (np.concatenate(part) for part in zip(*done))
+    return [(leaves[i].docid, float(lps[i]), leaves[i].item_id)
+            for i in np.lexsort((los, -lps))[:k]]
 
 
 def brute_force_scores(model: DecoderModel, trie: DocIdTrie, row):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,8 +216,18 @@ def build_docids(fusion: dict[str, np.ndarray], scores: dict[str, float],
 # trie
 
 
+class ChildArrays(NamedTuple):
+    """A node's children as arrays, in the trie's child order (ascending token)."""
+
+    heads: np.ndarray   # each child's head column
+    tokens: np.ndarray
+    los: np.ndarray     # each child's first leaf index, which orders them as their tokens do
+    nodes: np.ndarray   # the child TrieNodes, an object array
+    leaf: np.ndarray    # True where the child is a leaf
+
+
 class TrieNode:
-    __slots__ = ("children", "item_id", "score", "docid", "head", "lo", "hi")
+    __slots__ = ("children", "item_id", "score", "docid", "head", "lo", "hi", "_child_arrays")
 
     def __init__(self):
         self.children: dict[int, TrieNode] = {}
@@ -225,6 +236,20 @@ class TrieNode:
         self.docid: DocId | None = None
         self.head = -1          # column of this node's token in its position's head
         self.lo = self.hi = 0   # the leaves below this node: DocIdTrie.leaves[lo:hi]
+        self._child_arrays: ChildArrays | None = None
+
+    def child_arrays(self) -> ChildArrays:
+        """The children as arrays, built on this node's first expansion: an eager
+        build for every node would slow `load_index`. Valid once the trie is laid out."""
+        if self._child_arrays is None:
+            nodes = np.empty(len(self.children), dtype=object)
+            nodes[:] = list(self.children.values())
+            self._child_arrays = ChildArrays(
+                np.array([c.head for c in nodes], dtype=np.intp),
+                np.array(list(self.children), dtype=np.intp),
+                np.array([c.lo for c in nodes], dtype=np.intp), nodes,
+                np.array([c.item_id is not None for c in nodes], dtype=bool))
+        return self._child_arrays
 
 
 class DocIdTrie:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .data import read_jsonl, write_jsonl
 from .docid import DocIdTrie
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class RecallEntry:
+class RecallEntry(NamedTuple):
     item_id: str
     source: str   # direct | cluster | i2i
     score: float

@@ -306,18 +306,24 @@ def log_softmax_rows(x: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def attention_batched(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
-    """Attention over a batch of sequences: (B, n_q, d_k) x (B, n_k, d_k)
-    x (B, n_k, d_v) -> (B, n_q, d_v)."""
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    if q.data.shape[-1] != d_k or k.data.shape[-1] != d_k:
+def attention_infer(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                    d_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(output, weights) of attention over a batch of sequences in plain numpy:
+    (B, n_q, d_k) x (B, n_k, d_k) x (B, n_k, d_v) -> (B, n_q, d_v), (B, n_q, n_k)."""
+    if q.shape[-1] != d_k or k.shape[-1] != d_k:
         raise DimensionError("batched attention d_k mismatch")
-    if k.data.shape[1] != v.data.shape[1] or q.data.shape[0] != k.data.shape[0]:
+    if k.shape[1] != v.shape[1] or q.shape[0] != k.shape[0]:
         raise DimensionError("batched attention key/value rows or batch mismatch")
-    inv = 1.0 / np.sqrt(float(d_k))
-    scores = np.einsum("bqd,bkd->bqk", q.data, k.data) * inv
+    scores = np.einsum("bqd,bkd->bqk", q, k) * (1.0 / np.sqrt(float(d_k)))
     attn = softmax_rows(scores)
-    out_data = np.einsum("bqk,bkd->bqd", attn, v.data)
+    return np.einsum("bqk,bkd->bqd", attn, v), attn
+
+
+def attention_batched(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
+    """attention_infer as a graph op."""
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    out_data, attn = attention_infer(q.data, k.data, v.data, d_k)
+    inv = 1.0 / np.sqrt(float(d_k))
 
     def bw(g):
         dv = np.einsum("bqk,bqd->bkd", attn, g)

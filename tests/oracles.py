@@ -3,10 +3,12 @@ scalar forms and helpers that only tests use.
 
 The references are deliberately written with explicit Python loops and no
 calls into the package, so they stay independent of the code paths they
-check. `fuse`, `hierarchical_weights`, `expand_variant_direct_first` and
-the autograd test helpers `mul` and `finite_diff_gradcheck` call into the
-package.
+check. `fuse`, `hierarchical_weights`, `expand_variant_direct_first`,
+`beam_search_loop` and the autograd test helpers `mul` and
+`finite_diff_gradcheck` call into the package.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,3 +214,41 @@ def items_under_walk(trie, prefix) -> list[tuple[tuple[int, ...], str, float | N
 
     walk(node, tuple(prefix))
     return out
+
+
+@dataclass(frozen=True)
+class BeamHypothesis:
+    tokens: tuple[int, ...]
+    heads: tuple[int, ...]      # the heads of the nodes along the tokens
+    logprob: float
+    node: object     # the trie node the tokens lead to
+
+
+def beam_search_loop(row, model, trie, beam_width: int, k: int):
+    """`decoder.constrained_beam_search` as one Python loop over hypotheses and
+    their children, on the autograd encode; the narrow-beam reference for the
+    array beam."""
+    dec.check_beam(beam_width, k)
+    ctx_np = model.encode(model.prepare_rows([row])).data[:1]
+
+    active = [BeamHypothesis((), (), 0.0, trie.root)]
+    done = []
+    for depth in range(trie.max_depth):
+        if not active:
+            break
+        extensions = []
+        heads = np.array([hyp.heads for hyp in active], dtype=np.intp)
+        logits = model.step_logits(np.repeat(ctx_np, len(active), 0), heads, depth)
+        logprobs = nn.log_softmax_rows(logits)
+        for r, hyp in enumerate(active):
+            for value, child in hyp.node.children.items():
+                lp = hyp.logprob + float(logprobs[r, child.head])
+                if child.item_id is not None:
+                    done.append((hyp.tokens + (value,), lp, child))
+                else:
+                    extensions.append(BeamHypothesis(hyp.tokens + (value,),
+                                                     hyp.heads + (child.head,), lp, child))
+        extensions.sort(key=lambda h: (-h.logprob, h.tokens))
+        active = extensions[:beam_width]
+    done.sort(key=lambda d: (-d[1], d[0]))
+    return [(leaf.docid, lp, leaf.item_id) for _tokens, lp, leaf in done[:k]]

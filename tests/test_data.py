@@ -71,6 +71,21 @@ class TestLoadDataset:
         assert result.malformed == 1 and len(result.rows) == 200
         assert result.rows[0].context == (("i", "pay"),)
 
+    @pytest.mark.parametrize("field", ["user_id", "query", "target_item_id"])
+    @pytest.mark.parametrize("value", [None, ["q"], 7, 1.5, {"a": "b"}])
+    def test_non_string_identity_field_is_malformed(self, tmp_path, field, value):
+        # once read as str(value): a null query trained as the text "None"
+        path = tmp_path / "rows.jsonl"
+        good = {"user_id": "u", "query": "q", "context": [], "target_item_id": "i",
+                "relevance": 1, "click": 1, "timestamp": 0}
+        write_lines(path, [json.dumps(good)] * 200 + [json.dumps(good | {field: value})])
+        result = dt.load_dataset(path)
+        assert result.malformed == 1 and len(result.rows) == 200
+        assert {getattr(r, field) for r in result.rows} == {good[field]}
+        write_lines(path, [json.dumps(good)] * 50 + [json.dumps(good | {field: value})])
+        with pytest.raises(DataError, match="1%"):
+            dt.load_dataset(path)
+
     @pytest.mark.parametrize("schema", ["jsonl", "tsv"])
     def test_hundred_row_roundtrip(self, tmp_path, schema):
         rows = sample_rows(100)

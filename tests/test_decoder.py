@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import decoder_world, random_index_inputs
-from oracles import finite_diff_gradcheck, hierarchical_weights
+from oracles import beam_search_loop, finite_diff_gradcheck, hierarchical_weights
 
 from higen import decoder as dec
 from higen import docid as di
@@ -325,6 +325,42 @@ class TestBeamSearch:
         with pytest.raises(IndexBuildError):
             dec.constrained_beam_search(rows[0], model, di.DocIdTrie(), 3, 1)
 
+    @staticmethod
+    def assert_equals_loop_beam(model, trie, rows, data):
+        beam_width = data.draw(st.integers(1, trie.n_items), label="beam_width")
+        k = data.draw(st.integers(1, beam_width), label="k")
+        for row in rows[:3]:
+            assert dec.constrained_beam_search(row, model, trie, beam_width, k) == \
+                beam_search_loop(row, model, trie, beam_width, k)
+
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 10_000), n_items=st.integers(1, 80), data=st.data())
+    def test_equals_the_loop_beam(self, seed, n_items, data):
+        _docids, _scores, trie, _catalog, rows, model = decoder_world(seed, n_items=n_items)
+        self.assert_equals_loop_beam(model, trie, rows, data)
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 10_000), n_items=st.integers(1, 80), data=st.data())
+    def test_equals_the_loop_beam_when_every_child_ties(self, seed, n_items, data):
+        # zero heads give every child at a depth the same logprob, so only the
+        # lexicographic tie-break orders the beam
+        _docids, _scores, trie, _catalog, rows, model = decoder_world(seed, n_items=n_items)
+        for w, b in zip(model.head_w, model.head_b):
+            w.data[:] = 0.0
+            b.data[:] = 0.0
+        self.assert_equals_loop_beam(model, trie, rows, data)
+
+    def test_builds_no_graph_node(self, monkeypatch):
+        _docids, _scores, trie, _catalog, rows, model = decoder_world(5, n_items=30)
+
+        def refuse(*_args):
+            raise AssertionError("a graph node was built")
+
+        monkeypatch.setattr(nn, "_node", refuse)
+        with pytest.raises(AssertionError, match="graph node"):
+            model.encode(model.prepare_rows(rows[:1]))
+        assert len(dec.constrained_beam_search(rows[0], model, trie, 4, 3)) == 3
+
 
 class TestStepLogits:
     """The batched plain-numpy kernel against the autograd path run one row at
@@ -363,6 +399,28 @@ class TestStepLogits:
             got = net.infer(x)
             for i in range(b):
                 assert np.array_equal(got[i], net.forward(x[i:i + 1]).data[0])
+
+
+class TestEncodeInfer:
+    """The plain-numpy encode that beam search runs, against the autograd
+    encode that training and brute_force_scores run, one row at a time."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 10_000), hidden=st.sampled_from([(), (4,), (5, 3)]),
+           b=st.integers(1, 16))
+    def test_each_row_equals_autograd_on_that_row_alone(self, seed, hidden, b):
+        _docids, _scores, _trie, _catalog, _rows, model = decoder_world(
+            seed, n_items=40, n_cats=3, hidden=hidden)
+        rng = np.random.default_rng(seed)
+        c = model.config
+        idx = [rng.integers(table.data.shape[0], size=shape) for table, shape in (
+            (model.user_table, b), (model.query_table, (b, c.query_len)),
+            (model.context_table, (b, c.context_len)))]
+        got = model.encode_infer(dec.DecoderBatch(*idx, []))
+        assert got.shape == (b, c.d_model)
+        for i in range(b):
+            one = dec.DecoderBatch(*(a[i:i + 1] for a in idx), [])
+            assert np.array_equal(got[i], model.encode(one).data[0]), i
 
 
 class TestTrainDecoder:

@@ -240,6 +240,14 @@ class TestTrieLayout:
             prefix, node = stack.pop()
             assert list(node.children) == sorted(node.children)
             assert trie.items_under(prefix) == items_under_walk(trie, prefix)
+            kids = node.child_arrays()
+            assert node.child_arrays() is kids
+            assert kids.tokens.tolist() == list(node.children)
+            assert list(kids.nodes) == list(node.children.values())
+            assert kids.heads.tolist() == [c.head for c in node.children.values()]
+            assert kids.los.tolist() == [c.lo for c in node.children.values()]
+            assert kids.leaf.tolist() == [c.item_id is not None for c in node.children.values()]
+            assert np.all(np.diff(kids.los) > 0)    # first leaves order children as tokens do
             for tok, child in node.children.items():
                 assert child.head == vocab.values[len(prefix)].index(tok)
                 stack.append((prefix + (tok,), child))
