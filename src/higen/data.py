@@ -2,16 +2,18 @@
 zero-shot splitting, the synthetic corpus generator) and all file I/O: every
 write, the CLI's `--output` included, goes through `write_text`, every JSON
 document through `read_json` and every JSONL table but the interaction logs
-(`load_dataset`) `read_jsonl`. Logs are read as JSONL or TSV and written as
-JSONL. A page view is the rows of one `page_view_key`."""
+(`load_dataset`) `read_jsonl`; an ndarray is written as `f8_text`, base64 of
+its float64 bytes. Logs are JSONL or TSV. A page view is one `page_view_key`."""
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import os
 import sys
 from dataclasses import dataclass
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -213,12 +215,11 @@ def generate_synthetic(n_items: int = 500, n_categories: int = 50,
     rng = np.random.default_rng(seed)
     cat_ids = [101 + c for c in range(n_categories)]
 
-    items: list[Item] = []
-    for i in range(n_items):
-        cid = cat_ids[i % n_categories]
-        score = float(np.round(rng.uniform(0.02, 0.98), 6))
-        eff = (score + float(np.round(0.05 * rng.normal(), 6)), float(np.round(rng.uniform(), 6)))
-        items.append(Item(f"it{i:04d}", (cid,), (f"c{cid}", f"w{i}"), eff, score))
+    # drawn item by item and rounded in one call: the same ufunc, so the same bits
+    draws = np.round([(rng.uniform(0.02, 0.98), 0.05 * rng.normal(), rng.uniform())
+                      for _ in range(n_items)], 6).tolist()
+    items = [Item(f"it{i:04d}", (cid,), (f"c{cid}", f"w{i}"), (score + noise, extra), score)
+             for i, ((score, noise, extra), cid) in enumerate(zip(draws, cycle(cat_ids)))]
     by_cat: dict[int, list[int]] = {}
     for i, it in enumerate(items):
         by_cat.setdefault(it.category_path[-1], []).append(i)
@@ -311,8 +312,28 @@ def write_text(path, chunks) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def f8_text(values) -> str:
+    """base64 of a finite float64 ndarray's little-endian, C-order bytes, the
+    JSON writers' form of an ndarray; a non-finite value raises ValueError."""
+    if not isinstance(values, np.ndarray):
+        raise TypeError(f"Object of type {type(values).__name__} is not JSON serializable")
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite number in a float64 array")
+    return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def f8_array(text) -> np.ndarray:
+    """The flat float64 array f8_text wrote, bit for bit; bad base64 (binascii.Error),
+    a byte count not a multiple of 8 or a non-finite value raise ValueError."""
+    values = np.frombuffer(base64.b64decode(text, validate=True), "<f8").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite number in a float64 array")
+    return values
+
+
 def write_json(path, doc, indent: int | None = None) -> None:
-    write_text(path, json.JSONEncoder(allow_nan=False, indent=indent).iterencode(doc))
+    write_text(path, json.JSONEncoder(allow_nan=False, indent=indent,
+                                      default=f8_text).iterencode(doc))
 
 
 def _reject_constant(name: str):
@@ -320,7 +341,7 @@ def _reject_constant(name: str):
 
 
 # one coder each: json.dumps and json.loads build a new one per call when given options
-_ENCODE = json.JSONEncoder(allow_nan=False).encode
+_ENCODE = json.JSONEncoder(allow_nan=False, default=f8_text).encode
 _DECODE = json.JSONDecoder(parse_constant=_reject_constant).decode
 
 

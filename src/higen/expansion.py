@@ -10,7 +10,7 @@ direct, then cluster, then I2I, each item kept at its first occurrence."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .data import read_jsonl, write_jsonl
@@ -133,19 +133,18 @@ def i2i_expand(seeds, table: I2ITable, per_seed_n: int) -> RecallSet:
 
 def merge_recall(direct: RecallSet, cluster: RecallSet, i2i: RecallSet,
                  cap: int) -> RecallSet:
-    """Tier priority direct > cluster > i2i, score order inside each tier,
-    first occurrence wins, truncated to cap."""
+    """Tier priority direct > cluster > i2i, (-score, item_id) order inside each
+    tier, first occurrence wins, truncated to cap. The cluster and I2I builders
+    return that order; the direct tier comes in beam order and is sorted here."""
     if cap < 0:
         raise ConfigError("cap must be >= 0")
     out: list[RecallEntry] = []
     seen: set[str] = set()
-    for tier in (direct, cluster, i2i):
-        ranked = sorted(tier.entries, key=lambda e: (-e.score, e.item_id))
-        for e in ranked:
-            if len(out) >= cap:
-                return RecallSet(out)
-            if e.item_id in seen:
-                continue
+    ranked = sorted(direct.entries, key=lambda e: (-e.score, e.item_id))
+    for e in chain(ranked, cluster.entries, i2i.entries):
+        if len(out) >= cap:
+            break
+        if e.item_id not in seen:
             seen.add(e.item_id)
             out.append(e)
     return RecallSet(out)

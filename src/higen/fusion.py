@@ -10,7 +10,7 @@ import numpy as np
 
 from . import nn
 from .config import from_json, to_json
-from .data import PageView, read_jsonl, write_jsonl
+from .data import PageView, f8_array, read_jsonl, write_jsonl
 from .errors import ConfigError, DataError
 from .representation import AtomicEmbeddings
 
@@ -146,13 +146,12 @@ def train_metric(atomic_table: dict[str, AtomicEmbeddings], pvs: list[PageView],
 
 
 def write_fusion_jsonl(path, table: dict[str, np.ndarray]) -> None:
-    write_jsonl(path, ({"item_id": item_id, "fusion": v.tolist()}
+    write_jsonl(path, ({"item_id": item_id, "fusion": v}
                        for item_id, v in sorted(table.items())))
 
 
 def read_fusion_jsonl(path) -> dict[str, np.ndarray]:
-    out = dict(read_jsonl(path, lambda rec: (rec["item_id"],
-                                             np.asarray(rec["fusion"], dtype=float))))
+    out = dict(read_jsonl(path, lambda rec: (rec["item_id"], f8_array(rec["fusion"]))))
     if not out:
         raise DataError(f"empty fusion table at {path}")
     return out

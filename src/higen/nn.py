@@ -13,7 +13,7 @@ import logging
 
 import numpy as np
 
-from .data import read_json, write_json
+from .data import f8_array, read_json, write_json
 from .errors import CheckpointError, DimensionError, NormalizationError, NumericError
 
 log = logging.getLogger(__name__)
@@ -538,32 +538,34 @@ def fit(params: dict[str, Tensor], n: int, batch_loss, *, lr: float, epochs: int
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, params: dict[str, Tensor], extra: dict | None = None) -> None:
     """Write named parameters and the JSON record extra to a versioned JSON
-    container. float64 values round-trip losslessly through Python's
-    shortest-repr JSON floats."""
+    container. Each parameter is its shape and the `data.f8_text` of its values,
+    which load back bit for bit; a non-finite value raises NumericError."""
     write_json(path, {"version": CHECKPOINT_VERSION, "params": {
-        name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
-        for name, t in params.items()}, "extra": extra or {}})
+        name: {"shape": list(t.data.shape), "f8": t.data} for name, t in params.items()},
+        "extra": extra or {}})
 
 
 def _stored_array(path, name: str, rec) -> np.ndarray:
     try:
-        return _f64(rec["data"]).reshape(rec["shape"])
+        return f8_array(rec["f8"]).reshape(rec["shape"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: parameter '{name}': {exc!r}") from None
 
 
 def load_checkpoint(path, build):
     """build(extra) on the checkpoint's extra record, with the parameters of the
-    model it returns restored in place by name and shape; a parameter missing,
-    unexpected, malformed or of another shape raises CheckpointError."""
+    model it returns restored in place by name and shape; an older version or a
+    parameter missing, unexpected, malformed or of another shape raises CheckpointError."""
 
     def restore(doc):
-        # the JSON lists are converted and freed before build allocates the model
+        if doc["version"] < CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: version {doc['version']} is too old; re-run its stage")
+        # the base64 texts are decoded and freed before build allocates the model
         arrays = {name: _stored_array(path, name, rec) for name, rec in doc.pop("params").items()}
         model = build(doc["extra"])
         params = model.params()

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .config import from_json, to_json
-from .data import read_jsonl, write_jsonl
+from .data import f8_array, read_jsonl, write_jsonl
 from .errors import DataError
 
 PAD = 0  # shared index for padding / unknown / "no-history"
@@ -288,11 +288,10 @@ def export_atomic_embeddings(model: TwoTowerModel, items) -> dict[str, AtomicEmb
 
 
 def write_atomic_jsonl(path, table: dict[str, AtomicEmbeddings]) -> None:
-    write_jsonl(path, ({"item_id": item_id, "semantic": a.semantic.tolist(),
-                        "common": a.common.tolist(), "efficient": a.efficient.tolist()}
-                       for item_id, a in sorted(table.items())))
+    write_jsonl(path, ({"item_id": item_id, "semantic": a.semantic, "common": a.common,
+                        "efficient": a.efficient} for item_id, a in sorted(table.items())))
 
 
 def read_atomic_jsonl(path) -> dict[str, AtomicEmbeddings]:
     return dict(read_jsonl(path, lambda rec: (rec["item_id"], AtomicEmbeddings(
-        *(np.asarray(rec[k], dtype=float) for k in ("semantic", "common", "efficient"))))))
+        *(f8_array(rec[k]) for k in ("semantic", "common", "efficient"))))))

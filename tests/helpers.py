@@ -1,6 +1,9 @@
 """Shared builders for randomized index/decoder tests."""
 
+import base64
+
 import numpy as np
+from hypothesis import strategies as st
 
 from higen import decoder as dec
 from higen import docid as di
@@ -101,3 +104,26 @@ def save_tsv(path, rows):
     write_text(path, ("\t".join([r.user_id, r.query, ",".join(_context_to_raw(r.context)),
                                  r.target_item_id, str(r.relevance), str(r.click),
                                  repr(r.timestamp)]) + "\n" for r in rows))
+
+
+@st.composite
+def bad_f8_texts(draw):
+    """Text `data.f8_array` must refuse: the base64 of finite float64 values
+    with a NaN or infinity among them, that base64 with a character outside
+    the alphabet or padding put in, or whole base64 of a byte count that is
+    not a multiple of 8."""
+    values = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    max_size=5)), "<f8")
+    kind = draw(st.sampled_from(["non-finite", "not base64", "length"]))
+    if kind == "non-finite":
+        # all exponent bits set: an infinity when the mantissa is 0, else a NaN
+        bits = (draw(st.integers(0, 1)) << 63) | (0x7FF << 52) | draw(st.integers(0, 2**52 - 1))
+        bad = np.array([bits], "<u8").view("<f8")
+        raw = np.insert(values, draw(st.integers(0, len(values))), bad).tobytes()
+        return base64.b64encode(raw).decode("ascii")
+    if kind == "length":
+        extra = draw(st.binary(min_size=1, max_size=7))
+        return base64.b64encode(values.tobytes() + extra).decode("ascii")
+    text = base64.b64encode(values.tobytes()).decode("ascii")
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(["*", "-", " ", "\n", "\u00e9", "="])) + text[at:]

@@ -197,6 +197,23 @@ def expand_variant_direct_first(decoded, trie, i2i_table, cluster_k, use_i2i, ca
     return ex.merge_recall(direct, cluster, i2i, cap)
 
 
+def merge_recall_sorting(direct, cluster, i2i, cap: int) -> ex.RecallSet:
+    """The tier merge with every tier sorted by (-score, item_id) before the
+    first-occurrence pass; the reference for `expansion.merge_recall`, which
+    sorts only the direct tier."""
+    out: list[ex.RecallEntry] = []
+    seen: set[str] = set()
+    for tier in (direct, cluster, i2i):
+        for e in sorted(tier.entries, key=lambda e: (-e.score, e.item_id)):
+            if len(out) >= cap:
+                return ex.RecallSet(out)
+            if e.item_id in seen:
+                continue
+            seen.add(e.item_id)
+            out.append(e)
+    return ex.RecallSet(out)
+
+
 def items_under_walk(trie, prefix) -> list[tuple[tuple[int, ...], str, float | None]]:
     """(tokens, item_id, leaf score) for every leaf below the prefix, found by
     a recursive walk over the sorted children; the reference for the leaf

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from helpers import save_tsv
+from helpers import bad_f8_texts, save_tsv
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from higen import data as dt
 from higen import expansion as ex
@@ -10,6 +13,9 @@ from higen import fusion as fu
 from higen import representation as rep
 from higen.errors import DataError, NumericError
 from higen.evaluate import EvalReport
+
+# base64 of little-endian float64 values, the form of a vector in a JSONL table
+HALF, ONE, NAN = "AAAAAAAA4D8=", "AAAAAAAA8D8=", "AAAAAAAA+H8="
 
 
 def write_lines(path, lines):
@@ -168,12 +174,13 @@ class TestZeroShotSplit:
 class TestArtifactLoaders:
     @pytest.mark.parametrize("load,good,bad", [
         (dt.read_oracle_jsonl, '{"a": 1, "b": 2, "similarity": 0.5}', '{"a": 101}'),
-        (fu.read_fusion_jsonl, '{"item_id": "i", "fusion": [0.5]}',
+        (fu.read_fusion_jsonl, f'{{"item_id": "i", "fusion": "{HALF}"}}',
          '{"item_id": "j", "fusion": "x"}'),
-        (fu.read_fusion_jsonl, '{"item_id": "i", "fusion": [0.5]}',
-         '{"item_id": "j", "fusion": [NaN]}'),
-        (rep.read_atomic_jsonl, '{"item_id": "i", "semantic": [1], "common": [1], '
-                                '"efficient": [1]}', '{"item_id": "j", "semantic": [1]}'),
+        (fu.read_fusion_jsonl, f'{{"item_id": "i", "fusion": "{HALF}"}}',
+         f'{{"item_id": "j", "fusion": "{NAN}"}}'),
+        (rep.read_atomic_jsonl, f'{{"item_id": "i", "semantic": "{ONE}", "common": "{ONE}", '
+                                f'"efficient": "{ONE}"}}',
+         f'{{"item_id": "j", "semantic": "{ONE}"}}'),
         (ex.I2ITable.load, '{"item_id": "i", "neighbors": [["j", 1.0]]}',
          '{"item_id": "j", "neighbors": [["i"]]}'),
     ])
@@ -181,6 +188,22 @@ class TestArtifactLoaders:
         path = tmp_path / "table.jsonl"
         write_lines(path, [good, "", bad])
         with pytest.raises(DataError, match=f"{path} line 3"):
+            load(path)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(bad=bad_f8_texts(), table=st.sampled_from(["fusion", "semantic", "efficient"]))
+    def test_bad_vector_payload_names_file_and_line(self, tmp_path_factory, bad, table):
+        path = tmp_path_factory.mktemp("table") / f"{table}.jsonl"
+        if table == "fusion":
+            load, lines = fu.read_fusion_jsonl, [f'{{"item_id": "i", "fusion": "{HALF}"}}',
+                                                 json.dumps({"item_id": "j", "fusion": bad})]
+        else:
+            load = rep.read_atomic_jsonl
+            lines = [json.dumps({"item_id": item_id} | {
+                k: bad if (item_id, k) == ("j", table) else ONE
+                for k in ("semantic", "common", "efficient")}) for item_id in "ij"]
+        write_lines(path, lines)
+        with pytest.raises(DataError, match=f"{path} line 2"):
             load(path)
 
     def test_missing_file_is_data_error(self, tmp_path):
@@ -233,6 +256,37 @@ class TestWriters:
         with pytest.raises(DataError, match="line 2"):
             dt.write_text(path, lines())
         assert path.read_text() == "old\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestF8Payload:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                          max_side=4), elements=FINITE))
+    @example(values=np.array([-0.0, 0.0, 5e-324, -2.2250738585072009e-308,
+                              np.finfo(float).max, -np.finfo(float).max]))
+    @example(values=np.empty((0, 3)))
+    @example(values=np.arange(24.0).reshape(2, 3, 4)[:, ::2].T)    # not C-contiguous
+    def test_roundtrip_is_bit_exact(self, values):
+        text = dt.f8_text(values)
+        got = dt.f8_array(text)
+        assert got.dtype == np.float64 and got.ndim == 1 and got.flags.writeable
+        assert got.tobytes() == np.ascontiguousarray(values).tobytes()
+        assert json.loads(dt._ENCODE({"v": values}))["v"] == text
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(values=st.lists(FINITE, max_size=5), data=st.data())
+    def test_non_finite_value_refused_on_write(self, values, data):
+        at = data.draw(st.integers(0, len(values)))
+        bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(ValueError, match="non-finite"):
+            dt.f8_text(np.insert(np.array(values), at, bad))
+
+    def test_non_array_is_not_json(self, tmp_path):
+        with pytest.raises(TypeError, match="float32"):
+            dt.write_jsonl(tmp_path / "t.jsonl", [{"a": np.float32(1.0)}])
 
 
 class TestSynthetic:

@@ -3,7 +3,7 @@ import pytest
 from helpers import build_random_index
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import expand_variant_direct_first
+from oracles import expand_variant_direct_first, merge_recall_sorting
 
 from higen import data as dt
 from higen import docid as di
@@ -232,6 +232,28 @@ class TestMergeRecall:
     def test_truncation_at_cap(self):
         out = ex.merge_recall(*self.sets(), cap=3)
         assert out.item_ids() == ["a", "b", "c"]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 1 << 16), n_items=st.integers(5, 60), n_cats=st.integers(1, 5),
+           data=st.data())
+    def test_matches_the_merge_that_sorts_every_tier(self, seed, n_items, n_cats, data):
+        # the cluster and I2I builders return (-score, item_id) order, so
+        # sorting their tiers again changes nothing; the direct tier comes in
+        # decoded order, ties included
+        docids, _ns, trie = build_random_index(seed, n_items=n_items, n_cats=n_cats)
+        ids = sorted(docids)
+        picks = data.draw(st.lists(st.sampled_from(ids), max_size=8))
+        logprobs = st.sampled_from([0.0, -0.5, -1.0]) | st.floats(-5.0, 0.0)
+        decoded = [(docids[i], data.draw(logprobs)) for i in picks]
+        clicks = data.draw(st.lists(st.tuples(st.sampled_from(["u0", "u1", "u2", "u3"]),
+                                              st.sampled_from(ids)), max_size=40))
+        direct = ex.direct_hits(decoded, trie)
+        cluster = ex.cluster_expand(decoded, trie, data.draw(st.integers(1, trie.max_depth)))
+        i2i = ex.i2i_expand(direct.item_ids(), ex.swing_scores(clicks),
+                            data.draw(st.integers(0, 4)))
+        cap = data.draw(st.integers(0, n_items + 2))
+        assert ex.merge_recall(direct, cluster, i2i, cap).entries == \
+            merge_recall_sorting(direct, cluster, i2i, cap).entries
 
     def test_direct_always_present_when_cap_allows(self):
         direct, cluster, i2i = self.sets()

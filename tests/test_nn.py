@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import bad_f8_texts
 from oracles import binary_cross_entropy, finite_diff_gradcheck, mul, ref_attention, ref_dense
 
 from higen import nn
 from higen.errors import CheckpointError, DimensionError, NumericError
+
+HALF = "AAAAAAAA4D8="     # base64 of the little-endian float64 0.5
 
 
 def attention(q, k, v, d_k):
@@ -320,11 +323,11 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda p: p.pop("b"), r"\['b'\] are missing"),
-        (lambda p: p.update(b={"shape": [1], "data": [0.5]}),
+        (lambda p: p.update(b={"shape": [1], "f8": HALF}),
          r"'b' has shape \[1\], expected \[4\]"),
-        (lambda p: p.update(b={"shape": [4], "data": [0.5]}), "'b': ValueError\\('cannot reshape"),
-        (lambda p: p.update(c={"shape": [1], "data": [0.5]}), r"\['c'\] unexpected"),
-        (lambda p: p.update(b={"shape": [1], "data": "x"}), "'b': ValueError"),
+        (lambda p: p.update(b={"shape": [4], "f8": HALF}), "'b': ValueError\\('cannot reshape"),
+        (lambda p: p.update(c={"shape": [1], "f8": HALF}), r"\['c'\] unexpected"),
+        (lambda p: p.update(b={"shape": [1], "f8": "AAAA"}), "'b': ValueError"),  # 3 bytes
     ])
     def test_restore_checks_names_and_shapes(self, tmp_path, edit, message):
         params = {"a": nn.Tensor(np.ones((3, 2))), "b": nn.Tensor(np.ones(4))}
@@ -335,6 +338,25 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match=f"{path}: .*{message}"):
             nn.load_checkpoint(path, restore_into(params))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(bad=bad_f8_texts())
+    def test_bad_payload_is_checkpoint_error(self, tmp_path_factory, bad):
+        params = {"a": nn.Tensor(np.ones((3, 2))), "b": nn.Tensor(np.ones(4))}
+        path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+        nn.save_checkpoint(path, params)
+        payload = json.loads(path.read_text())
+        payload["params"]["b"]["f8"] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=f"{path}: parameter 'b'"):
+            nn.load_checkpoint(path, restore_into(params))
+
+    def test_decimal_version_1_is_refused(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps({"version": 1, "params": {"a": {"shape": [1], "data": [0.5]}},
+                                    "extra": {}}))
+        with pytest.raises(CheckpointError, match=f"{path}: version 1 is too old; re-run"):
+            nn.load_checkpoint(path, restore_into({"a": nn.Tensor([0.5])}))
 
     def test_non_finite_parameter_refused_on_save(self, tmp_path):
         path = tmp_path / "ckpt.json"

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import dataclasses
 import io
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from higen import cli
+from higen import data as dt
 from higen import decoder as dec
 from higen import docid as di
 from higen import fusion as fu
@@ -206,12 +208,22 @@ def drop_param(doc, name):
 
 
 def overflow_param(doc, name):
-    doc["params"][name]["data"][0] = 10 ** 400     # no float holds it
+    values = dt.f8_array(doc["params"][name]["f8"])
+    values[0] = np.inf      # a payload that decodes to inf
+    doc["params"][name]["f8"] = base64.b64encode(values.tobytes()).decode("ascii")
     return doc
 
 
+def decimal_params(doc):
+    """The same checkpoint in the version-1 layout: decimal lists under "data"."""
+    for rec in doc["params"].values():
+        rec["data"] = dt.f8_array(rec.pop("f8")).tolist()
+    return doc | {"version": 1}
+
+
 def shrink_param(doc, name):
-    doc["params"][name] = {"shape": [1], "data": doc["params"][name]["data"][:1]}
+    first = dt.f8_array(doc["params"][name]["f8"])[:1]
+    doc["params"][name] = {"shape": [1], "f8": dt.f8_text(first)}
     return doc
 
 
@@ -437,6 +449,7 @@ class TestExitCodes:
         ("--checkpoint", lambda doc: drop_param(doc, "head0.b"), "['head0.b'] are missing"),
         ("--checkpoint", lambda doc: shrink_param(doc, "head0.b"), "'head0.b' has shape [1]"),
         ("--checkpoint", lambda doc: overflow_param(doc, "head0.b"), "'head0.b'"),
+        ("--checkpoint", decimal_params, "version 1 is too old; re-run its stage"),
     ])
     def test_bad_index_or_checkpoint_is_3(self, ran, tmp_path, capsys, flag, edit, named):
         work = ran / "work"
