@@ -332,8 +332,8 @@ def f8_array(text) -> np.ndarray:
 
 
 def write_json(path, doc, indent: int | None = None) -> None:
-    write_text(path, json.JSONEncoder(allow_nan=False, indent=indent,
-                                      default=f8_text).iterencode(doc))
+    encode = json.JSONEncoder(allow_nan=False, indent=indent, default=f8_text).encode
+    write_text(path, map(encode, (doc,)))   # one-shot: the C encoder, in write_text's guard
 
 
 def _reject_constant(name: str):

@@ -154,22 +154,19 @@ class DecoderModel:
         self.config = config
         rng = np.random.default_rng(config.seed)
         c = config
-
-        def table(rows, cols):
-            return nn.Tensor(nn.glorot_uniform(rng, max(rows, 1), cols), requires_grad=True)
-
-        self.user_table = table(len(vocab.users) + 1, c.emb)
-        self.query_table = table(len(vocab.query_tokens) + 1, c.emb)
-        self.context_table = table(len(vocab.items) + 1, c.emb)
-        self.pool_query = table(1, c.emb)
-        self.pool_context = table(1, c.emb)
+        self.user_table = nn.Table(rng, len(vocab.users) + 1, c.emb)
+        self.query_table = nn.Table(rng, len(vocab.query_tokens) + 1, c.emb)
+        self.context_table = nn.Table(rng, len(vocab.items) + 1, c.emb)
+        self.pool_query = nn.Table(rng, 1, c.emb)
+        self.pool_context = nn.Table(rng, 1, c.emb)
         # tanh hidden layers: relu risks exact zero logits with zero biases
         acts = ["tanh"] * len(c.hidden) + ["identity"]
         self.enc_net = nn.DenseNet([3 * c.emb, *c.hidden, c.d_model], acts, rng, "enc_net")
-        self.tok_table = table(int(pos_vocab.offsets[-1]), c.d_model)
-        self.pos_table = table(len(pos_vocab.values), c.d_model)
+        self.tok_table = nn.Table(rng, int(pos_vocab.offsets[-1]), c.d_model)
+        self.pos_table = nn.Table(rng, len(pos_vocab.values), c.d_model)
         self.step_net = nn.DenseNet([2 * c.d_model, *c.hidden, c.d_model], acts, rng, "step_net")
-        self.head_w = [table(c.d_model, len(values)) for values in pos_vocab.values]
+        self.head_w = [nn.Tensor(nn.glorot_uniform(rng, c.d_model, len(values)), requires_grad=True)
+                       for values in pos_vocab.values]
         self.head_b = [nn.Tensor(np.zeros(len(values)), requires_grad=True)
                        for values in pos_vocab.values]
 

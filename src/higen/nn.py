@@ -1,7 +1,7 @@
 """Minimal neural substrate: float64 tensors with reverse-mode gradients,
-dense layers, scaled dot-product attention, losses, Adam, the one training
-loop all three models use (`fit`), and the checkpoint format (named
-parameters plus a JSON `extra` record).
+dense layers, embedding tables, scaled dot-product attention, losses, Adam
+(by live row for tables), the one training loop all three models use (`fit`),
+and the checkpoint format (named parameters plus a JSON `extra` record).
 
 Every op is hand-differentiated against a fixed vocabulary; there is no
 general autodiff beyond what the models in this package need.
@@ -74,12 +74,14 @@ class Tensor:
                 node._backward(node.grad)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, own: bool = False) -> None:
+    """Add g into t.grad; a first g is copied as g + 0.0 (zeros + g), or kept if `own`."""
     if not (t.requires_grad or t._parents):
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is not None:
+        t.grad += g
+    else:
+        t.grad = g if own else np.add(g, 0.0, out=np.empty_like(t.data))
 
 
 def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
@@ -239,9 +241,9 @@ def gather(table: Tensor, idx) -> Tensor:
         raise DimensionError("gather index out of range")
 
     def bw(g):
-        acc = np.zeros_like(table.data)
+        acc = np.zeros_like(table.data)     # +0.0 plus anything is never -0.0
         np.add.at(acc, idx, g)
-        _accum(table, acc)
+        _accum(table, acc, own=True)
 
     return _node(table.data[idx], (table,), bw)
 
@@ -387,6 +389,13 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+class Table(Tensor):
+    """A (max(rows, 1), cols) glorot-initialised embedding table, read only by `gather`."""
+
+    def __init__(self, rng: np.random.Generator, rows: int, cols: int):
+        super().__init__(glorot_uniform(rng, max(rows, 1), cols), requires_grad=True)
+
+
 class DenseNet:
     """Stack of affine layers with per-layer activations."""
 
@@ -438,7 +447,13 @@ class DenseNet:
 
 
 class Adam:
-    """Adam with bias correction."""
+    """Adam with bias correction (Kingma & Ba, arXiv 1412.6980), bit for bit.
+
+    A `Table` keeps m and v only for its live rows, those a non-zero gradient has
+    reached, and a step updates only them: a row with +-0 gradients since step 1
+    has m = v = +0, so the dense update would subtract lr * 0 / (sqrt(0) + eps) =
+    +0 and keep every bit, -0.0 too. Live rows keep moving; NaN and inf are != 0,
+    so their row joins. The rest, and tables once mostly live, share a flat buffer."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -447,11 +462,22 @@ class Adam:
     def __init__(self, params: dict[str, Tensor], lr: float):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
-        self.params = dict(params)
-        self.lr = float(lr)
-        self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
-        self.t = 0
+        self.params, self.lr, self.t = dict(params), float(lr), 0
+        # per table: its live rows, and their m and v as one (2, rows, cols) array
+        self.rows = {k: [np.zeros(0, np.intp), np.zeros((2, 0, p.data.shape[1]))]
+                     for k, p in self.params.items() if isinstance(p, Table)}
+        self.dense, self.mv = [], np.zeros((2, 0))
+        dense = [p for k, p in self.params.items() if k not in self.rows]
+        self._pack(dense, np.zeros((2, sum(p.data.size for p in dense))))
+
+    def _pack(self, new: list[Tensor], mv: np.ndarray) -> None:
+        """Append new parameters, with their (2, size) m and v, to the flat buffer."""
+        self.dense += new
+        self.flat = np.concatenate([p.data.ravel() for p in self.dense] + [np.zeros(0)])
+        bounds = np.cumsum([0] + [p.data.size for p in self.dense])
+        for p, lo, hi in zip(self.dense, bounds, bounds[1:]):
+            p.data = self.flat[lo:hi].reshape(p.data.shape)
+        self.mv = np.concatenate([self.mv, mv], axis=1)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -459,23 +485,39 @@ class Adam:
 
     def step(self) -> None:
         """Apply one Adam update from each parameter's .grad; None (a position
-        head that no row of the batch reached) counts as zeros."""
+        head that no row of the batch reached) counts as zeros. A non-finite
+        gradient raises NumericError naming the first such parameter."""
+        updates = []      # (gradient, m and v, array, index of the updated part)
+        for name, (rows, mv) in list(self.rows.items()):
+            p = self.params[name]
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            fresh = np.setdiff1d(np.flatnonzero(g.any(axis=1)), rows, assume_unique=True)
+            if len(fresh):
+                rows = np.concatenate([rows, fresh])
+                mv = np.concatenate([mv, np.zeros((2, len(fresh), mv.shape[2]))], axis=1)
+                self.rows[name] = [rows, mv]
+                if 2 * rows.size > len(p.data):      # most rows live: join the flat buffer
+                    del self.rows[name]
+                    self._pack([p], np.zeros((2, p.data.size)))
+                    self.mv[:, -p.data.size:].reshape((2,) + p.data.shape)[:, rows] = mv
+                    continue
+            updates.append((g[rows], mv, p.data, rows))
+        flat_g = [np.zeros(p.data.size) if p.grad is None else p.grad.ravel() for p in self.dense]
+        updates.append((np.concatenate(flat_g + [np.zeros(0)]), self.mv, self.flat, ...))
+        if not all(np.isfinite(g).all() for g, *_rest in updates):
+            name = next(k for k, p in self.params.items()
+                        if p.grad is not None and not np.isfinite(p.grad).all())
+            raise NumericError(f"non-finite gradient for parameter '{name}'")
         self.t += 1
-        b1t = 1.0 - self.BETA1 ** self.t
-        b2t = 1.0 - self.BETA2 ** self.t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter '{name}'")
-            m = self.m[name]
-            v = self.v[name]
+        b1t, b2t = 1.0 - self.BETA1 ** self.t, 1.0 - self.BETA2 ** self.t
+        for g, (m, v), data, at in updates:     # in place: g is a copy, reused for the step
             m *= self.BETA1
-            m += (1.0 - self.BETA1) * g
+            m += (s := np.multiply(g, 1.0 - self.BETA1))
             v *= self.BETA2
-            v += (1.0 - self.BETA2) * g * g
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.EPS)
+            v += np.multiply(np.multiply(g, 1.0 - self.BETA2, out=s), g, out=s)
+            np.add(np.sqrt(np.divide(v, b2t, out=s), out=s), self.EPS, out=s)
+            np.multiply(np.divide(m, b1t, out=g), self.lr, out=g)   # lr * (m / b1t)
+            data[at] -= np.divide(g, s, out=g)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +547,8 @@ def fit(params: dict[str, Tensor], n: int, batch_loss, *, lr: float, epochs: int
     opt = Adam(params, lr=lr)
     rng = np.random.default_rng(seed + 1)
     history: list[dict] = []
-    snapshot = {k: t.data.copy() for k, t in params.items()}
     for epoch in range(epochs):
+        snapshot = {k: t.data.copy() for k, t in params.items()}
         order = rng.permutation(n)
         epoch_loss, n_batches = 0.0, 0
         stat_sums: dict[str, dict] = {}
@@ -514,7 +556,7 @@ def fit(params: dict[str, Tensor], n: int, batch_loss, *, lr: float, epochs: int
             loss, stats = batch_loss(order[start:start + batch_size])
             if not np.isfinite(loss.data):
                 for k, t in params.items():
-                    t.data = snapshot[k]
+                    t.data[...] = snapshot[k]     # in place: Adam's flat buffer views it
                 raise NumericError(f"non-finite {stage} loss at epoch {epoch}; "
                                    "last good parameters retained")
             opt.zero_grad()
@@ -530,7 +572,6 @@ def fit(params: dict[str, Tensor], n: int, batch_loss, *, lr: float, epochs: int
             record[name] = {key: sums[key] / n_batches for key in sorted(sums)}
         history.append(record)
         log.info("%s: %s", stage, record)
-        snapshot = {k: t.data.copy() for k, t in params.items()}
     check_loss_trend([r["loss"] for r in history], LOSS_WINDOW, stage)
     return history
 

@@ -148,15 +148,11 @@ class TwoTowerModel:
         self.config = config
         rng = np.random.default_rng(config.seed)
         c = config
-
-        def table(rows, cols):
-            return nn.Tensor(nn.glorot_uniform(rng, rows, cols), requires_grad=True)
-
-        self.user_table = table(len(vocab.users) + 1, c.d_u)
-        self.query_table = table(len(vocab.query_tokens) + 1, c.d_k)
-        self.context_table = table(len(vocab.items) + 1, c.d_k)
-        self.sem_table = table(len(vocab.sem_tokens) + 1, c.d_atomic)
-        self.item_table = table(len(vocab.items) + 1, c.d_atomic)
+        self.user_table = nn.Table(rng, len(vocab.users) + 1, c.d_u)
+        self.query_table = nn.Table(rng, len(vocab.query_tokens) + 1, c.d_k)
+        self.context_table = nn.Table(rng, len(vocab.items) + 1, c.d_k)
+        self.sem_table = nn.Table(rng, len(vocab.sem_tokens) + 1, c.d_atomic)
+        self.item_table = nn.Table(rng, len(vocab.items) + 1, c.d_atomic)
         self.eff_net = nn.DenseNet([vocab.n_eff, c.d_atomic], ["identity"], rng, "eff_net")
         in_user = c.d_u + (c.context_len + c.query_len) * c.d_k
         acts = ["relu"] * len(c.user_hidden) + ["identity"]

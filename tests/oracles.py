@@ -4,7 +4,7 @@ scalar forms and helpers that only tests use.
 The references are deliberately written with explicit Python loops and no
 calls into the package, so they stay independent of the code paths they
 check. `fuse`, `hierarchical_weights`, `expand_variant_direct_first`,
-`beam_search_loop` and the autograd test helpers `mul` and
+`beam_search_loop`, `gather_dense` and the autograd test helpers `mul` and
 `finite_diff_gradcheck` call into the package.
 """
 
@@ -16,7 +16,7 @@ from higen import decoder as dec
 from higen import expansion as ex
 from higen import fusion
 from higen import nn
-from higen.errors import DimensionError
+from higen.errors import DimensionError, NumericError
 from higen.nn import Tensor, _accum, _node, _wrap
 
 
@@ -138,6 +138,55 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, g * a.data)
 
     return _node(a.data * b.data, (a, b), bw)
+
+
+def gather_dense(table: Tensor, idx) -> Tensor:
+    """`nn.gather` adding each lookup's own temporary into a gradient that
+    starts as zeros; the reference for the gather that hands its temporary over."""
+    idx = np.asarray(idx, dtype=np.intp)
+
+    def bw(g):
+        acc = np.zeros_like(table.data)
+        np.add.at(acc, idx, g)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        table.grad += acc
+
+    return _node(table.data[idx], (table,), bw)
+
+
+class AdamLoop:
+    """Adam as one update per parameter over its whole array; the reference for
+    `nn.Adam`, which updates tables by live row and the rest in one buffer."""
+
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
+        self.params = dict(params)
+        self.lr = float(lr)
+        self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
+        self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
+        self.t = 0
+
+    def step(self) -> None:
+        self.t += 1
+        b1t = 1.0 - self.BETA1 ** self.t
+        b2t = 1.0 - self.BETA2 ** self.t
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                g = np.zeros_like(p.data)
+            if not np.all(np.isfinite(g)):
+                raise NumericError(f"non-finite gradient for parameter '{name}'")
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.EPS)
 
 
 def finite_diff_gradcheck(loss_fn, params: dict[str, Tensor], eps: float = 1e-5) -> float:

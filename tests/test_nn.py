@@ -6,14 +6,41 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import bad_f8_texts
-from oracles import binary_cross_entropy, finite_diff_gradcheck, mul, ref_attention, ref_dense
+from oracles import (AdamLoop, binary_cross_entropy, finite_diff_gradcheck, gather_dense, mul,
+                     ref_attention, ref_dense)
 
 from higen import nn
 from higen.errors import CheckpointError, DimensionError, NumericError
 
 HALF = "AAAAAAAA4D8="     # base64 of the little-endian float64 0.5
+VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def adam_runs(draw):
+    """({name: (is_table, data)}, one {name: gradient or None} per step, poison):
+    a table row's gradient holds +-0 until a drawn first step, maybe never;
+    poison (step, names, value) puts a non-finite value into those gradients."""
+    n_steps = draw(st.integers(1, 5))
+    params, steps = {}, [{} for _ in range(n_steps)]
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["table", "matrix", "bias"]))
+        shape = (draw(st.integers(1, 5)),) + ((draw(st.integers(1, 3)),) if kind != "bias" else ())
+        name = f"{kind}{i}"
+        params[name] = (kind == "table", draw(arrays(np.float64, shape, elements=VALUES)))
+        first = draw(arrays(np.intp, shape[0], elements=st.integers(0, n_steps)))
+        for step, grads in enumerate(steps):
+            g = None if draw(st.integers(0, 4)) == 0 else draw(
+                arrays(np.float64, shape, elements=VALUES))
+            if g is not None and kind == "table":
+                g[first > step] *= 0.0      # keeps each entry's sign
+            grads[name] = g
+    poison = (draw(st.integers(0, n_steps)), draw(st.sets(st.sampled_from(sorted(params)))),
+              draw(st.sampled_from([np.nan, np.inf, -np.inf])), draw(st.integers(0, 14)))
+    return params, steps, poison
 
 
 def attention(q, k, v, d_k):
@@ -157,6 +184,79 @@ class TestAdam:
         p.grad = np.array([np.nan])
         with pytest.raises(NumericError, match="'p'"):
             opt.step()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_gradient_in_an_unreached_table_row_is_caught(self, bad):
+        table = nn.Table(np.random.default_rng(0), 3, 2)
+        opt = nn.Adam({"w": nn.Tensor([1.0], requires_grad=True), "t": table}, lr=0.1)
+        table.grad = np.zeros((3, 2))
+        table.grad[0, 0] = 1.0
+        opt.step()
+        before = table.data.copy()
+        table.grad = np.zeros((3, 2))
+        table.grad[2, 1] = bad
+        with pytest.raises(NumericError, match="'t'"):
+            opt.step()
+        assert table.data.tobytes() == before.tobytes()
+
+
+class TestAdamMatchesLoop:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(run=adam_runs())
+    def test_every_parameter_bit_for_bit(self, run):
+        params, steps, (poison_step, poisoned, bad, at) = run
+
+        def build():
+            out = {}
+            for name, (is_table, data) in params.items():
+                out[name] = nn.Table(np.random.default_rng(0), *data.shape) if is_table \
+                    else nn.Tensor(0.0, requires_grad=True)
+                out[name].data = data.copy()
+            return out
+
+        ours, ref = build(), build()
+        opt, loop = nn.Adam(ours, lr=0.05), AdamLoop(ref, lr=0.05)
+        for step, grads in enumerate(steps):
+            for name, g in grads.items():
+                if step == poison_step and name in poisoned:
+                    g = np.zeros_like(params[name][1]) if g is None else g.copy()
+                    g.flat[at % g.size] = bad
+                for ps in (ours, ref):
+                    ps[name].grad = None if g is None else g.copy()
+            try:
+                loop.step()
+            except NumericError as exc:
+                with pytest.raises(NumericError) as raised:
+                    opt.step()
+                assert str(raised.value) == str(exc)
+                return
+            opt.step()
+            for name in params:
+                assert ours[name].data.tobytes() == ref[name].data.tobytes(), (step, name)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_repeated_gathers_sum_as_the_dense_accumulation(self, data):
+        # tok_table is gathered once per position; each lookup keeps its own temporary
+        rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+        init = data.draw(arrays(np.float64, (rows, cols), elements=VALUES))
+        lookups = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            shape = data.draw(st.sampled_from([(3,), (2, 0), (2, 3), (4, 2)]))
+            idx = data.draw(arrays(np.intp, shape, elements=st.integers(0, rows - 1)))
+            lookups.append((idx, data.draw(arrays(np.float64, shape + (cols,), elements=VALUES))))
+
+        def grad(gather):
+            table = nn.Table(np.random.default_rng(0), rows, cols)
+            table.data = init.copy()
+            loss = None
+            for idx, w in lookups:
+                term = nn.sum_all(nn.mul_const(gather(table, idx), w))
+                loss = term if loss is None else nn.add(loss, term)
+            loss.backward()
+            return table.grad
+
+        assert grad(nn.gather).tobytes() == grad(gather_dense).tobytes()
 
 
 class TestFit:

@@ -16,6 +16,7 @@ from higen import data as dt
 from higen import decoder as dec
 from higen import docid as di
 from higen import fusion as fu
+from higen import nn
 from higen import pipeline as pl
 from higen import representation as rep
 from higen.config import PipelineConfig, variant_parse
@@ -298,6 +299,32 @@ class TestStageCache:
         for stage, ns in zip(pl.STAGES, namespaces):
             keyed = set(stage.cfg) | {r for r in stage.reads if r.endswith("_path")}
             assert ns._read == keyed, f"{stage.name} never reads {sorted(keyed - ns._read)}"
+
+    def test_gather_reads_exactly_the_tables(self, corpus, tmp_path, monkeypatch):
+        # Adam updates a Table by row and the rest whole: a gathered parameter that is
+        # no Table would go dense, and a Table gather never reads may be a matmul weight
+        gathered, fits = set(), []
+
+        def recording_gather(table, idx):
+            gathered.add(id(table))
+            return gather(table, idx)
+
+        def one_batch(params, n, batch_loss, **_kw):
+            gathered.clear()
+            batch_loss(np.arange(min(n, 8)))
+            fits.append(({k for k, p in params.items() if id(p) in gathered},
+                         {k for k, p in params.items() if isinstance(p, nn.Table)}))
+            return []
+
+        gather = nn.gather
+        monkeypatch.setattr(nn, "gather", recording_gather)
+        monkeypatch.setattr(nn, "fit", one_batch)
+        cfg = PipelineConfig.from_file(corpus / "config.json")
+        cfg.workdir = str(tmp_path / "w")
+        run_pipeline(cfg)
+        assert len(fits) == 3 and fits[0][1] and fits[2][1]     # embedding, metric, decoder
+        for read, tables in fits:
+            assert read == tables
 
     def test_source_change_reruns_every_stage(self, finished, monkeypatch):
         monkeypatch.setattr(pl, "SOURCE_HASH", "edited")

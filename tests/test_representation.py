@@ -245,6 +245,18 @@ class TestTraining:
         for (ka, ta), (kb, tb) in zip(a.params().items(), b.params().items()):
             assert ka == kb and np.array_equal(ta.data, tb.data)
 
+    def test_rows_no_batch_reaches_keep_their_initial_bits(self):
+        # Adam skips table rows no gradient has reached; that must equal the dense update
+        items = make_catalog(10)
+        rows = make_rows(items, 4)           # targets it00..it03 only
+        cfg = tiny_config(epochs=3, lr=0.02)
+        model = rep.train_embedding(rows, items, cfg)
+        fresh = rep.TwoTowerModel(model.vocab, cfg)
+        targets = {r.target_item_id for r in rows}
+        for item_id, i in model.vocab.items.items():
+            same = model.item_table.data[i].tobytes() == fresh.item_table.data[i].tobytes()
+            assert same == (item_id not in targets), item_id
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_aborts(self):
         items = make_catalog(4, eff_fn=lambda i: (float("inf") if i == 0 else 1.0, 0.0))
