@@ -133,7 +133,7 @@ def cmd_expand(args) -> int:
             logprob = float(res.get("logprob", 0.0))
             if not math.isfinite(logprob):
                 raise ValueError(f"logprob {res['logprob']!r} is not finite")
-            pairs.append((node.docid, logprob))
+            pairs.append((node.docid, logprob, node.item_id))
         return rec.get("query"), pairs
 
     def record(decoded_line) -> dict:

@@ -42,6 +42,7 @@ class EvalReport:
     zero_shot_recall: dict[int, float] | None = None
     zero_shot_removed_fraction: float | None = None
     kfold_recall: dict[int, float] | None = None
+    i2i_items: int = 0                                            # items in the I2I table
     timings: dict[str, float] = field(default_factory=dict)
     skipped_stages: list[str] = field(default_factory=list)
     config: dict = field(default_factory=dict)
@@ -62,7 +63,7 @@ class EvalReport:
         }
 
     def to_json(self) -> dict:
-        return self.metrics() | {"timings": self.timings,
+        return self.metrics() | {"i2i_items": self.i2i_items, "timings": self.timings,
                                  "skipped_stages": self.skipped_stages,
                                  "config": self.config}
 
@@ -93,6 +94,7 @@ class EvalReport:
         if self.kfold_recall:
             for k in sorted(self.kfold_recall):
                 lines.append(f"  kfold recall@{k}: {self.kfold_recall[k]:.4f}")
+        lines.append(f"  i2i_items: {self.i2i_items}")
         if self.skipped_stages:
             lines.append(f"  skipped stages: {', '.join(self.skipped_stages)}")
         return "\n".join(lines)

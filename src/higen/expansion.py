@@ -5,13 +5,17 @@ item-to-item similarity (I2I variant).
 The three tiers are built independently. The cluster tier holds every item
 under the decoded prefixes, decoded items included; the I2I tier the top
 Swing neighbours of the direct hits. `merge_recall` alone sets priority:
-direct, then cluster, then I2I, each item kept at its first occurrence."""
+direct, then cluster, then I2I, each item kept at its first occurrence.
+`swing_scores` builds the I2I table from integer co-occurrence arrays, with
+the sums of a loop over sorted user pairs bit for bit."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 from .data import read_jsonl, write_jsonl
 from .docid import DocIdTrie
@@ -38,14 +42,15 @@ class RecallSet:
 
 def direct_hits(decoded, trie: DocIdTrie) -> RecallSet:
     """Decoded (DocId, logprob) pairs as "direct" entries: each item once, in
-    decoded order, scored by its first logprob."""
+    decoded order, scored by its first logprob. (DocId, logprob, item_id)
+    triples, as the beam returns them, name their item without a trie walk."""
     entries: list[RecallEntry] = []
     seen: set[str] = set()
-    for d, logprob in decoded:
-        item_id = trie.lookup(d.tokens)
+    for hit in decoded:
+        item_id = hit[2] if len(hit) > 2 else trie.lookup(hit[0].tokens)
         if item_id is not None and item_id not in seen:
             seen.add(item_id)
-            entries.append(RecallEntry(item_id, "direct", float(logprob)))
+            entries.append(RecallEntry(item_id, "direct", float(hit[1])))
     return RecallSet(entries)
 
 
@@ -57,8 +62,8 @@ def cluster_expand(decoded, trie: DocIdTrie, prefix_len_k: int) -> RecallSet:
     if prefix_len_k < 1 or prefix_len_k > trie.max_depth:
         raise ConfigError(f"prefix length {prefix_len_k} outside [1, {trie.max_depth}]")
     expanded: dict[str, float] = {}
-    for d, _logprob in decoded:
-        for _tokens, item_id, leaf_score in trie.items_under(d.tokens[:prefix_len_k]):
+    for hit in decoded:
+        for _tokens, item_id, leaf_score in trie.items_under(hit[0].tokens[:prefix_len_k]):
             score = leaf_score if leaf_score is not None else 0.0
             if item_id not in expanded or score > expanded[item_id]:
                 expanded[item_id] = score
@@ -85,35 +90,72 @@ class I2ITable:
             rec["item_id"], [(str(n), float(s)) for n, s in rec["neighbors"]]))))
 
 
+def _pairs_within_runs(keys: np.ndarray, weight: np.ndarray | None = None):
+    """Positions (a, b), a < b, of every two entries of a sorted key array that
+    share a key, ordered by a then b: in one slice, or in slices of about 2**16
+    in weight, a pair weighing weight[a] (one entry's pairs are never split)."""
+    n = len(keys)
+    cuts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    later = np.repeat(np.append(cuts, n), np.diff(cuts, prepend=0, append=n)) - np.arange(n) - 1
+    splits = []
+    if weight is not None and n:
+        ends = np.cumsum(later * weight)
+        splits = np.searchsorted(ends, np.arange(1 << 16, ends[-1], 1 << 16))
+    for pos in np.split(np.arange(n), splits):
+        a, n_a = np.repeat(pos, later[pos]), later[pos]
+        yield a, a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(n_a) - n_a, n_a)
+
+
 def swing_scores(interactions, alpha: float = 1.0, top_n: int = 50) -> I2ITable:
     """Swing similarity s(i,j) = sum over unordered user pairs u<v in
     U_i * U_j of 1 / (alpha + |I_u * I_v|); item pairs with fewer than two
-    common users are omitted. Duplicate (user, item) rows collapse first."""
+    common users are omitted. Duplicate (user, item) rows collapse first.
+
+    Items with one user drop out: no user pair shares them. Each user's item
+    pairs, grouped by item pair with users ascending, give every pair's user
+    pairs in (u, v) order, in slices that bound memory. Each slice counts
+    |I_u * I_v| once per distinct user pair by probing the smaller user's
+    items among the other's, and `np.add.at` adds the terms in that order
+    from +0.0, as tests/oracles.py::swing_scores_loop does: every bit is kept."""
     if alpha <= 0:
         raise ConfigError("swing alpha must be positive")
-    user_items: dict[str, set[str]] = {}
-    for user, item in set(interactions):
-        user_items.setdefault(user, set()).add(item)
-    pair_users: dict[tuple[str, str], set[str]] = {}
-    for user, items in user_items.items():
-        for i, j in combinations(sorted(items), 2):
-            pair_users.setdefault((i, j), set()).add(user)
-    scores: dict[tuple[str, str], float] = {}
-    for (i, j), users in pair_users.items():
-        if len(users) < 2:
-            continue
-        s = 0.0
-        for u, v in combinations(sorted(users), 2):
-            s += 1.0 / (alpha + len(user_items[u] & user_items[v]))
-        scores[(i, j)] = s
-    neighbors: dict[str, list[tuple[str, float]]] = {}
-    for (i, j), s in scores.items():
-        neighbors.setdefault(i, []).append((j, s))
-        neighbors.setdefault(j, []).append((i, s))
-    for item_id in neighbors:
-        neighbors[item_id].sort(key=lambda ns: (-ns[1], ns[0]))
-        neighbors[item_id] = neighbors[item_id][:top_n]
-    return I2ITable(neighbors)
+    rows = set(interactions)
+    n_users = len(user_ids := {u: k for k, u in enumerate(sorted({u for u, _i in rows}))})
+    items = sorted({i for _u, i in rows})
+    item_ids = {i: k for k, i in enumerate(items)}
+    user, item = np.array([(user_ids[u], item_ids[i]) for u, i in rows], np.int64).reshape(-1, 2).T
+    keep = np.bincount(item)[item] >= 2
+    o = np.lexsort((item[keep], user[keep]))
+    user, item = user[keep][o], item[keep][o]
+    held = user * len(items) + item                 # ascending
+    count = np.bincount(user, minlength=n_users)
+    start = np.cumsum(count) - count
+    a, b = next(_pairs_within_runs(user))
+    ij = item[a] * len(items) + item[b]
+    o = np.argsort(ij, kind="stable")               # users still ascend within an item pair
+    ij, who = ij[o], user[a][o]
+    keys, slot, holders = np.unique(ij, return_inverse=True, return_counts=True)
+    score = np.zeros(len(keys))
+    # a term probes at most its first user's items: about 2**16 probes a slice
+    for c, d in _pairs_within_runs(ij, count[who]):
+        pairs, at = np.unique(who[c] * n_users + who[d], return_inverse=True)
+        u, v = np.divmod(pairs, n_users)
+        s = np.where(count[u] <= count[v], u, v)
+        m = count[s]
+        probe = np.repeat(u + v - s, m) * len(items) + item[
+            np.repeat(start[s] - np.cumsum(m) + m, m) + np.arange(m.sum())]
+        found = held[np.searchsorted(held, probe).clip(max=len(held) - 1)] == probe
+        shared = np.bincount(np.repeat(np.arange(len(m)), m), found, len(m))
+        np.add.at(score, slot[c], 1.0 / (alpha + shared[at]))
+    keys, score = keys[holders >= 2], score[holders >= 2]
+    i, j = np.divmod(keys, len(items))
+    first, other, score = np.r_[i, j], np.r_[j, i], np.r_[score, score]
+    order = np.lexsort((other, -score, first))
+    first, names = first[order], [items[k] for k in other[order].tolist()]
+    scores = score[order].tolist()
+    bounds = np.flatnonzero(np.diff(first, prepend=-1, append=-1)).tolist()
+    return I2ITable({items[first[lo]]: list(zip(names[lo:hi], scores[lo:hi]))[:top_n]
+                     for lo, hi in zip(bounds, bounds[1:])})
 
 
 def i2i_expand(seeds, table: I2ITable, per_seed_n: int) -> RecallSet:

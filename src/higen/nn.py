@@ -241,8 +241,12 @@ def gather(table: Tensor, idx) -> Tensor:
         raise DimensionError("gather index out of range")
 
     def bw(g):
-        acc = np.zeros_like(table.data)     # +0.0 plus anything is never -0.0
-        np.add.at(acc, idx, g)
+        # each element sums its lookups from +0.0 in order, as np.add.at into
+        # zeros would (so never -0.0); bincount of nothing would be int64
+        rows, cols = table.data.shape
+        acc = np.zeros_like(table.data) if idx.size == 0 else np.bincount(
+            (idx[..., None] * cols + np.arange(cols)).ravel(), weights=g.ravel(),
+            minlength=rows * cols).reshape(rows, cols)
         _accum(table, acc, own=True)
 
     return _node(table.data[idx], (table,), bw)

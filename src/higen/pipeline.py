@@ -199,7 +199,7 @@ def _decode_rows(rows, model, trie, c):
         key = f"q{i}"
         results = dec.constrained_beam_search(row, model, trie, c.beam_width, c.topk)
         predictions[key] = [item_id for _d, _lp, item_id in results]
-        decoded[key] = [(d, lp) for d, lp, _ in results]
+        decoded[key] = results
         truths[key] = row.target_item_id
     return predictions, truths, decoded
 
@@ -223,6 +223,7 @@ def _eval(c, work: Path, out: Path) -> None:
         interactions = [(r.user_id, r.target_item_id) for r in train.rows if r.click == 1]
         i2i_table = ex.swing_scores(interactions, alpha=c.i2i_alpha, top_n=c.i2i_top_n)
     i2i_table.save(out / "i2i.jsonl")
+    report.i2i_items = len(i2i_table.neighbors)
     sizes, hits = [], 0
     for key in predictions:
         merged = expand_variant(decoded[key], trie, i2i_table, cluster_k, use_i2i,
@@ -273,7 +274,8 @@ STAGES = (
 
 def expand_variant(decoded, trie, i2i_table: ex.I2ITable, cluster_k: int | None,
                    use_i2i: bool, cap: int, per_seed_n: int) -> ex.RecallSet:
-    """Combine direct decode results with the configured expansions."""
+    """Combine direct decode results, (DocId, logprob) pairs or the beam's
+    (DocId, logprob, item_id) triples, with the configured expansions."""
     direct = ex.direct_hits(decoded, trie)
     cluster = ex.RecallSet([])
     if cluster_k is not None:

@@ -4,11 +4,12 @@ scalar forms and helpers that only tests use.
 The references are deliberately written with explicit Python loops and no
 calls into the package, so they stay independent of the code paths they
 check. `fuse`, `hierarchical_weights`, `expand_variant_direct_first`,
-`beam_search_loop`, `gather_dense` and the autograd test helpers `mul` and
-`finite_diff_gradcheck` call into the package.
+`beam_search_loop`, `gather_dense`, `swing_scores_loop` and the autograd test
+helpers `mul` and `finite_diff_gradcheck` call into the package.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from higen import decoder as dec
 from higen import expansion as ex
 from higen import fusion
 from higen import nn
-from higen.errors import DimensionError, NumericError
+from higen.errors import ConfigError, DimensionError, NumericError
 from higen.nn import Tensor, _accum, _node, _wrap
 
 
@@ -261,6 +262,39 @@ def merge_recall_sorting(direct, cluster, i2i, cap: int) -> ex.RecallSet:
             seen.add(e.item_id)
             out.append(e)
     return ex.RecallSet(out)
+
+
+def swing_scores_loop(interactions, alpha: float = 1.0, top_n: int = 50) -> ex.I2ITable:
+    """Swing similarity s(i,j) = sum over unordered user pairs u<v in
+    U_i * U_j of 1 / (alpha + |I_u * I_v|); item pairs with fewer than two
+    common users are omitted. Duplicate (user, item) rows collapse first.
+    The reference for `expansion.swing_scores`, which sums the same terms
+    from co-occurrence arrays."""
+    if alpha <= 0:
+        raise ConfigError("swing alpha must be positive")
+    user_items: dict[str, set[str]] = {}
+    for user, item in set(interactions):
+        user_items.setdefault(user, set()).add(item)
+    pair_users: dict[tuple[str, str], set[str]] = {}
+    for user, items in user_items.items():
+        for i, j in combinations(sorted(items), 2):
+            pair_users.setdefault((i, j), set()).add(user)
+    scores: dict[tuple[str, str], float] = {}
+    for (i, j), users in pair_users.items():
+        if len(users) < 2:
+            continue
+        s = 0.0
+        for u, v in combinations(sorted(users), 2):
+            s += 1.0 / (alpha + len(user_items[u] & user_items[v]))
+        scores[(i, j)] = s
+    neighbors: dict[str, list[tuple[str, float]]] = {}
+    for (i, j), s in scores.items():
+        neighbors.setdefault(i, []).append((j, s))
+        neighbors.setdefault(j, []).append((i, s))
+    for item_id in neighbors:
+        neighbors[item_id].sort(key=lambda ns: (-ns[1], ns[0]))
+        neighbors[item_id] = neighbors[item_id][:top_n]
+    return ex.I2ITable(neighbors)
 
 
 def items_under_walk(trie, prefix) -> list[tuple[tuple[int, ...], str, float | None]]:

@@ -200,6 +200,14 @@ class TestTrie:
         for item, d in docids.items():
             assert trie.lookup(d.tokens) == item
 
+    def test_lookup_takes_whole_docids_only(self):
+        docids, _ns, trie = build_random_index(5, n_items=80, n_cats=4)
+        for d in docids.values():
+            for t in range(len(d.tokens)):
+                assert trie.lookup(d.tokens[:t]) is None       # a prefix names no item
+        assert trie.lookup((999, 999)) is None
+        assert trie.lookup(next(iter(docids.values())).tokens + (0,)) is None
+
     def test_duplicate_docid_raises(self):
         d = di.DocId((1, 0, 0), 1)
         trie = di.DocIdTrie()

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +67,16 @@ class TestEvalReport:
         loaded = EvalReport.load(path)
         assert loaded.metrics() == report.metrics()
         assert loaded.config == report.config
+
+    def test_report_without_i2i_items_loads(self, tmp_path):
+        # reports written before the I2I table size was recorded
+        path = tmp_path / "report.json"
+        EvalReport(recall={1: 0.5}, i2i_items=7).save(path)
+        doc = json.loads(path.read_text())
+        assert doc["i2i_items"] == 7 and "i2i_items" not in EvalReport().metrics()
+        del doc["i2i_items"]
+        path.write_text(json.dumps(doc))
+        assert EvalReport.load(path).i2i_items == 0
 
     def test_metrics_exclude_timings(self):
         a = EvalReport(recall={1: 0.5}, timings={"embed": 1.0})

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import build_random_index
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import expand_variant_direct_first, merge_recall_sorting
+from oracles import expand_variant_direct_first, merge_recall_sorting, swing_scores_loop
 
 from higen import data as dt
 from higen import docid as di
@@ -170,6 +172,74 @@ class TestSwing:
                     assert got == 0.0
                 else:
                     assert got == pytest.approx(want, abs=1e-12)
+
+    @staticmethod
+    def hexed(table):
+        return {item: [(n, s.hex()) for n, s in neighbors]
+                for item, neighbors in table.neighbors.items()}
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(1, 12), st.integers(2, 15), st.integers(2, 12), st.integers(0, 3),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_loop_bit_for_bit(self, n_users, n_items, per_user, n_disjoint,
+                                         popular, seed):
+        # ids like u10 < u2, so id order is not number order; items drawn with
+        # replacement repeat rows, the first n_disjoint users share no item, and
+        # a popular item every user clicks joins every user pair's overlap
+        rng = np.random.default_rng(seed)
+        rows = [(f"u{u}", f"u{u}-i{i}" if u < n_disjoint else f"i{i}")
+                for u in range(n_users) for i in rng.integers(n_items, size=per_user)]
+        rows += [(f"u{u}", "hot") for u in range(n_users) if popular]
+        for alpha in (0.5, 1.0, 2.5):
+            for top_n in (0, 1, 3, 50):
+                assert self.hexed(ex.swing_scores(rows, alpha, top_n)) == \
+                    self.hexed(swing_scores_loop(rows, alpha, top_n))
+
+    @staticmethod
+    def clicks(shape):
+        if shape == "revisit":      # gen-synthetic --items 500 --train-queries 1000 --users 10
+            corpus = dt.generate_synthetic(n_items=500, n_train_queries=1000, n_users=10, seed=0)
+            return [(r.user_id, r.target_item_id) for r in corpus.train_rows if r.click == 1]
+        if shape == "pair":         # 1000 users on one item pair: 499,500 terms in one sum
+            return [(f"u{u}", i) for u in range(1000) for i in ("hot", "hot2", f"own{u}")]
+        # 3000 users click one popular item and five items of their own, or two of 500
+        rng = np.random.default_rng(0)
+        own = [[f"own{u}-{k}" for k in range(5)] if shape == "popular"
+               else [f"i{i}" for i in rng.integers(500, size=2)] for u in range(3000)]
+        return [(f"u{u}", i) for u in range(3000) for i in ["hot", *own[u]]]
+
+    # peaks of the loop in tests/oracles.py: about 11.9, 18, 2.2 and 0.8 MB.
+    # Pairing the users of each item would hold 4.5 million user pairs on either
+    # popular shape, and holding every term at once about 50 MB on "pair". The
+    # first call in a process also pays for whatever numpy imports lazily.
+    @pytest.mark.parametrize("shape,limit", [("revisit", 4_000_000), ("popular", 4_000_000),
+                                             ("popular+2", 8_000_000), ("pair", 8_000_000)])
+    def test_builds_in_little_memory(self, shape, limit):
+        clicks = self.clicks(shape)
+        tracemalloc.start()
+        try:
+            table = ex.swing_scores(clicks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert self.hexed(table) == self.hexed(swing_scores_loop(clicks))
+        assert bool(table.neighbors) == (shape != "popular")
+        assert peak < limit
+
+    def test_slices_hold_the_same_pairs(self):
+        # each slice weighs at most 2**16 beyond its first entry, whose pairs stay whole
+        rng = np.random.default_rng(5)
+        keys = np.sort(rng.integers(40, size=600))
+        weight = rng.integers(1, 400, size=600)
+        (whole,) = ex._pairs_within_runs(keys)
+        sliced = [ab for ab in ex._pairs_within_runs(keys, weight) if len(ab[0])]
+        assert len(sliced) > 5
+        for k in (0, 1):
+            assert np.array_equal(np.concatenate([ab[k] for ab in sliced]), whole[k])
+        for (a, _b), (c, _d) in zip(sliced, sliced[1:]):
+            assert a[-1] < c[0]
+        for a, _b in sliced:
+            assert weight[a[a != a[0]]].sum() <= 1 << 16
 
     def test_roundtrip(self, tmp_path):
         inter = [("u1", "i"), ("u1", "j"), ("u2", "i"), ("u2", "j")]

@@ -15,6 +15,7 @@ from higen import cli
 from higen import data as dt
 from higen import decoder as dec
 from higen import docid as di
+from higen import expansion as ex
 from higen import fusion as fu
 from higen import nn
 from higen import pipeline as pl
@@ -151,6 +152,23 @@ class TestRunPipeline:
         # upstream stages are reused only when inputs match; here the workdir
         # is fresh so everything runs, producing a complete report
         assert set(report.recall) == {1, 5, 10}
+
+    @pytest.mark.parametrize("flags,revisits", [([], False),
+                                                (["--train-queries", "1000", "--users", "10"], True)])
+    def test_report_records_the_i2i_table_size(self, tmp_path, capsys, flags, revisits):
+        # no item pair of the default desk corpus has two clicking users, so its
+        # I2I variant serves from an empty table; users of the revisit corpus share pairs
+        assert cli.main(["gen-synthetic", "--out", str(tmp_path), *flags]) == 0
+        cfg = json.loads((tmp_path / "config.json").read_text())
+        cfg.update(epochs_embed=1, epochs_metric=1, epochs_decoder=1, variant="cluster-2-i2i")
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert cli.main(["run-all", "--config", str(tmp_path / "config.json")]) == 0
+        report = EvalReport.load(tmp_path / "work" / "report.json")
+        table = ex.I2ITable.load(tmp_path / "work" / "i2i.jsonl")
+        assert report.i2i_items == len(table.neighbors)
+        assert (report.i2i_items > 0) == revisits
+        assert "i2i_items" not in report.metrics()
+        assert f"i2i_items: {report.i2i_items}\n" in capsys.readouterr().out
 
     def test_stage_subcommands_resume_from_artifacts(self, corpus, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -550,6 +568,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"{inp} line 1" in err
+
+    def test_expand_of_a_docid_prefix_is_3(self, ran, tmp_path, capsys):
+        index = json.loads((ran / "work" / "index.json").read_text())
+        prefix = "-".join(map(str, index["docids"]["it0000"]["tokens"][:-1]))
+        inp = tmp_path / "decoded.jsonl"
+        inp.write_text(json.dumps({"results": [{"docid": prefix}]}) + "\n")
+        rc = cli.main(["expand", "--index", str(ran / "work" / "index.json"),
+                       "--input", str(inp), "--output", str(tmp_path / "out.jsonl")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert f"{inp} line 1" in err and f"docid {prefix!r} not present in the index" in err
 
     def test_logprob_no_float_holds_is_3(self, ran, tmp_path, capsys):
         # ended in an OverflowError traceback
