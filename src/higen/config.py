@@ -4,16 +4,7 @@ used by `PipelineConfig` and by the configs and vocabularies in checkpoints.
 
 The length of each docID's semantic prefix is not configured: the index
 stores it per docID, as the length of the item's category path (0 without
-category clustering).
-
-Retired options still load from older files (`RETIRED_KEYS`). `loss_window`
-and `semantic_len` are dropped whatever they hold. The others are accepted
-only with the one value still in use: `normalize_fusion` (MetricConfig
-`normalize`) only as false, since fused vectors are not L2-normalized;
-`dec_activation` (DecoderConfig `activation`) only as "tanh", the decoder's
-hidden activation; and `kfold` only as 0, since no stage reads it and the
-fold count is `run-all --kfold`. Any other value is a ConfigError naming
-the key."""
+category clustering)."""
 
 from __future__ import annotations
 
@@ -26,10 +17,6 @@ from .data import read_json
 from .errors import ConfigError, DataError
 
 ENV_PREFIX = "HIGEN_"
-# dropped on load: None takes any value, else the one value still accepted
-RETIRED_KEYS = {"loss_window": None, "semantic_len": None,
-                "normalize_fusion": False, "normalize": False,
-                "dec_activation": "tanh", "activation": "tanh", "kfold": 0}
 
 
 def to_json(obj) -> dict:
@@ -57,13 +44,6 @@ def _typed(name: str, value, default):
 def from_json(cls, d: dict):
     """The dataclass cls from the JSON object d; unknown keys are errors."""
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    for key in sorted(d.keys() & RETIRED_KEYS.keys()):
-        kept = RETIRED_KEYS[key]
-        if kept is not None and (type(d[key]), d[key]) != (type(kept), kept):
-            hint = "; pass the fold count as run-all --kfold" if key == "kfold" else ""
-            raise ConfigError(f"config field '{key}' is retired and accepts only "
-                              f"{json.dumps(kept)}, got {json.dumps(d[key])}{hint}")
-    d = {k: v for k, v in d.items() if k not in RETIRED_KEYS}
     unknown = sorted(set(d) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")

@@ -5,8 +5,8 @@ position gets its own output head over the tokens that actually occur
 there. Training uses teacher forcing with a per-position weighted
 cross-entropy; decoding walks the docID trie with beam search.
 
-The docID trie owns child order, head columns and leaf order: decoding reads
-each node's `head`, its token's column in its position's head.
+The docID trie owns child order, head columns and leaf order; beam search
+holds trie node ids and gathers each node's children as one run of ids.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class PositionVocab:
     def from_json(cls, d: dict) -> "PositionVocab":
         obj = cls.__new__(cls)
         obj._set_values([list(map(int, v)) for v in d["values"]])
-        obj.docid_map = d.get("docid_map")    # None in checkpoints from before the record
+        obj.docid_map = d["docid_map"]
         return obj
 
 
@@ -263,8 +263,8 @@ class DecoderModel:
 
 
 def load_for_index(index_path, checkpoint_path) -> tuple[DecoderModel, DocIdTrie]:
-    """The decoder checkpoint and the trie of the index; a checkpoint that
-    records no docID map, or that of another index, raises CheckpointError."""
+    """The decoder checkpoint and the trie of the index; a checkpoint trained
+    on the docIDs of another index raises CheckpointError."""
     _docids, _node_scores, trie = load_index(index_path)
     model = DecoderModel.load(checkpoint_path)
     if model.pos_vocab.docid_map != PositionVocab(trie).docid_map:
@@ -280,8 +280,11 @@ def load_for_index(index_path, checkpoint_path) -> tuple[DecoderModel, DocIdTrie
 def greedy_argmax_token(node: TrieNode, logits_row: np.ndarray) -> int:
     """Highest-logit token among the children of the trie node of the
     teacher-forced prefix (ties go to the smallest token value)."""
-    kids = node.child_arrays()
-    return int(kids.tokens[np.argmax(logits_row[kids.heads])])
+    if len(node.children) == len(logits_row):
+        # children take distinct columns in token order, so child i has column i;
+        # one argmax spares the root a Python loop over every first token
+        return list(node.children)[int(np.argmax(logits_row))]
+    return max(node.children, key=lambda tok: logits_row[node.children[tok].head])
 
 
 def position_aware_loss(batch: DecoderBatch, model: DecoderModel,
@@ -345,36 +348,38 @@ def constrained_beam_search(row, model: DecoderModel, trie: DocIdTrie, beam_widt
         raise IndexBuildError("cannot decode against an empty trie")
     ctx = model.encode_infer(model.prepare_rows([row]))
 
-    # the live hypotheses: their trie nodes, the heads along their tokens, their logprobs
-    nodes = np.array([trie.root], dtype=object)
+    # the live hypotheses: their node ids, the heads along their tokens, their logprobs
+    ids = np.zeros(1, dtype=np.intp)
     heads = np.zeros((1, 0), dtype=np.intp)
     lps = np.zeros(1)
-    done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []    # (logprobs, los, leaves)
+    done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []    # (logprobs, los, leaf ids)
     for depth in range(trie.max_depth):
         # one call per depth: step_logits and log_softmax_rows are row-independent,
         # so every score keeps the bits of the one-row brute_force_scores oracle
         logprobs = nn.log_softmax_rows(
-            model.step_logits(np.repeat(ctx, len(nodes), 0), heads, depth))
-        kids = [node.child_arrays() for node in nodes]
-        parent = np.repeat(np.arange(len(kids)), [len(c.heads) for c in kids])
-        child_heads = np.concatenate([c.heads for c in kids])
+            model.step_logits(np.repeat(ctx, len(ids), 0), heads, depth))
+        # every live node's children, each node's as one run of ids in token order
+        counts = trie.counts[ids]
+        ends = np.cumsum(counts)
+        parent = np.repeat(np.arange(len(ids)), counts)
+        child = np.repeat(trie.first[ids] - ends + counts, counts) + np.arange(ends[-1])
+        child_heads = trie.heads[child]
         child_lps = lps[parent] + logprobs[parent, child_heads]
-        child_los = np.concatenate([c.los for c in kids])
-        child_nodes = np.concatenate([c.nodes for c in kids])
-        leaf = np.concatenate([c.leaf for c in kids])
+        child_los = trie.los[child]
+        leaf = trie.counts[child] == 0
         if leaf.any():
-            done.append((child_lps[leaf], child_los[leaf], child_nodes[leaf]))
+            done.append((child_lps[leaf], child_los[leaf], child[leaf]))
         live = np.flatnonzero(~leaf)
         if not len(live):
             break
         keep = live[np.lexsort((child_los[live], -child_lps[live]))[:beam_width]]
-        nodes, lps = child_nodes[keep], child_lps[keep]
+        ids, lps = child[keep], child_lps[keep]
         heads = np.concatenate([heads[parent[keep]], child_heads[keep, None]], axis=1)
     if not done:
         return []
-    lps, los, leaves = (np.concatenate(part) for part in zip(*done))
-    return [(leaves[i].docid, float(lps[i]), leaves[i].item_id)
-            for i in np.lexsort((los, -lps))[:k]]
+    lps, los, leaf_ids = (np.concatenate(part) for part in zip(*done))
+    top = [(trie.nodes[leaf_ids[i]], float(lps[i])) for i in np.lexsort((los, -lps))[:k]]
+    return [(leaf.docid, lp, leaf.item_id) for leaf, lp in top]
 
 
 def brute_force_scores(model: DecoderModel, trie: DocIdTrie, row):

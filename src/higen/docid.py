@@ -2,14 +2,13 @@
 fused item embeddings, per-node efficiency scores, and the prefix trie used
 to constrain decoding.
 
-The trie owns child order, head columns and leaf order; `build_trie` fixes
-them once per index (see `DocIdTrie.lay_out`)."""
+`build_trie` inserts the docIDs in token order, then numbers the nodes
+breadth first, so that each node's children are one run of ids (`DocIdTrie`)."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -216,46 +215,27 @@ def build_docids(fusion: dict[str, np.ndarray], scores: dict[str, float],
 # trie
 
 
-class ChildArrays(NamedTuple):
-    """A node's children as arrays, in the trie's child order (ascending token)."""
-
-    heads: np.ndarray   # each child's head column
-    tokens: np.ndarray
-    los: np.ndarray     # each child's first leaf index, which orders them as their tokens do
-    nodes: np.ndarray   # the child TrieNodes, an object array
-    leaf: np.ndarray    # True where the child is a leaf
-
-
 class TrieNode:
-    __slots__ = ("children", "item_id", "score", "docid", "head", "lo", "hi", "_child_arrays")
+    __slots__ = ("children", "item_id", "score", "docid", "head", "lo", "hi")
 
-    def __init__(self):
+    def __init__(self, lo: int = 0, score: float | None = None):
         self.children: dict[int, TrieNode] = {}
         self.item_id: str | None = None
-        self.score: float | None = None
+        self.score = score
         self.docid: DocId | None = None
         self.head = -1          # column of this node's token in its position's head
-        self.lo = self.hi = 0   # the leaves below this node: DocIdTrie.leaves[lo:hi]
-        self._child_arrays: ChildArrays | None = None
-
-    def child_arrays(self) -> ChildArrays:
-        """The children as arrays, built on this node's first expansion: an eager
-        build for every node would slow `load_index`. Valid once the trie is laid out."""
-        if self._child_arrays is None:
-            nodes = np.empty(len(self.children), dtype=object)
-            nodes[:] = list(self.children.values())
-            self._child_arrays = ChildArrays(
-                np.array([c.head for c in nodes], dtype=np.intp),
-                np.array(list(self.children), dtype=np.intp),
-                np.array([c.lo for c in nodes], dtype=np.intp), nodes,
-                np.array([c.item_id is not None for c in nodes], dtype=bool))
-        return self._child_arrays
+        # the leaves below this node, DocIdTrie.leaves[lo:hi]; a new node has
+        # just the one being inserted
+        self.lo, self.hi = lo, lo + 1
 
 
 class DocIdTrie:
     """Prefix tree over the docID set; leaves carry item ids, sub-semantic
     nodes carry the mean member efficient score. `values[t]` holds the tokens
-    at depth t in ascending order, `leaves` every leaf in lexicographic order."""
+    at depth t in ascending order, `leaves` every leaf in lexicographic order.
+    `nodes` lists the nodes breadth first (root = id 0): node i's children are
+    the ids first[i]:first[i] + counts[i] in token order, `heads` and `los` give
+    each node's head column and first leaf index, and counts == 0 marks leaves."""
 
     def __init__(self):
         self.root = TrieNode()
@@ -263,22 +243,31 @@ class DocIdTrie:
         self.max_depth = 0
         self.values: list[list[int]] = []
         self.leaves: list[tuple[tuple[int, ...], str, float | None]] = []
+        self.nodes: list[TrieNode] = [self.root]
 
-    def insert(self, docid: DocId, item_id: str) -> None:
-        node = self.root
-        for tok in docid.tokens:
-            if node.item_id is not None:
-                raise IndexBuildError(f"docID {docid.text()} extends below leaf item "
-                                      f"{node.item_id}")
-            node = node.children.get(tok) or node.children.setdefault(tok, TrieNode())
+    def insert(self, docid: DocId, item_id: str,
+               node_scores: dict[tuple[int, ...], float] | None = None) -> None:
+        """Add one docID, its new nodes scored from node_scores. Leaf ranges
+        and `leaves` hold only if docIDs are inserted in token order."""
+        tokens, node, lo = docid.tokens, self.root, len(self.leaves)
+        for t, tok in enumerate(tokens):
+            child = node.children.get(tok)
+            if child is None:
+                if node.item_id is not None:
+                    raise IndexBuildError(f"docID {docid.text()} extends below leaf item "
+                                          f"{node.item_id}")
+                score = node_scores.get(tokens[:t + 1]) if node_scores else None
+                child = node.children[tok] = TrieNode(lo, None if score is None else float(score))
+            node = child
         if node.item_id is not None:
             raise IndexBuildError(f"duplicate docID {docid.text()}")
         if node.children:
             raise IndexBuildError(f"docID {docid.text()} is a prefix of an existing docID")
         node.item_id = item_id
         node.docid = docid
+        self.leaves.append((tokens, item_id, node.score))
         self.n_items += 1
-        self.max_depth = max(self.max_depth, len(docid.tokens))
+        self.max_depth = max(self.max_depth, len(tokens))
 
     def node_at(self, prefix) -> TrieNode | None:
         node = self.root
@@ -299,39 +288,34 @@ class DocIdTrie:
         return [] if node is None else self.leaves[node.lo:node.hi]
 
     def lay_out(self) -> None:
-        """Fill `values`, `leaves`, and each node's head and leaf range. Children
-        inserted in token order make a preorder visit meet leaves in order."""
-        at_depth: list[list[tuple[int, TrieNode]]] = [[] for _ in range(self.max_depth)]
-        stack: list[tuple[TrieNode, int | None]] = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if depth is None:       # back from the node's subtree
-                node.hi = len(self.leaves)
-                continue
-            node.lo = len(self.leaves)
-            if node.item_id is not None:
-                self.leaves.append((node.docid.tokens, node.item_id, node.score))
-            stack.append((node, None))
-            for tok, child in reversed(node.children.items()):
-                at_depth[depth].append((tok, child))
-                stack.append((child, depth + 1))
-        for nodes in at_depth:
-            self.values.append(sorted({tok for tok, _node in nodes}))
+        """Number the nodes breadth first, one depth at a time, and fill
+        `values`, each node's head and leaf range, and the id arrays."""
+        level = [self.root]
+        while children := [child for node in level for child in node.children.values()]:
+            tokens = [tok for node in level for tok in node.children]
+            self.values.append(sorted(set(tokens)))
             column = {tok: head for head, tok in enumerate(self.values[-1])}
-            for tok, node in nodes:
-                node.head = column[tok]
+            for tok, child in zip(tokens, children):
+                child.head = column[tok]
+            self.nodes.extend(children)
+            level = children
+        for node in reversed(self.nodes):   # children before their parents
+            if node.children:
+                node.hi = next(reversed(node.children.values())).hi
+        self.counts = np.array([len(node.children) for node in self.nodes], dtype=np.intp)
+        self.first = np.cumsum(self.counts) - self.counts + 1
+        self.heads = np.array([node.head for node in self.nodes], dtype=np.intp)
+        self.los = np.array([node.lo for node in self.nodes], dtype=np.intp)
 
 
 def build_trie(docids: dict[str, DocId], node_scores: dict[tuple[int, ...], float]) -> DocIdTrie:
     trie = DocIdTrie()
     for item_id, d in sorted(docids.items(), key=lambda kv: kv[1].tokens):
-        trie.insert(d, item_id)
-    for prefix, score in node_scores.items():
-        node = trie.node_at(prefix)
-        if node is None:
-            raise IndexBuildError(f"score refers to missing trie node {prefix}")
-        node.score = float(score)
+        trie.insert(d, item_id, node_scores)
     trie.lay_out()
+    if sum(node.score is not None for node in trie.nodes) != len(node_scores):
+        prefix = next(p for p in node_scores if trie.node_at(p) is None)
+        raise IndexBuildError(f"score refers to missing trie node {prefix}")
     return trie
 
 

@@ -1,9 +1,11 @@
+import copy
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import decoder_world, random_index_inputs
+from helpers import build_random_index, decoder_world, random_index_inputs
 from oracles import beam_search_loop, finite_diff_gradcheck, hierarchical_weights
 
 from higen import decoder as dec
@@ -111,6 +113,24 @@ def handset_world(docid_map, scores, semantic_len=1):
     for w in model.head_w:
         w.data[:] = 0.0
     return docids, trie, catalog, rows, model
+
+
+class TestGreedyArgmaxToken:
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 10_000), n_items=st.integers(1, 60), levels=st.integers(1, 4))
+    def test_first_maximum_over_the_children(self, seed, n_items, levels):
+        # few distinct logits make ties, which go to the smallest token
+        _docids, _scores, trie = build_random_index(seed, n_items=n_items, n_cats=3)
+        rng = np.random.default_rng(seed)
+        stack = [(trie.root, 0)]
+        while stack:
+            node, t = stack.pop()
+            if node.children:
+                row = rng.integers(levels, size=len(trie.values[t])).astype(float)
+                best = max(row[child.head] for child in node.children.values())
+                assert dec.greedy_argmax_token(node, row) == \
+                    min(tok for tok, child in node.children.items() if row[child.head] == best)
+            stack.extend((child, t + 1) for child in node.children.values())
 
 
 class TestPositionAwareLoss:
@@ -360,6 +380,24 @@ class TestBeamSearch:
         with pytest.raises(AssertionError, match="graph node"):
             model.encode(model.prepare_rows(rows[:1]))
         assert len(dec.constrained_beam_search(rows[0], model, trie, 4, 3)) == 3
+
+    def test_decoding_and_training_leave_the_trie_unchanged(self):
+        # stages may share one loaded index only if reading it writes nothing
+        docids, _scores, trie, _catalog, rows, model = decoder_world(7, n_items=40)
+
+        def snapshot():
+            return ([a.tolist() for a in (trie.heads, trie.los, trie.first, trie.counts)],
+                    [[copy.copy(getattr(node, slot)) for slot in type(node).__slots__]
+                     for node in trie.nodes],
+                    list(trie.nodes), list(trie.leaves), [list(v) for v in trie.values],
+                    trie.n_items, trie.max_depth)
+
+        before = snapshot()
+        for row in rows:
+            assert dec.constrained_beam_search(row, model, trie, 4, 3)
+        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
+        dec.position_aware_loss(model.prepare_rows(rows[:16], docids), model, weights)
+        assert snapshot() == before
 
 
 class TestStepLogits:

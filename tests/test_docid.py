@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -227,6 +228,13 @@ class TestTrie:
         assert trie.node_at(probe).score == node_scores[probe]
         assert trie.node_at((999, 999)) is None
 
+    def test_score_for_a_prefix_no_docid_has_raises(self):
+        docids, node_scores, _trie = build_random_index(8, n_items=50, n_cats=3)
+        below_leaf = next(iter(docids.values())).tokens + (0,)
+        for prefix in ((999, 999), below_leaf):
+            with pytest.raises(IndexBuildError, match=re.escape(f"missing trie node {prefix}")):
+                di.build_trie(docids, node_scores | {prefix: 0.5})
+
 
 class TestTrieLayout:
     """build_trie fixes child order, head columns and leaf order once; every
@@ -243,22 +251,27 @@ class TestTrieLayout:
                                 for t in range(trie.max_depth)]
         assert [leaf[:2] for leaf in trie.leaves] == \
             sorted((d.tokens, item) for item, d in docids.items())
+        depth = {id(trie.root): 0}
         stack = [((), trie.root)]
         while stack:
             prefix, node = stack.pop()
             assert list(node.children) == sorted(node.children)
             assert trie.items_under(prefix) == items_under_walk(trie, prefix)
-            kids = node.child_arrays()
-            assert node.child_arrays() is kids
-            assert kids.tokens.tolist() == list(node.children)
-            assert list(kids.nodes) == list(node.children.values())
-            assert kids.heads.tolist() == [c.head for c in node.children.values()]
-            assert kids.los.tolist() == [c.lo for c in node.children.values()]
-            assert kids.leaf.tolist() == [c.item_id is not None for c in node.children.values()]
-            assert np.all(np.diff(kids.los) > 0)    # first leaves order children as tokens do
+            kid_los = [c.lo for c in node.children.values()]
+            assert np.all(np.diff(kid_los) > 0)     # first leaves order children as tokens do
             for tok, child in node.children.items():
                 assert child.head == vocab.values[len(prefix)].index(tok)
+                depth[id(child)] = len(prefix) + 1
                 stack.append((prefix + (tok,), child))
+        # breadth-first ids: each node's children are one run of ids in token order
+        assert trie.nodes[0] is trie.root and len(trie.nodes) == len(depth)
+        for i, node in enumerate(trie.nodes):
+            first, count = trie.first[i], trie.counts[i]
+            assert trie.nodes[first:first + count] == list(node.children.values())
+            assert trie.heads[i] == node.head and trie.los[i] == node.lo
+            assert (count == 0) == (node.item_id is not None)
+        depths = [depth[id(node)] for node in trie.nodes]
+        assert depths == sorted(depths)
         assert trie.items_under((999,)) == []
 
     def test_docid_map_is_the_sha256_of_the_item_map(self):

@@ -21,7 +21,7 @@ from higen import nn
 from higen import pipeline as pl
 from higen import representation as rep
 from higen.config import PipelineConfig, variant_parse
-from higen.errors import ConfigError
+from higen.errors import CheckpointError, ConfigError
 from higen.evaluate import EvalReport
 from higen.pipeline import run_ablation_study, run_kfold, run_pipeline
 
@@ -59,19 +59,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="docid_max_len"):
             PipelineConfig(docid_max_len=1).validate()
 
-    def test_retired_semantic_len_key_loads(self):
-        # config.json files written while the semantic prefix was a knob
-        assert PipelineConfig.from_dict({"semantic_len": 1}) == PipelineConfig()
-
-    def test_config_with_retired_options_at_their_constant_loads(self, tmp_path):
-        # config.json files written while fusion normalization, the decoder
-        # activation and the fold count were options carry them at the one
-        # value in use
+    @staticmethod
+    def assert_run_all_is_2(tmp_path, capsys, config: dict, keys) -> None:
         p = tmp_path / "config.json"
-        p.write_text(json.dumps(PipelineConfig.desk().echo() |
-                                {"normalize_fusion": False, "dec_activation": "tanh",
-                                 "kfold": 0}))
-        assert PipelineConfig.from_file(p) == PipelineConfig.desk()
+        p.write_text(json.dumps(PipelineConfig.desk(workdir=str(tmp_path / "w")).echo() |
+                                config))
+        assert cli.main(["run-all", "--config", str(p)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert all(key in err for key in keys), err
+        assert not (tmp_path / "w").exists()
+
+    def test_retired_semantic_len_key_is_2(self, tmp_path, capsys, monkeypatch):
+        # config.json files written while the semantic prefix was a knob
+        self.assert_run_all_is_2(tmp_path, capsys, {"semantic_len": 1}, ["'semantic_len'"])
+        monkeypatch.setenv("HIGEN_SEMANTIC_LEN", "1")
+        self.assert_run_all_is_2(tmp_path, capsys, {}, ["HIGEN_SEMANTIC_LEN"])
+
+    def test_config_with_retired_options_is_2(self, tmp_path, capsys):
+        # config.json files written while fusion normalization, the decoder
+        # activation and the fold count were options, even at the one value
+        # that was in use
+        retired = {"normalize_fusion": False, "dec_activation": "tanh", "kfold": 0}
+        self.assert_run_all_is_2(tmp_path, capsys, retired, [f"'{key}'" for key in retired])
 
     def test_every_field_is_read_by_a_stage(self):
         read = {name for stage in pl.STAGES for name in stage.cfg + stage.reads}
@@ -738,6 +748,19 @@ class TestExitCodes:
         assert "Traceback" not in err and err.count("\n") == 1
         assert f"{index}: no node score for docID prefix " in err   # e.g. 101-0
 
+    def test_index_with_a_score_for_no_docid_prefix_is_3(self, ran, tmp_path, capsys):
+        index = tmp_path / "index.json"
+        doc = json.loads((ran / "work" / "index.json").read_text())
+        doc["node_scores"]["999-999"] = 0.5
+        index.write_text(json.dumps(doc))
+        rc = cli.main(["decode", "--index", str(index),
+                       "--checkpoint", str(ran / "work" / "decoder.ckpt.json"),
+                       "--input", str(tmp_path / "unused.jsonl")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert str(index) in err and "missing trie node (999, 999)" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_is_4(self, corpus, tmp_path):
         catalog = (corpus / "catalog.jsonl").read_text().splitlines()
@@ -845,19 +868,25 @@ class TestCliFuzz:
 
 
 class TestCheckpointCompat:
+    @staticmethod
+    def assert_refused(load, path, named: str) -> None:
+        # a CheckpointError is a DataError: the CLI exits 3 with its one line
+        with pytest.raises(CheckpointError) as exc:
+            load(path)
+        assert "\n" not in str(exc.value)
+        assert str(path) in str(exc.value) and named in str(exc.value)
+
     @pytest.mark.parametrize("name,load,key,kept", [
         ("fusion.ckpt.json", fu.FusionModel.load, "normalize", False),
-        ("decoder.ckpt.json", dec.DecoderModel.load, "activation", "tanh")])
-    def test_retired_option_at_its_constant_loads(self, ran, tmp_path, name, load, key, kept):
+        ("decoder.ckpt.json", dec.DecoderModel.load, "activation", "tanh")],
+        ids=["fusion", "decoder"])
+    def test_retired_option_at_its_constant_is_3(self, ran, tmp_path, name, load, key, kept):
         # checkpoints written while the option existed hold its one value in use
         payload = json.loads((ran / "work" / name).read_text())
         payload["extra"]["config"][key] = kept
         old = tmp_path / name
         old.write_text(json.dumps(payload))
-        model, fresh = load(old), load(ran / "work" / name)
-        assert key not in model.config.__dict__
-        for (ka, ta), (kb, tb) in zip(model.params().items(), fresh.params().items()):
-            assert ka == kb and np.array_equal(ta.data, tb.data)
+        self.assert_refused(load, old, f"'{key}'")
 
     def test_decoder_checkpoint_with_relu_is_3(self, ran, tmp_path, capsys):
         work = ran / "work"
@@ -874,18 +903,16 @@ class TestCheckpointCompat:
 
     @pytest.mark.parametrize("name,load", [("embed.ckpt.json", rep.TwoTowerModel.load),
                                            ("fusion.ckpt.json", fu.FusionModel.load),
-                                           ("decoder.ckpt.json", dec.DecoderModel.load)])
-    def test_retired_loss_window_key_loads(self, ran, tmp_path, name, load):
+                                           ("decoder.ckpt.json", dec.DecoderModel.load)],
+                             ids=["embed", "fusion", "decoder"])
+    def test_retired_loss_window_key_is_3(self, ran, tmp_path, name, load):
         # checkpoints written before the loss-trend window became a constant
         # carry it in their config
         payload = json.loads((ran / "work" / name).read_text())
         payload["extra"]["config"]["loss_window"] = 5
         old = tmp_path / name
         old.write_text(json.dumps(payload))
-        model, fresh = load(old), load(ran / "work" / name)
-        assert "loss_window" not in model.config.__dict__
-        for (ka, ta), (kb, tb) in zip(model.params().items(), fresh.params().items()):
-            assert ka == kb and np.array_equal(ta.data, tb.data)
+        self.assert_refused(load, old, "'loss_window'")
 
     @pytest.fixture
     def reindexed(self, finished, tmp_path):
@@ -921,21 +948,17 @@ class TestCheckpointCompat:
         assert "Traceback" not in err and err.count("\n") == 1
         assert str(tmp_path / "work2" / "decoder.ckpt.json") in err
 
-    def test_checkpoint_without_docid_map_loads_but_does_not_decode(self, ran, tmp_path,
-                                                                   capsys):
+    def test_checkpoint_without_docid_map_is_3(self, ran, tmp_path, capsys):
         # decoder checkpoints written before the record existed
         work = ran / "work"
         payload = json.loads((work / "decoder.ckpt.json").read_text())
         del payload["extra"]["pos_vocab"]["docid_map"]
         old = tmp_path / "decoder.ckpt.json"
         old.write_text(json.dumps(payload))
-        model = dec.DecoderModel.load(old)
-        fresh = dec.DecoderModel.load(work / "decoder.ckpt.json")
-        for (ka, ta), (kb, tb) in zip(model.params().items(), fresh.params().items()):
-            assert ka == kb and np.array_equal(ta.data, tb.data)
+        self.assert_refused(dec.DecoderModel.load, old, "'docid_map'")
         rc = cli.main(["decode", "--index", str(work / "index.json"), "--checkpoint", str(old),
                        "--input", str(tmp_path / "unused.jsonl")])
         assert rc == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1
-        assert str(old) in err and "re-run train-decoder" in err
+        assert str(old) in err and "'docid_map'" in err
