@@ -5,8 +5,8 @@ position gets its own output head over the tokens that actually occur
 there. Training uses teacher forcing with a per-position weighted
 cross-entropy; decoding walks the docID trie with beam search.
 
-The docID trie owns child order, head columns and leaf order; beam search
-holds trie node ids and gathers each node's children as one run of ids.
+The docID trie owns child order, head columns and leaf order. Beam search
+and the loss work on its node ids, reading each node's children as one run.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nn
 from .config import from_json, to_json
-from .docid import DocId, DocIdTrie, TrieNode, load_index
+from .docid import DocId, DocIdTrie, load_index
 from .errors import CheckpointError, ConfigError, DataError, DimensionError, IndexBuildError
 from .representation import Vocab, row_indices
 
@@ -54,21 +54,6 @@ class RelevanceOracle:
         if a == b:
             return 1.0
         return self.table.get((a, b), 0.0)
-
-
-def position_weight(t: int, last: int, semantic_len: int, y_t: int, y_hat_t: int,
-                    e_lookup, oracle: RelevanceOracle, lambda_h: float = 0.8,
-                    lambda_s: float = 0.1, lambda_e: float = 0.1) -> float:
-    """Weighted mix of hierarchical decay, semantic-relevance penalty
-    (positions t <= semantic_len, the category path and the first cluster
-    token), and efficiency divergence (positions past it)."""
-    w = lambda_h * hierarchical_weight(t, last)
-    if t <= semantic_len:
-        if oracle.similarity(y_t, y_hat_t) < 0.5:
-            w += lambda_s
-    else:
-        w += lambda_e * abs(e_lookup(y_t) - e_lookup(y_hat_t))
-    return w
 
 
 @dataclass
@@ -277,56 +262,52 @@ def load_for_index(index_path, checkpoint_path) -> tuple[DecoderModel, DocIdTrie
 # loss
 
 
-def greedy_argmax_token(node: TrieNode, logits_row: np.ndarray) -> int:
-    """Highest-logit token among the children of the trie node of the
-    teacher-forced prefix (ties go to the smallest token value)."""
-    if len(node.children) == len(logits_row):
-        # children take distinct columns in token order, so child i has column i;
-        # one argmax spares the root a Python loop over every first token
-        return list(node.children)[int(np.argmax(logits_row))]
-    return max(node.children, key=lambda tok: logits_row[node.children[tok].head])
+def greedy_argmax_token(trie: DocIdTrie, ids: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """For each row, the id of the highest-logit child of trie node ids[row]
+    under logits[row] (ties go to the first child, the smallest token)."""
+    first, counts = trie.first[ids], trie.counts[ids]
+    # each row's child run, padded by repeating its last child: argmax takes the
+    # first maximum, so it never picks a pad over the child it copies
+    child = np.minimum(first[:, None] + np.arange(counts.max()), (first + counts - 1)[:, None])
+    return first + logits[np.arange(len(ids))[:, None], trie.heads[child]].argmax(axis=1)
 
 
 def position_aware_loss(batch: DecoderBatch, model: DecoderModel,
                         weights: PositionWeightConfig):
-    """Mean over the batch of sum_t w_t * CE(y_t | prefix); the weights are
-    constants (no gradient flows through the greedy prediction). Each row's
-    target DocId sets its own boundary: positions up to its `semantic_len`
-    take the semantic-relevance penalty, later ones the efficiency
-    divergence. Returns (loss tensor, per-position accuracy dict)."""
+    """Mean over the batch of sum_t w_t * CE(y_t | prefix), w_t a constant:
+    lambda_h times the hierarchical decay, plus lambda_s up to the row's
+    `semantic_len` where the greedy pick y^_t is not relevant to y_t, or lambda_e
+    |E(y_t) - E(y^_t)| past it. Each target is walked once, to its trie node
+    ids. Returns (loss tensor, per-position accuracy dict)."""
+    trie = weights.trie
+    path = trie.paths([d.tokens for d in batch.targets])
     ctx = model.encode(batch)
-    b = batch.size
-    targets = [d.tokens for d in batch.targets]
-    max_len = max(len(tok) for tok in targets)
-    nodes = [weights.trie.root] * b     # each row's trie node at its prefix
-    heads: list[tuple[int, ...]] = [()] * b     # and that prefix as its nodes' heads
+    last = (path >= 0).sum(axis=1) - 1
+    semantic_len = np.array([d.semantic_len for d in batch.targets])
     total = None
-    hits: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for t in range(max_len):
-        active = [i for i in range(b) if len(targets[i]) > t]
-        logits = model.position_logits(nn.gather(ctx, active), [heads[i] for i in active], t)
+    accuracy: dict[int, float] = {}
+    for t in range(path.shape[1]):
+        active = np.flatnonzero(path[:, t] >= 0)
+        y = path[active, t]
+        logits = model.position_logits(nn.gather(ctx, active), trie.heads[path[active, :t]], t)
+        y_hat = greedy_argmax_token(trie, path[active, t - 1] if t else np.zeros_like(y),
+                                    logits.data)
+        accuracy[t] = int((y_hat == y).sum()) / len(active)
         w = np.ones(len(active))
-        for pos, i in enumerate(active):
-            tokens, node = targets[i], nodes[i]
-            y_t = tokens[t]
-            if y_t not in node.children:
-                raise DataError(f"token {y_t} not in the position-{t} vocabulary of {tokens[:t]}")
-            y_hat = greedy_argmax_token(node, logits.data[pos])
-            hits[t] = hits.get(t, 0) + (1 if y_hat == y_t else 0)
-            counts[t] = counts.get(t, 0) + 1
-            if weights.position_aware:
-                w[pos] = position_weight(t, len(tokens) - 1, batch.targets[i].semantic_len,
-                                         y_t, y_hat, lambda tok: node.children[tok].score,
-                                         weights.oracle, weights.lambda_h, weights.lambda_s,
-                                         weights.lambda_e)
-            nodes[i] = node.children[y_t]
-            heads[i] += (nodes[i].head,)
-        ce = nn.softmax_cross_entropy(logits, [nodes[i].head for i in active])
+        if weights.position_aware:
+            w = weights.lambda_h * np.array([hierarchical_weight(t, n)
+                                             for n in last[active].tolist()])
+            past = t > semantic_len[active]
+            tokens = trie.values[t]
+            for pos in np.flatnonzero(~past & (y_hat != y)):    # similarity(y, y) is 1
+                if weights.oracle.similarity(tokens[trie.heads[y[pos]]],
+                                             tokens[trie.heads[y_hat[pos]]]) < 0.5:
+                    w[pos] += weights.lambda_s
+            w[past] += weights.lambda_e * np.abs(trie.scores[y[past]] - trie.scores[y_hat[past]])
+        ce = nn.softmax_cross_entropy(logits, trie.heads[y])
         contrib = nn.sum_all(nn.mul_const(ce, w))
         total = contrib if total is None else nn.add(total, contrib)
-    accuracy = {t: hits[t] / counts[t] for t in counts}
-    return nn.mul_const(total, 1.0 / b), accuracy
+    return nn.mul_const(total, 1.0 / batch.size), accuracy
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ class DocId:
 
 def parse_docid_text(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split("-"))
+        return tuple(map(int, text.split("-")))
     except ValueError as exc:
         raise DataError(f"malformed docID text {text!r}") from exc
 
@@ -175,9 +175,15 @@ def build_docids(fusion: dict[str, np.ndarray], scores: dict[str, float],
     for item_id in ids:
         key = tuple(paths[item_id]) if use_categories else ()
         groups.setdefault(key, []).append(item_id)
+    ordered = sorted(groups)
+    # a path sorts just before the paths it is a prefix of
+    for path, nxt in zip(ordered, ordered[1:]):
+        if nxt[:len(path)] == path:
+            raise DataError(f"category path {path} is a prefix of category path {nxt}: "
+                            f"their docIDs would share a prefix")
 
     docids: dict[str, DocId] = {}
-    for gi, path in enumerate(sorted(groups)):
+    for gi, path in enumerate(ordered):
         member_ids = groups[path]
         if max_len < len(path) + 2:
             raise ConfigError(f"max docID length {max_len} cannot hold category path "
@@ -192,13 +198,6 @@ def build_docids(fusion: dict[str, np.ndarray], scores: dict[str, float],
                          max_len - len(path) - 2, child_seed(seed, 7919 * gi + c))
             for local, item_id in enumerate(cluster_ids):
                 docids[item_id] = DocId(path + (c,) + rest[local], semantic_len=len(path))
-
-    by_tokens: dict[tuple[int, ...], str] = {}
-    for item_id, d in docids.items():
-        if d.tokens in by_tokens:
-            raise IndexBuildError(f"duplicate docID {d.text()} for items "
-                                  f"{by_tokens[d.tokens]} and {item_id}")
-        by_tokens[d.tokens] = item_id
 
     sums: dict[tuple[int, ...], float] = {}
     counts: dict[tuple[int, ...], int] = {}
@@ -216,13 +215,14 @@ def build_docids(fusion: dict[str, np.ndarray], scores: dict[str, float],
 
 
 class TrieNode:
-    __slots__ = ("children", "item_id", "score", "docid", "head", "lo", "hi")
+    __slots__ = ("children", "item_id", "score", "docid", "id", "head", "lo", "hi")
 
     def __init__(self, lo: int = 0, score: float | None = None):
         self.children: dict[int, TrieNode] = {}
         self.item_id: str | None = None
         self.score = score
         self.docid: DocId | None = None
+        self.id = 0             # breadth-first number, DocIdTrie.nodes[id]
         self.head = -1          # column of this node's token in its position's head
         # the leaves below this node, DocIdTrie.leaves[lo:hi]; a new node has
         # just the one being inserted
@@ -234,8 +234,9 @@ class DocIdTrie:
     nodes carry the mean member efficient score. `values[t]` holds the tokens
     at depth t in ascending order, `leaves` every leaf in lexicographic order.
     `nodes` lists the nodes breadth first (root = id 0): node i's children are
-    the ids first[i]:first[i] + counts[i] in token order, `heads` and `los` give
-    each node's head column and first leaf index, and counts == 0 marks leaves."""
+    the ids first[i]:first[i] + counts[i] in token order, counts == 0 marks
+    leaves, and `heads`, `los` and `scores` (NaN for none) give each node's
+    head column, first leaf index and score."""
 
     def __init__(self):
         self.root = TrieNode()
@@ -281,6 +282,20 @@ class DocIdTrie:
         node = self.node_at(tokens)
         return node.item_id if node is not None else None
 
+    def paths(self, docids) -> np.ndarray:
+        """(rows, L) node ids along each token tuple, L the longest, -1 past each
+        tuple's end; a token that is no child of its prefix raises DataError."""
+        out = np.full((len(docids), max(map(len, docids), default=0)), -1, dtype=np.intp)
+        for row, tokens in enumerate(docids):
+            node = self.root
+            for t, tok in enumerate(tokens):
+                node = node.children.get(tok)
+                if node is None:
+                    raise DataError(f"token {tok} not in the position-{t} vocabulary of "
+                                    f"{tokens[:t]}")
+                out[row, t] = node.id
+        return out
+
     def items_under(self, prefix) -> list[tuple[tuple[int, ...], str, float | None]]:
         """(tokens, item_id, leaf score) for every leaf below the prefix, in
         lexicographic token order."""
@@ -289,14 +304,14 @@ class DocIdTrie:
 
     def lay_out(self) -> None:
         """Number the nodes breadth first, one depth at a time, and fill
-        `values`, each node's head and leaf range, and the id arrays."""
+        `values`, each node's id, head and leaf range, and the id arrays."""
         level = [self.root]
         while children := [child for node in level for child in node.children.values()]:
             tokens = [tok for node in level for tok in node.children]
             self.values.append(sorted(set(tokens)))
             column = {tok: head for head, tok in enumerate(self.values[-1])}
-            for tok, child in zip(tokens, children):
-                child.head = column[tok]
+            for i, (tok, child) in enumerate(zip(tokens, children), len(self.nodes)):
+                child.id, child.head = i, column[tok]
             self.nodes.extend(children)
             level = children
         for node in reversed(self.nodes):   # children before their parents
@@ -306,6 +321,7 @@ class DocIdTrie:
         self.first = np.cumsum(self.counts) - self.counts + 1
         self.heads = np.array([node.head for node in self.nodes], dtype=np.intp)
         self.los = np.array([node.lo for node in self.nodes], dtype=np.intp)
+        self.scores = np.array([node.score for node in self.nodes], dtype=float)  # None -> NaN
 
 
 def build_trie(docids: dict[str, DocId], node_scores: dict[tuple[int, ...], float]) -> DocIdTrie:
@@ -313,7 +329,7 @@ def build_trie(docids: dict[str, DocId], node_scores: dict[tuple[int, ...], floa
     for item_id, d in sorted(docids.items(), key=lambda kv: kv[1].tokens):
         trie.insert(d, item_id, node_scores)
     trie.lay_out()
-    if sum(node.score is not None for node in trie.nodes) != len(node_scores):
+    if np.count_nonzero(~np.isnan(trie.scores)) != len(node_scores):    # no score is NaN
         prefix = next(p for p in node_scores if trie.node_at(p) is None)
         raise IndexBuildError(f"score refers to missing trie node {prefix}")
     return trie

@@ -13,7 +13,11 @@ from higen.representation import AtomicEmbeddings
 
 
 def random_index_inputs(seed, n_items=None, n_cats=None, d=8, path_len=2):
-    """Random fusion vectors, scores, and category paths for index tests."""
+    """Random fusion vectors, scores, and category paths for index tests;
+    path_len "mixed" gives odd categories one path token and even ones two,
+    whose first tokens no one-token path uses; "unequal" gives even categories
+    three tokens, (10, category, 90), and odd ones two with a first token of
+    their own, so that 90 sorts after every cluster token at position 2."""
     rng = np.random.default_rng(seed)
     if n_items is None:
         n_items = int(rng.integers(20, 501))
@@ -27,8 +31,10 @@ def random_index_inputs(seed, n_items=None, n_cats=None, d=8, path_len=2):
         item = f"it{i:04d}"
         fusion[item] = centers[c] + rng.normal(size=d)
         scores[item] = float(rng.uniform())
-        if path_len == 2:
+        if path_len == 2 or (path_len == "mixed" and c % 2 == 0):
             paths[item] = (10 + c // 3, cat_ids[c])
+        elif path_len == "unequal":
+            paths[item] = (10, cat_ids[c], 90) if c % 2 == 0 else (11 + c, cat_ids[c])
         else:
             paths[item] = (cat_ids[c],)
     return fusion, scores, paths
@@ -56,10 +62,11 @@ def build_random_index(seed, k=4, cs=8, max_len=16, use_categories=True, **kw):
     return docids, node_scores, di.build_trie(docids, node_scores)
 
 
-def decoder_world(seed, n_items=30, n_cats=3, emb=4, d_model=6, hidden=(8,), **cfg_kw):
+def decoder_world(seed, n_items=30, n_cats=3, emb=4, d_model=6, hidden=(8,), path_len=1,
+                  **cfg_kw):
     """Random docID index plus an untrained decoder model over it."""
     docids, node_scores, trie = build_random_index(seed, n_items=n_items, n_cats=n_cats,
-                                                   path_len=1)
+                                                   path_len=path_len)
     catalog = [Item(item_id, d_paths_of(docids[item_id]), (f"s{item_id}",), (0.5,), 0.5)
                for item_id in sorted(docids)]
     rows = [DatasetRow(f"u{i % 3}", f"q{item_id}", (), item_id, 1, 1, 600.0 * i)

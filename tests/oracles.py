@@ -3,9 +3,10 @@ scalar forms and helpers that only tests use.
 
 The references are deliberately written with explicit Python loops and no
 calls into the package, so they stay independent of the code paths they
-check. `fuse`, `hierarchical_weights`, `expand_variant_direct_first`,
-`beam_search_loop`, `gather_dense`, `swing_scores_loop` and the autograd test
-helpers `mul` and `finite_diff_gradcheck` call into the package.
+check. `fuse`, `hierarchical_weights`, `position_weight`,
+`position_aware_loss_loop`, `expand_variant_direct_first`, `beam_search_loop`,
+`gather_dense`, `swing_scores_loop` and the autograd test helpers `mul` and
+`finite_diff_gradcheck` call into the package.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from higen import decoder as dec
 from higen import expansion as ex
 from higen import fusion
 from higen import nn
-from higen.errors import ConfigError, DimensionError, NumericError
+from higen.errors import ConfigError, DataError, DimensionError, NumericError
 from higen.nn import Tensor, _accum, _node, _wrap
 
 
@@ -352,3 +353,67 @@ def beam_search_loop(row, model, trie, beam_width: int, k: int):
         active = extensions[:beam_width]
     done.sort(key=lambda d: (-d[1], d[0]))
     return [(leaf.docid, lp, leaf.item_id) for _tokens, lp, leaf in done[:k]]
+
+
+def position_weight(t: int, last: int, semantic_len: int, y_t: int, y_hat_t: int,
+                    e_lookup, oracle, lambda_h: float = 0.8,
+                    lambda_s: float = 0.1, lambda_e: float = 0.1) -> float:
+    """Weighted mix of hierarchical decay, semantic-relevance penalty
+    (positions t <= semantic_len, the category path and the first cluster
+    token), and efficiency divergence (positions past it)."""
+    w = lambda_h * dec.hierarchical_weight(t, last)
+    if t <= semantic_len:
+        if oracle.similarity(y_t, y_hat_t) < 0.5:
+            w += lambda_s
+    else:
+        w += lambda_e * abs(e_lookup(y_t) - e_lookup(y_hat_t))
+    return w
+
+
+def greedy_argmax_token_loop(node, logits_row: np.ndarray) -> int:
+    """Highest-logit token among the children of the trie node of the
+    teacher-forced prefix (ties go to the smallest token value)."""
+    if len(node.children) == len(logits_row):
+        # children take distinct columns in token order, so child i has column i;
+        # one argmax spares the root a Python loop over every first token
+        return list(node.children)[int(np.argmax(logits_row))]
+    return max(node.children, key=lambda tok: logits_row[node.children[tok].head])
+
+
+def position_aware_loss_loop(batch, model, weights):
+    """`decoder.position_aware_loss` as a walk of `TrieNode`s, one row at a time,
+    with one scalar `position_weight` and one greedy pick per row and depth;
+    the reference for the id-path loss, which must match it bit for bit."""
+    ctx = model.encode(batch)
+    b = batch.size
+    targets = [d.tokens for d in batch.targets]
+    max_len = max(len(tok) for tok in targets)
+    nodes = [weights.trie.root] * b     # each row's trie node at its prefix
+    heads: list[tuple[int, ...]] = [()] * b     # and that prefix as its nodes' heads
+    total = None
+    hits: dict[int, int] = {}
+    counts: dict[int, int] = {}
+    for t in range(max_len):
+        active = [i for i in range(b) if len(targets[i]) > t]
+        logits = model.position_logits(nn.gather(ctx, active), [heads[i] for i in active], t)
+        w = np.ones(len(active))
+        for pos, i in enumerate(active):
+            tokens, node = targets[i], nodes[i]
+            y_t = tokens[t]
+            if y_t not in node.children:
+                raise DataError(f"token {y_t} not in the position-{t} vocabulary of {tokens[:t]}")
+            y_hat = greedy_argmax_token_loop(node, logits.data[pos])
+            hits[t] = hits.get(t, 0) + (1 if y_hat == y_t else 0)
+            counts[t] = counts.get(t, 0) + 1
+            if weights.position_aware:
+                w[pos] = position_weight(t, len(tokens) - 1, batch.targets[i].semantic_len,
+                                         y_t, y_hat, lambda tok: node.children[tok].score,
+                                         weights.oracle, weights.lambda_h, weights.lambda_s,
+                                         weights.lambda_e)
+            nodes[i] = node.children[y_t]
+            heads[i] += (nodes[i].head,)
+        ce = nn.softmax_cross_entropy(logits, [nodes[i].head for i in active])
+        contrib = nn.sum_all(nn.mul_const(ce, w))
+        total = contrib if total is None else nn.add(total, contrib)
+    accuracy = {t: hits[t] / counts[t] for t in counts}
+    return nn.mul_const(total, 1.0 / b), accuracy

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import build_random_index, decoder_world, random_index_inputs
-from oracles import beam_search_loop, finite_diff_gradcheck, hierarchical_weights
+from oracles import (beam_search_loop, finite_diff_gradcheck, hierarchical_weights,
+                     position_aware_loss_loop, position_weight)
 
 from higen import decoder as dec
 from higen import docid as di
@@ -66,31 +67,31 @@ class TestRelevanceOracle:
 class TestPositionWeight:
     def test_correct_prediction_at_semantic_layer(self):
         oracle = dec.RelevanceOracle([])
-        w = dec.position_weight(0, 2, 1, 5, 5, lambda tok: 0.0, oracle)
+        w = position_weight(0, 2, 1, 5, 5, lambda tok: 0.0, oracle)
         assert w == pytest.approx(0.8 * dec.hierarchical_weight(0, 2), abs=1e-12)
 
     def test_equal_efficiency_beyond_semantic_layer(self):
         oracle = dec.RelevanceOracle([])
-        w = dec.position_weight(2, 2, 1, 5, 7, lambda tok: 0.42, oracle)
+        w = position_weight(2, 2, 1, 5, 7, lambda tok: 0.42, oracle)
         assert w == pytest.approx(0.8 * dec.hierarchical_weight(2, 2), abs=1e-12)
 
     def test_irrelevant_prediction_closed_form(self):
         oracle = dec.RelevanceOracle([])  # unknown pair -> similarity 0
-        w = dec.position_weight(0, 2, 1, 5, 6, lambda tok: 0.0, oracle)
+        w = position_weight(0, 2, 1, 5, 6, lambda tok: 0.0, oracle)
         assert w == pytest.approx(0.632193, abs=1e-6)
 
     def test_efficiency_divergence_is_absolute(self):
         oracle = dec.RelevanceOracle([])
         e = {3: 0.2, 4: 0.9}
-        w_ab = dec.position_weight(2, 3, 1, 3, 4, e.__getitem__, oracle)
-        w_ba = dec.position_weight(2, 3, 1, 4, 3, e.__getitem__, oracle)
+        w_ab = position_weight(2, 3, 1, 3, 4, e.__getitem__, oracle)
+        w_ba = position_weight(2, 3, 1, 4, 3, e.__getitem__, oracle)
         assert w_ab == pytest.approx(0.8 * dec.hierarchical_weight(2, 3) + 0.1 * 0.7, abs=1e-12)
         assert w_ab == w_ba
 
     def test_missing_efficiency_raises(self):
         oracle = dec.RelevanceOracle([])
         with pytest.raises(KeyError):
-            dec.position_weight(2, 2, 1, 3, 4, {}.__getitem__, oracle)
+            position_weight(2, 2, 1, 3, 4, {}.__getitem__, oracle)
 
 
 def handset_world(docid_map, scores, semantic_len=1):
@@ -117,20 +118,43 @@ def handset_world(docid_map, scores, semantic_len=1):
 
 class TestGreedyArgmaxToken:
     @settings(max_examples=25, derandomize=True, deadline=None, database=None)
-    @given(seed=st.integers(0, 10_000), n_items=st.integers(1, 60), levels=st.integers(1, 4))
-    def test_first_maximum_over_the_children(self, seed, n_items, levels):
-        # few distinct logits make ties, which go to the smallest token
-        _docids, _scores, trie = build_random_index(seed, n_items=n_items, n_cats=3)
+    @given(seed=st.integers(0, 10_000), n_items=st.integers(1, 60), levels=st.integers(1, 4),
+           path_len=st.sampled_from([2, "unequal"]))
+    def test_first_maximum_over_the_children(self, seed, n_items, levels, path_len):
+        # few distinct logits make ties, which go to the smallest token; rows
+        # share nodes, as a batch's rows share their prefixes
+        _docids, _scores, trie = build_random_index(seed, n_items=n_items, n_cats=3,
+                                                    path_len=path_len)
         rng = np.random.default_rng(seed)
+        inner: dict[int, list] = {}
         stack = [(trie.root, 0)]
         while stack:
             node, t = stack.pop()
             if node.children:
-                row = rng.integers(levels, size=len(trie.values[t])).astype(float)
-                best = max(row[child.head] for child in node.children.values())
-                assert dec.greedy_argmax_token(node, row) == \
-                    min(tok for tok, child in node.children.items() if row[child.head] == best)
+                inner.setdefault(t, []).append(node)
             stack.extend((child, t + 1) for child in node.children.values())
+        for t, nodes in sorted(inner.items()):
+            nodes = [nodes[i] for i in rng.integers(len(nodes), size=2 * len(nodes))]
+            logits = rng.integers(levels, size=(len(nodes), len(trie.values[t]))).astype(float)
+            got = dec.greedy_argmax_token(trie, np.array([node.id for node in nodes]), logits)
+            assert got.shape == (len(nodes),)
+            for node, row, child_id in zip(nodes, logits, got):
+                best = max(row[child.head] for child in node.children.values())
+                want = min(tok for tok, child in node.children.items() if row[child.head] == best)
+                assert trie.nodes[child_id] is node.children[want]
+
+    def test_a_short_child_run_reads_only_its_own_children(self):
+        # (2,) has one child and (1,) two: the id after (2, 7) is (1, 5, 9),
+        # whose head (9 after clusters 0-2 at position 2) is past the 3 columns
+        # of position 1
+        paths = {"a": (1, 5, 9, 0), "b": (1, 6, 9, 0), "c": (2, 7, 0), "d": (2, 7, 1),
+                 "e": (2, 7, 2)}
+        trie = di.build_trie({i: di.DocId(tok, len(tok) - 1) for i, tok in paths.items()},
+                             {tok: 0.5 for tok in paths.values()})
+        assert trie.values[1] == [5, 6, 7] and trie.heads[trie.node_at((1, 5, 9)).id] == 3
+        ids = np.array([trie.node_at((1,)).id, trie.node_at((2,)).id])
+        got = dec.greedy_argmax_token(trie, ids, np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 0.0]]))
+        assert [trie.nodes[i] for i in got] == [trie.node_at((1, 6)), trie.node_at((2, 7))]
 
 
 class TestPositionAwareLoss:
@@ -297,6 +321,42 @@ class TestPositionAwareLoss:
             return dec.position_aware_loss(batch, model, weights)[0]
 
         assert finite_diff_gradcheck(loss, model.params(), eps=1e-5) < 1e-4
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 10_000), n_items=st.integers(8, 60),
+           path_len=st.sampled_from([1, 2, "mixed", "unequal"]), position_aware=st.booleans(),
+           data=st.data())
+    def test_equals_the_loop_loss_bit_for_bit(self, seed, n_items, path_len, position_aware,
+                                              data):
+        # random head biases make greedy picks go wrong, so every weight rule fires
+        docids, _scores, trie, _catalog, rows, model = decoder_world(
+            seed, n_items=n_items, n_cats=4, path_len=path_len)
+        rng = np.random.default_rng(seed)
+        scale = data.draw(st.sampled_from([0.5, 3.0]), label="bias scale")
+        for b in model.head_b:
+            b.data[:] = rng.normal(scale=scale, size=b.data.shape)
+        tokens = st.sampled_from(sorted({tok for d in docids.values() for tok in d.tokens}))
+        pairs = data.draw(st.lists(st.tuples(tokens, tokens, st.sampled_from([0.2, 0.6])),
+                                   max_size=12), label="oracle pairs")
+        weights = dec.PositionWeightConfig(dec.RelevanceOracle(pairs), trie,
+                                           position_aware=position_aware)
+        sel = rng.integers(len(rows), size=data.draw(st.integers(1, 32), label="rows"))
+        batch = model.prepare_rows([rows[i] for i in sel], docids)
+        params = model.params()
+
+        def run(loss_fn):
+            for p in params.values():
+                p.grad = None
+            loss, accuracy = loss_fn(batch, model, weights)
+            loss.backward()
+            grads = {name: None if p.grad is None else p.grad.tobytes()
+                     for name, p in params.items()}
+            return loss.data.tobytes(), accuracy, grads
+
+        got, want = run(dec.position_aware_loss), run(position_aware_loss_loop)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        assert got[2] == want[2]
 
 
 class TestBeamSearch:

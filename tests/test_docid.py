@@ -176,6 +176,40 @@ class TestBuildDocids:
         assert len({d.tokens for d in docids.values()}) == len(docids)
 
 
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_nested_category_paths_are_refused(self, k):
+        # (1,)'s docIDs 1-3-... clashed with (1, 3)'s: a duplicate docID here,
+        # or, written to the index, a docID below a leaf when the trie was built
+        rng = np.random.default_rng(0)
+        fusion = {f"{p}{j:02d}": rng.normal(size=4) for p in "ab" for j in range(40)}
+        scores = {item: float(rng.uniform()) for item in fusion}
+        paths = {item: (1,) if item[0] == "a" else (1, 3) for item in fusion}
+        with pytest.raises(DataError, match=re.escape(
+                "category path (1,) is a prefix of category path (1, 3)")):
+            di.build_docids(fusion, scores, paths, max_len=8, k=k, cs=8)
+        docids, node_scores = di.build_docids(fusion, scores, paths, max_len=8, k=k, cs=8,
+                                              use_categories=False)
+        assert di.build_trie(docids, node_scores).n_items == len(fusion)
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(paths=st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+                          min_size=1, max_size=6, unique=True), seed=st.integers(0, 100))
+    def test_refused_exactly_when_one_path_extends_another(self, paths, seed):
+        rng = np.random.default_rng(seed)
+        items = {f"i{j:02d}": paths[j % len(paths)] for j in range(4 * len(paths))}
+        fusion = {item: rng.normal(size=3) for item in items}
+        scores = {item: float(rng.uniform()) for item in items}
+        nested = any(a != b and b[:len(a)] == a for a in paths for b in paths)
+        if nested:
+            with pytest.raises(DataError, match="is a prefix of category path"):
+                di.build_docids(fusion, scores, items, max_len=8, k=2, cs=2, seed=seed)
+            return
+        docids, node_scores = di.build_docids(fusion, scores, items, max_len=8, k=2, cs=2,
+                                              seed=seed)
+        trie = di.build_trie(docids, node_scores)   # unique and prefix-free, or it raises
+        assert trie.n_items == len(items)
+        assert all(d.tokens[:d.semantic_len] == items[i] for i, d in docids.items())
+
 class TestTrie:
     def test_single_docid_is_a_chain(self):
         d = di.DocId((1, 2, 3), 1)

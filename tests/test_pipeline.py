@@ -47,6 +47,26 @@ def ran(corpus):
     return corpus
 
 
+@pytest.fixture(scope="module")
+def quick(tmp_path_factory):
+    """The 60-item corpus with one epoch per trainer."""
+    out = tmp_path_factory.mktemp("quick")
+    assert cli.main(["gen-synthetic", "--out", str(out), "--items", "60", "--categories", "6",
+                     "--seed", "0"]) == 0
+    cfg = json.loads((out / "config.json").read_text())
+    cfg.update(epochs_embed=1, epochs_metric=1, epochs_decoder=1)
+    (out / "config.json").write_text(json.dumps(cfg))
+    return out
+
+
+def quick_config(quick, tmp_path, **fields):
+    """A config file for the quick corpus, its workdir tmp_path / "work"."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(json.loads((quick / "config.json").read_text()) |
+                               {"workdir": str(tmp_path / "work")} | fields))
+    return path
+
+
 class TestConfig:
     def test_desk_preset_validates(self):
         PipelineConfig.desk().validate()
@@ -364,6 +384,94 @@ class TestStageCache:
             run_pipeline(finished)
 
 
+class TestQuickCorpusCli:
+    """CLI paths on the 60-item corpus trained one epoch per trainer."""
+
+    def test_ablation_writes_every_variant(self, quick, tmp_path, capsys):
+        path = quick_config(quick, tmp_path)
+        assert cli.main(["ablation", "--config", str(path), "--seeds", "0", "--k", "10"]) == 0
+        variants = ["full", "no_category_clustering", "no_position_aware_loss"]
+        result = json.loads((tmp_path / "work" / "ablation.json").read_text())
+        assert sorted(result["mean"]) == variants
+        lines = [line for line in capsys.readouterr().out.splitlines() if "mean recall@10" in line]
+        assert sorted(line.split(":")[0] for line in lines) == variants
+
+    def test_run_all_flags_reach_the_config_echo(self, quick, tmp_path):
+        path = quick_config(quick, tmp_path)
+        assert cli.main(["run-all", "--config", str(path), "--no-position-aware-loss",
+                         "--no-category-clustering"]) == 0
+        config = EvalReport.load(tmp_path / "work" / "report.json").config
+        assert config["position_aware"] is False and config["category_clustering"] is False
+
+    def test_unset_test_and_oracle_paths(self, quick, tmp_path):
+        path = quick_config(quick, tmp_path, test_path="", oracle_path="")
+        assert cli.main(["run-all", "--config", str(path)]) == 0
+        assert json.loads((tmp_path / "work" / "report.json").read_text())["test_recall"] is None
+        report = run_pipeline(PipelineConfig.from_file(path))
+        assert set(report.skipped_stages) == {"embed", "metric", "docids", "decoder", "eval"}
+
+    def test_nested_category_paths_are_3(self, quick, tmp_path, capsys):
+        # (101,)'s docIDs 101-3-... met (101, 3)'s: the docids stage wrote an
+        # index that the decoder stage could not load
+        records = [json.loads(line) for line in (quick / "catalog.jsonl").read_text().splitlines()]
+        for rec in records:
+            if rec["category_path"] == [102]:
+                rec["category_path"] = [101, 3]
+        catalog = tmp_path / "catalog.jsonl"
+        catalog.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        path = quick_config(quick, tmp_path, catalog_path=str(catalog))
+        assert cli.main(["run-all", "--config", str(path)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert "category path (101,) is a prefix of category path (101, 3)" in err
+        assert not (tmp_path / "work" / "index.json").exists()
+        path = quick_config(quick, tmp_path, catalog_path=str(catalog),
+                            category_clustering=False)
+        assert cli.main(["run-all", "--config", str(path)]) == 0
+
+
+class TestJsonConstants:
+    """NaN, Infinity and -Infinity are not JSON: every reader refuses them with
+    exit 3 and one line naming the file, and the line for JSONL."""
+
+    CONSTANTS = ["NaN", "Infinity", "-Infinity"]
+
+    @staticmethod
+    def assert_refused(argv, named, constant, capsys):
+        assert cli.main(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert named in err and f"non-finite number {constant}" in err
+
+    @pytest.mark.parametrize("constant", CONSTANTS)
+    def test_in_the_index(self, ran, tmp_path, capsys, constant):
+        doc = json.loads((ran / "work" / "index.json").read_text())
+        doc["node_scores"][next(iter(doc["node_scores"]))] = "score"
+        bad = tmp_path / "index.json"
+        bad.write_text(json.dumps(doc).replace('"score"', constant))
+        self.assert_refused(["expand", "--index", str(bad),
+                             "--input", str(tmp_path / "unused.jsonl")], str(bad), constant, capsys)
+
+    @pytest.mark.parametrize("constant", CONSTANTS)
+    @pytest.mark.parametrize("command", ["decode", "expand", "i2i"])
+    def test_in_a_jsonl_line(self, ran, tmp_path, capsys, command, constant):
+        work = ran / "work"
+        inp, table = tmp_path / "in.jsonl", tmp_path / "i2i.jsonl"
+        inp.write_text('{"results": [{"docid": "101-1-0", "logprob": %s}]}\n' % constant)
+        argv = ["expand", "--index", str(work / "index.json"), "--input", str(inp),
+                "--output", str(tmp_path / "out.jsonl")]
+        named = f"{inp} line 1"
+        if command == "decode":
+            inp.write_text('{"query": "q", "context": [%s]}\n' % constant)
+            argv = ["decode", "--index", str(work / "index.json"),
+                    "--checkpoint", str(work / "decoder.ckpt.json"), *argv[3:]]
+        elif command == "i2i":
+            table.write_text('{"item_id": "it0001", "neighbors": [["it0002", %s]]}\n' % constant)
+            argv += ["--variant", "i2i", "--i2i", str(table)]
+            named = f"{table} line 1"
+        self.assert_refused(argv, named, constant, capsys)
+
+
 class TestDecodeExpandCli:
     def test_decode_contract(self, ran, tmp_path):
         work = ran / "work"
@@ -619,7 +727,7 @@ class TestExitCodes:
         assert f"{inp} line 1" in err and "not finite" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("seeds", ["x", "", "0,,1"])
+    @pytest.mark.parametrize("seeds", ["x", "", "0,,1", "0,x"])
     def test_bad_ablation_seeds_is_2(self, corpus, tmp_path, capsys, seeds):
         # ended in a ValueError traceback
         rc = cli.main(["ablation", "--config", str(corpus / "config.json"),
