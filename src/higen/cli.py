@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import logging
 import math
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import data as dt
 from . import decoder as dec
@@ -214,7 +219,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_blas_thread() -> None:
+    """Run numpy's OpenBLAS on one thread, unless OPENBLAS_NUM_THREADS is set:
+    on the pipeline's small matrices a pool of threads spends CPU time and
+    saves no wall time."""
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                       "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                setter(1)
+                return
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")

@@ -7,6 +7,7 @@ breadth first, so that each node's children are one run of ids (`DocIdTrie`)."""
 
 from __future__ import annotations
 
+import gc
 import logging
 from dataclasses import dataclass
 
@@ -352,7 +353,11 @@ def serialize_index(docids: dict[str, DocId], node_scores: dict[tuple[int, ...],
 
 def load_index(path):
     """(docids, node_scores, trie); a bad index, one whose docID prefixes past
-    the semantic prefix lack a node score included, raises CheckpointError."""
+    the semantic prefix lack a node score included, raises CheckpointError.
+
+    The cyclic collector is paused meanwhile (and its state then restored): the
+    load makes many objects and no cycles, so each collection it set off would
+    scan them and free nothing."""
 
     def decode(doc):
         docids = {item_id: DocId(tuple(rec["tokens"]), rec["semantic_len"])
@@ -366,4 +371,10 @@ def load_index(path):
                                           f"{'-'.join(map(str, d.tokens[:t]))}")
         return docids, node_scores, build_trie(docids, node_scores)
 
-    return read_json(path, {"docids": dict, "node_scores": dict}, INDEX_VERSION, decode)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return read_json(path, {"docids": dict, "node_scores": dict}, INDEX_VERSION, decode)
+    finally:
+        if enabled:
+            gc.enable()

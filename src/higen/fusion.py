@@ -1,5 +1,8 @@
 """Metric-learning fusion: collapse the three atomic embeddings into one
-discriminative vector and refine it with page-view triplets."""
+discriminative vector and refine it with page-view triplets.
+
+Training runs the fusion net as a graph (`FusionModel.fuse_batch`); `fuse_table`
+runs it over the whole catalog in plain numpy, with the graph's bits."""
 
 from __future__ import annotations
 
@@ -73,12 +76,12 @@ def atomic_concat(atomic: AtomicEmbeddings) -> np.ndarray:
 
 def fuse_table(atomic_table: dict[str, AtomicEmbeddings],
                model: FusionModel) -> dict[str, np.ndarray]:
+    """The fused vector of every item, each a row view of one (items, d_out) array."""
     ids = sorted(atomic_table)
     if not ids:
         return {}
     x = np.stack([atomic_concat(atomic_table[i]) for i in ids])
-    out = model.fuse_batch(nn.Tensor(x)).data
-    return {item_id: out[i].copy() for i, item_id in enumerate(ids)}
+    return dict(zip(ids, model.net.infer_batched(x)))
 
 
 def mine_triplets(pvs: list[PageView], cap_per_pv: int = 20, seed: int = 0) -> list[Triplet]:

@@ -13,7 +13,7 @@ import logging
 
 import numpy as np
 
-from .data import f8_array, read_json, write_json
+from .data import _ENCODE, f8_array, read_json, write_text
 from .errors import CheckpointError, DimensionError, NormalizationError, NumericError
 
 log = logging.getLogger(__name__)
@@ -422,13 +422,25 @@ class DenseNet:
             self.weights.append(Tensor(glorot_uniform(rng, m, n), requires_grad=True))
             self.biases.append(Tensor(np.zeros(n), requires_grad=True))
 
+    def _check_input(self, x: np.ndarray) -> None:
+        if x.ndim != 2 or x.shape[1] != self.sizes[0]:
+            raise DimensionError(
+                f"{self.name}: input shape {x.shape} incompatible with size {self.sizes[0]}")
+
     def forward(self, x: Tensor) -> Tensor:
         x = _wrap(x)
-        if x.data.ndim != 2 or x.data.shape[1] != self.sizes[0]:
-            raise DimensionError(
-                f"{self.name}: input shape {x.data.shape} incompatible with size {self.sizes[0]}")
+        self._check_input(x.data)
         for w, b, act in zip(self.weights, self.biases, self.activations):
             x = _ACTIVATIONS[act][0](add(matmul(x, w), b))
+        return x
+
+    def infer_batched(self, x: np.ndarray) -> np.ndarray:
+        """forward(x).data without graph nodes: the same (B, m) product per layer,
+        so the same bits. For whole-table passes; a query's rows go through `infer`."""
+        x = _f64(x)
+        self._check_input(x)
+        for w, b, act in zip(self.weights, self.biases, self.activations):
+            x = _ACTIVATIONS[act][1](x @ w.data + b.data)
         return x
 
     def infer(self, x: np.ndarray) -> np.ndarray:
@@ -589,10 +601,19 @@ CHECKPOINT_VERSION = 2
 def save_checkpoint(path, params: dict[str, Tensor], extra: dict | None = None) -> None:
     """Write named parameters and the JSON record extra to a versioned JSON
     container. Each parameter is its shape and the `data.f8_text` of its values,
-    which load back bit for bit; a non-finite value raises NumericError."""
-    write_json(path, {"version": CHECKPOINT_VERSION, "params": {
-        name: {"shape": list(t.data.shape), "f8": t.data} for name, t in params.items()},
-        "extra": extra or {}})
+    which load back bit for bit; a non-finite value raises NumericError.
+
+    The text is `data.write_json`'s, byte for byte, but encoded one parameter at
+    a time, so only one parameter's text is held at once."""
+
+    def chunks():
+        yield f'{{"version": {CHECKPOINT_VERSION}, "params": {{'
+        for i, (name, t) in enumerate(params.items()):
+            yield (", " if i else "") + _ENCODE(name) + ": " + _ENCODE(
+                {"shape": list(t.data.shape), "f8": t.data})
+        yield '}, "extra": ' + _ENCODE(extra or {}) + "}"
+
+    write_text(path, chunks())
 
 
 def _stored_array(path, name: str, rec) -> np.ndarray:

@@ -7,6 +7,9 @@ context and query sequences with scaled dot-product attention.
 Batches carry raw efficiency features. The model standardizes them itself:
 `TwoTowerModel.atomic` applies the `eff_mean`/`eff_std` that training
 measured and the checkpoint stores, for training, export and any caller.
+
+Export runs `atomic` over the whole catalog in plain numpy, without graph
+nodes, and gives the graph's bits.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .data import f8_array, read_jsonl, write_jsonl
 from .errors import DataError
 
 PAD = 0  # shared index for padding / unknown / "no-history"
+EXPORT_BLOCK = 512  # items pooled at a time by export_atomic_embeddings
 
 
 @dataclass(frozen=True)
@@ -272,15 +276,24 @@ def train_embedding(rows, catalog, config: TwoTowerConfig) -> TwoTowerModel:
 
 
 def export_atomic_embeddings(model: TwoTowerModel, items) -> dict[str, AtomicEmbeddings]:
-    """One (semantic, common, efficient) record per catalog item."""
+    """One (semantic, common, efficient) record per catalog item: `model.atomic`'s
+    bits, computed in plain numpy. The semantic pooling runs EXPORT_BLOCK rows at a
+    time; each of its steps is per row, so the block size changes no bit."""
     unknown = sorted({it.item_id for it in items} - set(model.vocab.items))
     if unknown:
         raise DataError(f"unknown item ids at export: {unknown[:10]}")
     items = list(items)
-    x_is, x_ic, x_ie = model.atomic(*item_arrays(items, model.vocab, model.config))
-    return {it.item_id: AtomicEmbeddings(x_is.data[i].copy(), x_ic.data[i].copy(),
-                                         x_ie.data[i].copy())
-            for i, it in enumerate(items)}
+    if not items:
+        return {}
+    sem_idx, sem_mask, item_idx, eff = item_arrays(items, model.vocab, model.config)
+    weights = sem_mask / sem_mask.sum(axis=1, keepdims=True)
+    x_is = np.empty((len(items), model.config.d_atomic))
+    for lo in range(0, len(items), EXPORT_BLOCK):
+        rows = slice(lo, lo + EXPORT_BLOCK)
+        x_is[rows] = (model.sem_table.data[sem_idx[rows]] * weights[rows, :, None]).sum(axis=1)
+    x_ic = model.item_table.data[item_idx]
+    x_ie = model.eff_net.infer_batched((eff - model.eff_mean) / model.eff_std)
+    return {it.item_id: AtomicEmbeddings(*vecs) for it, *vecs in zip(items, x_is, x_ic, x_ie)}
 
 
 def write_atomic_jsonl(path, table: dict[str, AtomicEmbeddings]) -> None:

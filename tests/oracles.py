@@ -5,8 +5,10 @@ The references are deliberately written with explicit Python loops and no
 calls into the package, so they stay independent of the code paths they
 check. `fuse`, `hierarchical_weights`, `position_weight`,
 `position_aware_loss_loop`, `expand_variant_direct_first`, `beam_search_loop`,
-`gather_dense`, `swing_scores_loop` and the autograd test helpers `mul` and
-`finite_diff_gradcheck` call into the package.
+`gather_dense`, `swing_scores_loop`, the graph passes `export_atomic_graph` and
+`fuse_table_graph`, the one-shot checkpoint writer `save_checkpoint_one_shot`
+and the autograd test helpers `mul` and `finite_diff_gradcheck` call into the
+package.
 """
 
 from dataclasses import dataclass
@@ -14,10 +16,12 @@ from itertools import combinations
 
 import numpy as np
 
+from higen import data
 from higen import decoder as dec
 from higen import expansion as ex
 from higen import fusion
 from higen import nn
+from higen import representation as rep
 from higen.errors import ConfigError, DataError, DimensionError, NumericError
 from higen.nn import Tensor, _accum, _node, _wrap
 
@@ -124,6 +128,33 @@ def fuse(atomic, model) -> np.ndarray:
         raise DimensionError(f"atomic width {x.shape[0]} does not match fusion input "
                              f"{3 * model.d_atomic}")
     return model.fuse_batch(nn.Tensor(x[None, :])).data[0]
+
+
+def export_atomic_graph(model, items) -> dict:
+    """export_atomic_embeddings as the graph computes it: `model.atomic` over all
+    items at once, each row copied out."""
+    items = list(items)
+    x_is, x_ic, x_ie = model.atomic(*rep.item_arrays(items, model.vocab, model.config))
+    return {it.item_id: rep.AtomicEmbeddings(x_is.data[i].copy(), x_ic.data[i].copy(),
+                                             x_ie.data[i].copy())
+            for i, it in enumerate(items)}
+
+
+def fuse_table_graph(atomic_table, model) -> dict:
+    """fuse_table as the graph computes it: `model.fuse_batch` over all items."""
+    ids = sorted(atomic_table)
+    if not ids:
+        return {}
+    x = np.stack([fusion.atomic_concat(atomic_table[i]) for i in ids])
+    out = model.fuse_batch(nn.Tensor(x)).data
+    return {item_id: out[i].copy() for i, item_id in enumerate(ids)}
+
+
+def save_checkpoint_one_shot(path, params, extra=None) -> None:
+    """nn.save_checkpoint as one document encoded at once by data.write_json."""
+    data.write_json(path, {"version": nn.CHECKPOINT_VERSION, "params": {
+        name: {"shape": list(t.data.shape), "f8": t.data} for name, t in params.items()},
+        "extra": extra or {}})
 
 
 def hierarchical_weights(last: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import logging
@@ -354,3 +355,25 @@ class TestIndexIO:
         path.write_text('{"version": 2, "docids": {}, "node_scores": {}}')
         with pytest.raises(CheckpointError, match="newer"):
             di.load_index(path)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_builds_with_the_collector_paused_and_restores_it(self, tmp_path, monkeypatch,
+                                                              enabled):
+        docids, node_scores, _ = build_random_index(6, n_items=30, n_cats=3)
+        path = tmp_path / "index.json"
+        di.serialize_index(docids, node_scores, path)
+        (tmp_path / "bad.json").write_text('{"version": 1, "docids": {}}')
+        seen = []
+        build_trie = di.build_trie
+        monkeypatch.setattr(di, "build_trie", lambda *a: seen.append(gc.isenabled()) or
+                            build_trie(*a))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            di.load_index(path)
+            assert seen == [False] and gc.isenabled() == enabled
+            with pytest.raises(CheckpointError, match="node_scores"):
+                di.load_index(tmp_path / "bad.json")
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()

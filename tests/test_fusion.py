@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import class_distance_gap, finite_diff_gradcheck, fuse, ref_dense, triplet_loss
+from oracles import (class_distance_gap, finite_diff_gradcheck, fuse, fuse_table_graph, ref_dense,
+                     triplet_loss)
 
 from higen import fusion, nn
 from higen.data import PageView
 from higen.errors import ConfigError
-from higen.representation import AtomicEmbeddings
+from higen.representation import EXPORT_BLOCK, AtomicEmbeddings
 
 
 def atomic(vec3):
@@ -44,6 +45,27 @@ class TestFuse:
                          [w.data for w in model.net.weights],
                          [b.data for b in model.net.biases], model.net.activations)[0]
         np.testing.assert_allclose(fuse(a, model), want, atol=1e-10)
+
+
+class TestFuseTable:
+    """fuse_table gives the graph's bits (tests/oracles.py) at the export's block sizes."""
+
+    @pytest.mark.parametrize("n", [1, EXPORT_BLOCK - 1, EXPORT_BLOCK, EXPORT_BLOCK + 1,
+                                   3 * EXPORT_BLOCK + 7])
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16))
+    def test_equals_the_graph_fuse_bit_for_bit(self, n, seed):
+        rng = np.random.default_rng(seed)
+        table = {f"it{i:05d}": atomic(rng.normal(size=(3, 32))) for i in rng.permutation(n)}
+        model = fusion.FusionModel(32, fusion.MetricConfig(seed=seed))
+        got = fusion.fuse_table(table, model)
+        want = fuse_table_graph(table, model)
+        assert list(got) == list(want)
+        assert [(v.dtype.str, v.shape, v.tobytes()) for v in got.values()] == \
+            [(v.dtype.str, v.shape, v.tobytes()) for v in want.values()]
+
+    def test_empty_table_fuses_to_nothing(self):
+        assert fusion.fuse_table({}, fusion.FusionModel(2, fusion.MetricConfig())) == {}
 
 
 class TestMineTriplets:

@@ -1,18 +1,20 @@
 import json
 import logging
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from helpers import bad_f8_texts
 from oracles import (AdamLoop, binary_cross_entropy, finite_diff_gradcheck, gather_dense, mul,
-                     ref_attention, ref_dense)
+                     ref_attention, ref_dense, save_checkpoint_one_shot)
 
 from higen import nn
+from higen.data import f8_text
 from higen.errors import CheckpointError, DimensionError, NumericError
 
 HALF = "AAAAAAAA4D8="     # base64 of the little-endian float64 0.5
@@ -458,8 +460,55 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"{path}: version 1 is too old; re-run"):
             nn.load_checkpoint(path, restore_into({"a": nn.Tensor([0.5])}))
 
+    @settings(max_examples=21, deadline=None, derandomize=True)
+    @given(params=st.dictionaries(st.text(max_size=5), arrays(
+        np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+        elements=st.floats(allow_nan=False, allow_infinity=False)), max_size=4),
+           extra=st.none() | st.dictionaries(st.text(max_size=4), st.recursive(
+               st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+               | st.floats(allow_nan=False, allow_infinity=False),
+               lambda inner: st.lists(inner, max_size=3)
+               | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6),
+               max_size=3))
+    @example(params={}, extra=None)
+    @example(params={"a": np.zeros((0, 3)), "b": np.zeros(0), "c": np.ones(2)}, extra=None)
+    @example(params={"\u00e9t\u00e9 \u540d\u2713": np.array([0.5, -0.0])}, extra=None)
+    @example(params={"a": np.ones((2, 2))},
+             extra={"vocab": {"items": {"i\u00e9": 1}}, "eff_mean": [0.5, -1e-300], "n": 2})
+    def test_bytes_equal_the_one_shot_writer(self, tmp_path_factory, params, extra):
+        params = {name: nn.Tensor(values) for name, values in params.items()}
+        folder = tmp_path_factory.mktemp("ckpt")
+        nn.save_checkpoint(folder / "streamed.json", params, extra)
+        save_checkpoint_one_shot(folder / "one_shot.json", params, extra)
+        assert (folder / "streamed.json").read_bytes() == (folder / "one_shot.json").read_bytes()
+
+    def test_holds_one_parameter_text_at_a_time(self, tmp_path):
+        # The one-shot writer holds every parameter's text, here three times the
+        # table's, in its chunk list and again joined. Encoding the table alone
+        # holds about two copies of its text at once: of its base64 bytes and
+        # text, its JSON string and the file's bytes.
+        rng = np.random.default_rng(0)
+        table = rng.normal(size=(20000, 32))
+        params = {"table": nn.Tensor(table)} | {
+            f"w{i}": nn.Tensor(rng.normal(size=(5000, 32))) for i in range(8)}
+        text = len(f8_text(table))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            nn.save_checkpoint(tmp_path / "ckpt.json", params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 3 * text
+
     def test_non_finite_parameter_refused_on_save(self, tmp_path):
         path = tmp_path / "ckpt.json"
         with pytest.raises(NumericError, match=str(path)):
             nn.save_checkpoint(path, {"a": nn.Tensor([np.nan])})
         assert not path.exists() and not list(tmp_path.iterdir())
+
+    def test_non_finite_parameter_after_written_ones_leaves_no_file(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(NumericError, match=str(path)):
+            nn.save_checkpoint(path, {"a": nn.Tensor(np.ones(5000)), "b": nn.Tensor([np.inf])})
+        assert not list(tmp_path.iterdir())

@@ -4,13 +4,18 @@ import dataclasses
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import higen
 from higen import cli
 from higen import data as dt
 from higen import decoder as dec
@@ -24,6 +29,30 @@ from higen.config import PipelineConfig, variant_parse
 from higen.errors import CheckpointError, ConfigError
 from higen.evaluate import EvalReport
 from higen.pipeline import run_ablation_study, run_kfold, run_pipeline
+
+
+# prints cli.main's exit code and OpenBLAS's thread count before and after it
+BLAS_PROBE = """
+import ctypes, glob, os, sys
+import numpy as np
+from higen import cli
+
+def threads():
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                       "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return getter()
+    return None
+
+before = threads()
+code = cli.main(["gen-synthetic", "--out", sys.argv[1], "--items", "12", "--categories", "2"])
+print(code, before, threads())
+"""
 
 
 @pytest.fixture(scope="module")
@@ -428,6 +457,24 @@ class TestQuickCorpusCli:
         path = quick_config(quick, tmp_path, catalog_path=str(catalog),
                             category_clustering=False)
         assert cli.main(["run-all", "--config", str(path)]) == 0
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("env_threads", [None, "2"])
+    def test_main_runs_openblas_on_one_thread_unless_the_user_set_a_count(self, tmp_path,
+                                                                         env_threads):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(higen.__file__).parent.parent), env.get("PYTHONPATH", "")])
+        if env_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = env_threads
+        done = subprocess.run([sys.executable, "-c", BLAS_PROBE, str(tmp_path / "corpus")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        code, before, after = done.stdout.split()[-3:]
+        if before == "None":
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        assert code == "0"
+        assert int(after) == (1 if env_threads is None else int(before))
 
 
 class TestJsonConstants:

@@ -1,6 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import auc_score, finite_diff_gradcheck, ref_attention, ref_cosine, ref_dense
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (auc_score, export_atomic_graph, finite_diff_gradcheck, ref_attention,
+                     ref_cosine, ref_dense)
 
 from higen import nn
 from higen import representation as rep
@@ -314,6 +320,70 @@ class TestExport:
         assert set(loaded) == set(table)
         for k in table:
             assert np.array_equal(loaded[k].efficient, table[k].efficient)
+
+
+def export_world(n, seed):
+    """(model, items): a default-width model over n items of 0 to 6 semantic tokens,
+    some of them ("x") unknown to the vocabulary, and efficiency statistics that
+    move every feature."""
+    rng = np.random.default_rng(seed)
+    items = [Item(f"it{i:05d}", (101 + i % 3,),
+                  tuple(f"{'x' if t % 5 == 0 else 'w'}{t}"
+                        for t in rng.integers(0, 60, rng.integers(0, 7))),
+                  tuple(rng.normal(size=2)), 0.5) for i in range(n)]
+    known = [dataclasses.replace(it, semantic_tokens=tuple(
+        t for t in it.semantic_tokens if t[0] == "w")) for it in items]
+    rows = [DatasetRow("u0", "q", (), items[0].item_id, 1, 1, 0.0)]
+    model = rep.TwoTowerModel(rep.Vocab.build(rows, known), rep.TwoTowerConfig(seed=seed))
+    model.eff_mean = rng.normal(size=2)
+    model.eff_std = rng.uniform(0.5, 2.0, size=2)
+    return model, items
+
+
+def bits(vectors):
+    return [(v.dtype.str, v.shape, v.tobytes()) for v in vectors]
+
+
+class TestGraphFreeExport:
+    """export_atomic_embeddings gives the graph's bits (tests/oracles.py), on both
+    sides of every block edge."""
+
+    @pytest.mark.parametrize("n", [1, rep.EXPORT_BLOCK - 1, rep.EXPORT_BLOCK,
+                                   rep.EXPORT_BLOCK + 1, 3 * rep.EXPORT_BLOCK + 7])
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16))
+    def test_equals_the_graph_export_bit_for_bit(self, n, seed):
+        model, items = export_world(n, seed)
+        got = rep.export_atomic_embeddings(model, items)
+        want = export_atomic_graph(model, items)
+        assert list(got) == list(want)
+        for item_id, a in want.items():
+            b = got[item_id]
+            assert bits([b.semantic, b.common, b.efficient]) == \
+                bits([a.semantic, a.common, a.efficient])
+
+    def test_no_items_export_to_nothing(self):
+        model, _items = export_world(3, 0)
+        assert rep.export_atomic_embeddings(model, []) == {}
+
+    def test_works_in_less_than_one_gathered_token_array(self):
+        # The graph holds the (n, sem_len, d_atomic) gathered token vectors, their
+        # weighted copy and every other node until it returns; the export holds
+        # EXPORT_BLOCK rows of each. The table it returns (kept - start, about
+        # 1.2 KB an item) outweighs one such array by itself, so the bound is on
+        # the working memory above it.
+        model, items = export_world(3000, 1)
+        cfg = model.config
+        assert (cfg.sem_len, cfg.d_atomic) == (4, 32)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            table = rep.export_atomic_embeddings(model, items)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 3000 and kept > start
+        assert peak - kept < 3000 * cfg.sem_len * cfg.d_atomic * 8
 
 
 class TestCheckpoint:
