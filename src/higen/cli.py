@@ -132,7 +132,7 @@ def cmd_expand(args) -> int:
     def decoded(rec):
         pairs = []
         for res in rec["results"]:
-            node = trie.node_at(di.parse_docid_text(str(res["docid"])))
+            node = trie.node_at(tuple(map(int, str(res["docid"]).split("-"))))
             if node is None or node.docid is None:
                 raise DataError(f"docid {res['docid']!r} not present in the index")
             logprob = float(res.get("logprob", 0.0))

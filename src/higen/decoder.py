@@ -250,7 +250,7 @@ class DecoderModel:
 def load_for_index(index_path, checkpoint_path) -> tuple[DecoderModel, DocIdTrie]:
     """The decoder checkpoint and the trie of the index; a checkpoint trained
     on the docIDs of another index raises CheckpointError."""
-    _docids, _node_scores, trie = load_index(index_path)
+    _docids, _scores, trie = load_index(index_path)
     model = DecoderModel.load(checkpoint_path)
     if model.pos_vocab.docid_map != PositionVocab(trie).docid_map:
         raise CheckpointError(f"{checkpoint_path} has no record of training on the docIDs of "

@@ -1,8 +1,10 @@
 """Structured docID construction: per-category hierarchical k-means over the
-fused item embeddings, per-node efficiency scores, and the prefix trie used
-to constrain decoding.
+fused item embeddings, and the prefix trie used to constrain decoding.
 
-`build_trie` inserts the docIDs in token order, then numbers the nodes
+`index.json` is {"version": 2, "docids": {item_id: {"tokens": [...],
+"semantic_len": s, "score": efficient score}}}, the first s tokens being the
+category path. It stores no node score: `build_trie` derives them all from the
+item scores. It inserts the docIDs in token order, then numbers the nodes
 breadth first, so that each node's children are one run of ids (`DocIdTrie`)."""
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ log = logging.getLogger(__name__)
 
 KMEANS_MAX_ITER = 100
 KMEANS_REL_TOL = 1e-4
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -32,13 +34,6 @@ class DocId:
 
     def text(self) -> str:
         return "-".join(str(t) for t in self.tokens)
-
-
-def parse_docid_text(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(map(int, text.split("-")))
-    except ValueError as exc:
-        raise DataError(f"malformed docID text {text!r}") from exc
 
 
 def child_seed(seed: int, salt: int) -> int:
@@ -158,8 +153,8 @@ def _hier(points, scores, ids, k: int, cs: int, levels: int, seed: int) -> list[
 def build_docids(fusion: dict[str, np.ndarray], scores: dict[str, float],
                  paths: dict[str, tuple[int, ...]], max_len: int = 8, k: int = 10,
                  cs: int = 100, seed: int = 0, use_categories: bool = True):
-    """Cluster each leaf category's items and assemble docIDs; returns
-    (item -> DocId, token-prefix -> mean member efficient score).
+    """Cluster each leaf category's items and assemble their docIDs (item ->
+    DocId); efficient scores order the ordinal tokens.
 
     With use_categories=False all items form one group with an empty
     semantic prefix (the clustering-ablation variant).
@@ -199,16 +194,7 @@ def build_docids(fusion: dict[str, np.ndarray], scores: dict[str, float],
                          max_len - len(path) - 2, child_seed(seed, 7919 * gi + c))
             for local, item_id in enumerate(cluster_ids):
                 docids[item_id] = DocId(path + (c,) + rest[local], semantic_len=len(path))
-
-    sums: dict[tuple[int, ...], float] = {}
-    counts: dict[tuple[int, ...], int] = {}
-    for item_id, d in docids.items():
-        for t in range(d.semantic_len, len(d.tokens)):
-            prefix = d.tokens[:t + 1]
-            sums[prefix] = sums.get(prefix, 0.0) + scores[item_id]
-            counts[prefix] = counts.get(prefix, 0) + 1
-    node_scores = {prefix: sums[prefix] / counts[prefix] for prefix in sums}
-    return docids, node_scores
+    return docids
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +202,11 @@ def build_docids(fusion: dict[str, np.ndarray], scores: dict[str, float],
 
 
 class TrieNode:
-    __slots__ = ("children", "item_id", "score", "docid", "id", "head", "lo", "hi")
+    __slots__ = ("children", "item_id", "docid", "id", "head", "lo", "hi")
 
-    def __init__(self, lo: int = 0, score: float | None = None):
+    def __init__(self, lo: int = 0):
         self.children: dict[int, TrieNode] = {}
         self.item_id: str | None = None
-        self.score = score
         self.docid: DocId | None = None
         self.id = 0             # breadth-first number, DocIdTrie.nodes[id]
         self.head = -1          # column of this node's token in its position's head
@@ -231,35 +216,33 @@ class TrieNode:
 
 
 class DocIdTrie:
-    """Prefix tree over the docID set; leaves carry item ids, sub-semantic
-    nodes carry the mean member efficient score. `values[t]` holds the tokens
-    at depth t in ascending order, `leaves` every leaf in lexicographic order.
-    `nodes` lists the nodes breadth first (root = id 0): node i's children are
-    the ids first[i]:first[i] + counts[i] in token order, counts == 0 marks
-    leaves, and `heads`, `los` and `scores` (NaN for none) give each node's
-    head column, first leaf index and score."""
+    """Prefix tree over the docID set; leaves carry item ids. `values[t]` holds
+    the tokens at depth t in ascending order, `leaves` every leaf (tokens,
+    item_id, item score) in lexicographic order. `nodes` lists the nodes
+    breadth first (root = id 0): node i's children are the ids first[i]:
+    first[i] + counts[i] in token order, counts == 0 marks leaves, and `heads`
+    and `los` give each node's head column and first leaf index. `build_trie`
+    sets `scores`, each node's efficiency score (NaN for none)."""
 
     def __init__(self):
         self.root = TrieNode()
         self.n_items = 0
         self.max_depth = 0
         self.values: list[list[int]] = []
-        self.leaves: list[tuple[tuple[int, ...], str, float | None]] = []
+        self.leaves: list[tuple[tuple[int, ...], str, float]] = []
         self.nodes: list[TrieNode] = [self.root]
 
-    def insert(self, docid: DocId, item_id: str,
-               node_scores: dict[tuple[int, ...], float] | None = None) -> None:
-        """Add one docID, its new nodes scored from node_scores. Leaf ranges
-        and `leaves` hold only if docIDs are inserted in token order."""
+    def insert(self, docid: DocId, item_id: str, score: float) -> None:
+        """Add one docID and its item's score. Leaf ranges and `leaves` hold
+        only if docIDs are inserted in token order."""
         tokens, node, lo = docid.tokens, self.root, len(self.leaves)
-        for t, tok in enumerate(tokens):
+        for tok in tokens:
             child = node.children.get(tok)
             if child is None:
                 if node.item_id is not None:
                     raise IndexBuildError(f"docID {docid.text()} extends below leaf item "
                                           f"{node.item_id}")
-                score = node_scores.get(tokens[:t + 1]) if node_scores else None
-                child = node.children[tok] = TrieNode(lo, None if score is None else float(score))
+                child = node.children[tok] = TrieNode(lo)
             node = child
         if node.item_id is not None:
             raise IndexBuildError(f"duplicate docID {docid.text()}")
@@ -267,7 +250,7 @@ class DocIdTrie:
             raise IndexBuildError(f"docID {docid.text()} is a prefix of an existing docID")
         node.item_id = item_id
         node.docid = docid
-        self.leaves.append((tokens, item_id, node.score))
+        self.leaves.append((tokens, item_id, score))
         self.n_items += 1
         self.max_depth = max(self.max_depth, len(tokens))
 
@@ -297,8 +280,8 @@ class DocIdTrie:
                 out[row, t] = node.id
         return out
 
-    def items_under(self, prefix) -> list[tuple[tuple[int, ...], str, float | None]]:
-        """(tokens, item_id, leaf score) for every leaf below the prefix, in
+    def items_under(self, prefix) -> list[tuple[tuple[int, ...], str, float]]:
+        """(tokens, item_id, item score) for every leaf below the prefix, in
         lexicographic token order."""
         node = self.node_at(prefix)
         return [] if node is None else self.leaves[node.lo:node.hi]
@@ -322,17 +305,25 @@ class DocIdTrie:
         self.first = np.cumsum(self.counts) - self.counts + 1
         self.heads = np.array([node.head for node in self.nodes], dtype=np.intp)
         self.los = np.array([node.lo for node in self.nodes], dtype=np.intp)
-        self.scores = np.array([node.score for node in self.nodes], dtype=float)  # None -> NaN
 
 
-def build_trie(docids: dict[str, DocId], node_scores: dict[tuple[int, ...], float]) -> DocIdTrie:
+def build_trie(docids: dict[str, DocId], scores: dict[str, float]) -> DocIdTrie:
+    """The trie of the docIDs. Each node past the semantic prefix of some
+    docID below it scores the mean score of those docIDs' items, summed in
+    item-id order; every other node scores NaN."""
     trie = DocIdTrie()
     for item_id, d in sorted(docids.items(), key=lambda kv: kv[1].tokens):
-        trie.insert(d, item_id, node_scores)
+        trie.insert(d, item_id, scores[item_id])
     trie.lay_out()
-    if np.count_nonzero(~np.isnan(trie.scores)) != len(node_scores):    # no score is NaN
-        prefix = next(p for p in node_scores if trie.node_at(p) is None)
-        raise IndexBuildError(f"score refers to missing trie node {prefix}")
+    items = sorted(docids)
+    ids = trie.paths([docids[i].tokens for i in items])
+    starts = np.array([docids[i].semantic_len for i in items])
+    past = (ids >= 0) & (np.arange(ids.shape[1]) >= starts[:, None])
+    item_scores = np.array([scores[i] for i in items], dtype=float)
+    # bincount adds up each node's scores in row order, as a loop over the items would
+    sums = np.bincount(ids[past], item_scores[past.nonzero()[0]], len(trie.nodes))
+    counts = np.bincount(ids[past], minlength=len(trie.nodes))
+    trie.scores = sums / np.where(counts > 0, counts, np.nan)
     return trie
 
 
@@ -340,41 +331,48 @@ def build_trie(docids: dict[str, DocId], node_scores: dict[tuple[int, ...], floa
 # persistence
 
 
-def serialize_index(docids: dict[str, DocId], node_scores: dict[tuple[int, ...], float],
-                    path) -> None:
+def serialize_index(docids: dict[str, DocId], scores: dict[str, float], path) -> None:
     write_json(path, {
         "version": INDEX_VERSION,
-        "docids": {item_id: {"tokens": list(d.tokens), "semantic_len": d.semantic_len}
+        "docids": {item_id: {"tokens": list(d.tokens), "semantic_len": d.semantic_len,
+                             "score": scores[item_id]}
                    for item_id, d in sorted(docids.items())},
-        "node_scores": {"-".join(str(t) for t in prefix): score
-                        for prefix, score in sorted(node_scores.items())},
     })
 
 
 def load_index(path):
-    """(docids, node_scores, trie); a bad index, one whose docID prefixes past
-    the semantic prefix lack a node score included, raises CheckpointError.
+    """(docids, item scores, trie); a bad index, an empty or older one, or one
+    with a docID record whose tokens are no ints, whose semantic_len is no int
+    in [0, len(tokens)) or whose score is no number included, raises
+    CheckpointError.
 
     The cyclic collector is paused meanwhile (and its state then restored): the
     load makes many objects and no cycles, so each collection it set off would
     scan them and free nothing."""
 
     def decode(doc):
-        docids = {item_id: DocId(tuple(rec["tokens"]), rec["semantic_len"])
-                  for item_id, rec in doc["docids"].items()}
-        node_scores = {parse_docid_text(key): float(score)
-                       for key, score in doc["node_scores"].items()}
-        for d in docids.values():
-            for t in range(d.semantic_len + 1, len(d.tokens) + 1):
-                if d.tokens[:t] not in node_scores:
-                    raise CheckpointError(f"{path}: no node score for docID prefix "
-                                          f"{'-'.join(map(str, d.tokens[:t]))}")
-        return docids, node_scores, build_trie(docids, node_scores)
+        if doc["version"] < INDEX_VERSION:
+            raise CheckpointError(f"{path}: version {doc['version']} is too old; "
+                                  f"re-run build-docids")
+        if not doc["docids"]:
+            raise CheckpointError(f"{path}: no docIDs")
+        docids, scores = {}, {}
+        for item_id, rec in doc["docids"].items():
+            tokens, semantic_len, score = map(rec.get, ("tokens", "semantic_len", "score"))
+            # type(...) is int: a bool is no token or length
+            if not (isinstance(tokens, list) and {*map(type, tokens)} == {int}
+                    and type(semantic_len) is int and 0 <= semantic_len < len(tokens)
+                    and type(score) in (int, float)):
+                raise CheckpointError(f"{path}: item {item_id!r} needs int tokens, a semantic_len "
+                                      f"in [0, len(tokens)) and a number score, not {rec}")
+            docids[item_id] = DocId(tuple(tokens), semantic_len)
+            scores[item_id] = float(score)
+        return docids, scores, build_trie(docids, scores)
 
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return read_json(path, {"docids": dict, "node_scores": dict}, INDEX_VERSION, decode)
+        return read_json(path, {"docids": dict}, INDEX_VERSION, decode)
     finally:
         if enabled:
             gc.enable()

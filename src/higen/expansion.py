@@ -63,8 +63,7 @@ def cluster_expand(decoded, trie: DocIdTrie, prefix_len_k: int) -> RecallSet:
         raise ConfigError(f"prefix length {prefix_len_k} outside [1, {trie.max_depth}]")
     expanded: dict[str, float] = {}
     for hit in decoded:
-        for _tokens, item_id, leaf_score in trie.items_under(hit[0].tokens[:prefix_len_k]):
-            score = leaf_score if leaf_score is not None else 0.0
+        for _tokens, item_id, score in trie.items_under(hit[0].tokens[:prefix_len_k]):
             if item_id not in expanded or score > expanded[item_id]:
                 expanded[item_id] = score
     return RecallSet([RecallEntry(i, "cluster", s)

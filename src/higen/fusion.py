@@ -1,7 +1,7 @@
 """Metric-learning fusion: collapse the three atomic embeddings into one
 discriminative vector and refine it with page-view triplets.
 
-Training runs the fusion net as a graph (`FusionModel.fuse_batch`); `fuse_table`
+Training runs the fusion net as a graph (`FusionModel.net.forward`); `fuse_table`
 runs it over the whole catalog in plain numpy, with the graph's bits."""
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ class FusionModel:
 
     def params(self) -> dict[str, nn.Tensor]:
         return self.net.params()
-
-    def fuse_batch(self, x: nn.Tensor) -> nn.Tensor:
-        return self.net.forward(x)
 
     def save(self, path) -> None:
         nn.save_checkpoint(path, self.params(),
@@ -140,8 +137,8 @@ def train_metric(atomic_table: dict[str, AtomicEmbeddings], pvs: list[PageView],
         a = nn.Tensor(np.stack([inputs[t.anchor] for t in batch]))
         p = nn.Tensor(np.stack([inputs[t.positive] for t in batch]))
         n = nn.Tensor(np.stack([inputs[t.negative] for t in batch]))
-        return triplet_loss_batch(model.fuse_batch(a), model.fuse_batch(p),
-                                  model.fuse_batch(n), config.margin), {}
+        return triplet_loss_batch(model.net.forward(a), model.net.forward(p),
+                                  model.net.forward(n), config.margin), {}
 
     nn.fit(model.params(), len(triplets), batch_loss, lr=config.lr, epochs=config.epochs,
            batch_size=config.batch_size, seed=config.seed, stage="metric")

@@ -168,19 +168,19 @@ def _metric(c, work: Path, out: Path) -> None:
 
 def _docids(c, work: Path, out: Path) -> None:
     catalog = _catalog(c)
-    docids, node_scores = di.build_docids(
-        fu.read_fusion_jsonl(work / "fusion.jsonl"),
-        {it.item_id: it.efficient_score for it in catalog},
+    scores = {it.item_id: it.efficient_score for it in catalog}
+    docids = di.build_docids(
+        fu.read_fusion_jsonl(work / "fusion.jsonl"), scores,
         {it.item_id: it.category_path for it in catalog}, max_len=c.docid_max_len,
         k=c.kmeans_k, cs=c.max_cluster, seed=c.seed, use_categories=c.category_clustering)
-    di.serialize_index(docids, node_scores, out / "index.json")
+    di.serialize_index(docids, scores, out / "index.json")
 
 
 def _decoder(c, work: Path, out: Path) -> None:
     catalog = _catalog(c)
     train = _train(c, catalog)
     oracle_pairs = dt.read_oracle_jsonl(c.oracle_path) if c.oracle_path else []
-    docids, _node_scores, trie = di.load_index(work / "index.json")
+    docids, _scores, trie = di.load_index(work / "index.json")
     weights = dec.PositionWeightConfig(
         dec.RelevanceOracle(oracle_pairs), trie, lambda_h=c.lambda_h, lambda_s=c.lambda_s,
         lambda_e=c.lambda_e, position_aware=c.position_aware)

@@ -56,17 +56,29 @@ def hierarchical_cluster(points, k: int, cs: int, depth_budget: int,
 
 
 def build_random_index(seed, k=4, cs=8, max_len=16, use_categories=True, **kw):
+    """(docids, item scores, trie) over random_index_inputs."""
     fusion, scores, paths = random_index_inputs(seed, **kw)
-    docids, node_scores = di.build_docids(fusion, scores, paths, max_len=max_len, k=k,
-                                          cs=cs, seed=seed, use_categories=use_categories)
-    return docids, node_scores, di.build_trie(docids, node_scores)
+    docids = di.build_docids(fusion, scores, paths, max_len=max_len, k=k, cs=cs, seed=seed,
+                             use_categories=use_categories)
+    return docids, scores, di.build_trie(docids, scores)
+
+
+def trie_node_scores(trie) -> dict[tuple[int, ...], float]:
+    """Token prefix -> score of every node the trie scores."""
+    out, stack = {}, [((), trie.root)]
+    while stack:
+        prefix, node = stack.pop()
+        if not np.isnan(trie.scores[node.id]):
+            out[prefix] = trie.scores[node.id]
+        stack.extend((prefix + (tok,), child) for tok, child in node.children.items())
+    return out
 
 
 def decoder_world(seed, n_items=30, n_cats=3, emb=4, d_model=6, hidden=(8,), path_len=1,
                   **cfg_kw):
     """Random docID index plus an untrained decoder model over it."""
-    docids, node_scores, trie = build_random_index(seed, n_items=n_items, n_cats=n_cats,
-                                                   path_len=path_len)
+    docids, scores, trie = build_random_index(seed, n_items=n_items, n_cats=n_cats,
+                                              path_len=path_len)
     catalog = [Item(item_id, d_paths_of(docids[item_id]), (f"s{item_id}",), (0.5,), 0.5)
                for item_id in sorted(docids)]
     rows = [DatasetRow(f"u{i % 3}", f"q{item_id}", (), item_id, 1, 1, 600.0 * i)
@@ -75,7 +87,7 @@ def decoder_world(seed, n_items=30, n_cats=3, emb=4, d_model=6, hidden=(8,), pat
     vocab_rows = rows
     model = dec.DecoderModel(dec.Vocab.build(vocab_rows, catalog), dec.PositionVocab(trie),
                              cfg)
-    return docids, node_scores, trie, catalog, rows, model
+    return docids, scores, trie, catalog, rows, model
 
 
 def d_paths_of(d):

@@ -127,7 +127,7 @@ def fuse(atomic, model) -> np.ndarray:
     if x.shape[0] != 3 * model.d_atomic:
         raise DimensionError(f"atomic width {x.shape[0]} does not match fusion input "
                              f"{3 * model.d_atomic}")
-    return model.fuse_batch(nn.Tensor(x[None, :])).data[0]
+    return model.net.forward(nn.Tensor(x[None, :])).data[0]
 
 
 def export_atomic_graph(model, items) -> dict:
@@ -141,12 +141,12 @@ def export_atomic_graph(model, items) -> dict:
 
 
 def fuse_table_graph(atomic_table, model) -> dict:
-    """fuse_table as the graph computes it: `model.fuse_batch` over all items."""
+    """fuse_table as the graph computes it: `model.net.forward` over all items."""
     ids = sorted(atomic_table)
     if not ids:
         return {}
     x = np.stack([fusion.atomic_concat(atomic_table[i]) for i in ids])
-    out = model.fuse_batch(nn.Tensor(x)).data
+    out = model.net.forward(nn.Tensor(x)).data
     return {item_id: out[i].copy() for i, item_id in enumerate(ids)}
 
 
@@ -329,8 +329,8 @@ def swing_scores_loop(interactions, alpha: float = 1.0, top_n: int = 50) -> ex.I
     return ex.I2ITable(neighbors)
 
 
-def items_under_walk(trie, prefix) -> list[tuple[tuple[int, ...], str, float | None]]:
-    """(tokens, item_id, leaf score) for every leaf below the prefix, found by
+def items_under_walk(trie, prefix) -> list[tuple[tuple[int, ...], str, float]]:
+    """(tokens, item_id, leaf node score) for every leaf below the prefix, found by
     a recursive walk over the sorted children; the reference for the leaf
     slices the trie lays out once."""
     node = trie.node_at(prefix)
@@ -340,12 +340,28 @@ def items_under_walk(trie, prefix) -> list[tuple[tuple[int, ...], str, float | N
 
     def walk(n, cur):
         if n.item_id is not None:
-            out.append((cur, n.item_id, n.score))
+            out.append((cur, n.item_id, trie.scores[n.id]))
         for tok in sorted(n.children):
             walk(n.children[tok], cur + (tok,))
 
     walk(node, tuple(prefix))
     return out
+
+
+def node_scores_loop(docids, scores) -> dict[tuple[int, ...], float]:
+    """Each docID prefix past the semantic prefix of a docID below it -> the
+    mean score of those docIDs' items, summed in the order of `docids`, in
+    which `build_docids` adds the items below each such prefix by item id;
+    the reference for the node scores `docid.build_trie` derives."""
+    sums: dict[tuple[int, ...], float] = {}
+    counts: dict[tuple[int, ...], int] = {}
+    for item_id, d in docids.items():
+        for t in range(d.semantic_len, len(d.tokens)):
+            prefix = d.tokens[:t + 1]
+            sums[prefix] = sums.get(prefix, 0.0) + scores[item_id]
+            counts[prefix] = counts.get(prefix, 0) + 1
+    node_scores = {prefix: sums[prefix] / counts[prefix] for prefix in sums}
+    return node_scores
 
 
 @dataclass(frozen=True)
@@ -438,7 +454,8 @@ def position_aware_loss_loop(batch, model, weights):
             counts[t] = counts.get(t, 0) + 1
             if weights.position_aware:
                 w[pos] = position_weight(t, len(tokens) - 1, batch.targets[i].semantic_len,
-                                         y_t, y_hat, lambda tok: node.children[tok].score,
+                                         y_t, y_hat,
+                                         lambda tok: weights.trie.scores[node.children[tok].id],
                                          weights.oracle, weights.lambda_h, weights.lambda_s,
                                          weights.lambda_e)
             nodes[i] = node.children[y_t]

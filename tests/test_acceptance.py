@@ -67,9 +67,9 @@ def test_c01_gradient_correctness():
         xa, xp, xn = (rng.normal(size=(8, 12)) for _ in range(3))
 
         def triplet_loss_fn():
-            return fu.triplet_loss_batch(fmodel.fuse_batch(nn.Tensor(xa)),
-                                         fmodel.fuse_batch(nn.Tensor(xp)),
-                                         fmodel.fuse_batch(nn.Tensor(xn)), 0.3)
+            return fu.triplet_loss_batch(fmodel.net.forward(nn.Tensor(xa)),
+                                         fmodel.net.forward(nn.Tensor(xp)),
+                                         fmodel.net.forward(nn.Tensor(xn)), 0.3)
 
         err_triplet = finite_diff_gradcheck(triplet_loss_fn, fmodel.params(), eps=1e-5)
         assert err_triplet < 1e-4, f"triplet loss gradcheck {err_triplet}"
@@ -110,7 +110,7 @@ def test_c03_docid_invariants_on_random_catalogs():
         started = time.perf_counter()
         rng = np.random.default_rng(2024)
         cs = 8
-        from helpers import random_index_inputs
+        from helpers import random_index_inputs, trie_node_scores
 
         for trial in range(200):
             seed = int(rng.integers(1 << 30))
@@ -119,9 +119,9 @@ def test_c03_docid_invariants_on_random_catalogs():
             path_len = int(rng.integers(1, 3))
             fusion, scores, paths = random_index_inputs(seed, n_items=n_items,
                                                         n_cats=n_cats, path_len=path_len)
-            docids, node_scores = di.build_docids(fusion, scores, paths, max_len=16, k=4,
-                                                  cs=cs, seed=seed)
-            trie = di.build_trie(docids, node_scores)
+            docids = di.build_docids(fusion, scores, paths, max_len=16, k=4, cs=cs, seed=seed)
+            trie = di.build_trie(docids, scores)
+            node_scores = trie_node_scores(trie)
 
             texts = {d.text() for d in docids.values()}
             assert len(texts) == len(docids) == n_items, "docID uniqueness violated"

@@ -100,12 +100,7 @@ def handset_world(docid_map, scores, semantic_len=1):
     if isinstance(semantic_len, int):
         semantic_len = dict.fromkeys(docid_map, semantic_len)
     docids = {item: di.DocId(tok, semantic_len[item]) for item, tok in docid_map.items()}
-    node_scores = {}
-    for item, d in docids.items():
-        for t in range(d.semantic_len, len(d.tokens)):
-            node_scores.setdefault(d.tokens[:t + 1], []).append(scores[item])
-    node_scores = {p: float(np.mean(v)) for p, v in node_scores.items()}
-    trie = di.build_trie(docids, node_scores)
+    trie = di.build_trie(docids, scores)
     catalog = [Item(i, tuple(d.tokens[:d.semantic_len]) or (0,), (i,), (0.5,), scores[i])
                for i, d in docids.items()]
     rows = [DatasetRow("u0", f"q {i}", (), i, 1, 1, 0.0) for i in sorted(docids)]
@@ -150,7 +145,7 @@ class TestGreedyArgmaxToken:
         paths = {"a": (1, 5, 9, 0), "b": (1, 6, 9, 0), "c": (2, 7, 0), "d": (2, 7, 1),
                  "e": (2, 7, 2)}
         trie = di.build_trie({i: di.DocId(tok, len(tok) - 1) for i, tok in paths.items()},
-                             {tok: 0.5 for tok in paths.values()})
+                             dict.fromkeys(paths, 0.5))
         assert trie.values[1] == [5, 6, 7] and trie.heads[trie.node_at((1, 5, 9)).id] == 3
         ids = np.array([trie.node_at((1,)).id, trie.node_at((2,)).id])
         got = dec.greedy_argmax_token(trie, ids, np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 0.0]]))
@@ -312,7 +307,7 @@ class TestPositionAwareLoss:
             dec.position_aware_loss(batch, model, weights)
 
     def test_gradcheck(self):
-        docids, node_scores, trie, catalog, rows, model = decoder_world(
+        docids, _scores, trie, catalog, rows, model = decoder_world(
             1, n_items=8, n_cats=2, emb=2, d_model=3, hidden=(3,))
         weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
         batch = model.prepare_rows(rows[:2], docids)
@@ -361,9 +356,9 @@ class TestPositionAwareLoss:
 
 class TestBeamSearch:
     def test_single_docid_always_returned(self):
-        docids, node_scores, trie, catalog, rows, model = decoder_world(3, n_items=25)
+        docids, _scores, trie, catalog, rows, model = decoder_world(3, n_items=25)
         single = {"only": di.DocId((3, 0), 1)}
-        strie = di.build_trie(single, {(3, 0): 0.5})
+        strie = di.build_trie(single, {"only": 0.5})
         # model vocab does not know token 3 at position 0 -> rebuild over it
         model2 = dec.DecoderModel(model.vocab, dec.PositionVocab(strie), model.config)
         got = dec.constrained_beam_search(rows[0], model2, strie, 4, 1)
@@ -372,7 +367,7 @@ class TestBeamSearch:
 
     def test_supply_exhausted_returns_fewer(self):
         two = {"a": di.DocId((1, 0), 1), "b": di.DocId((2, 0), 1)}
-        ttrie = di.build_trie(two, {(1, 0): 0.1, (2, 0): 0.2})
+        ttrie = di.build_trie(two, {"a": 0.1, "b": 0.2})
         rows = [DatasetRow("u0", "q", (), "a", 1, 1, 0.0)]
         cat = [Item("a", (1,), ("s",), (0.1,), 0.1), Item("b", (2,), ("s",), (0.1,), 0.1)]
         model = dec.DecoderModel(dec.Vocab.build(rows, cat), dec.PositionVocab(ttrie),
@@ -382,7 +377,7 @@ class TestBeamSearch:
 
     def test_wide_beam_matches_brute_force_exactly(self):
         for seed in range(6):
-            docids, node_scores, trie, catalog, rows, model = decoder_world(
+            docids, _scores, trie, catalog, rows, model = decoder_world(
                 seed + 10, n_items=40, n_cats=3)
             want = dec.brute_force_scores(model, trie, rows[0])
             got = dec.constrained_beam_search(rows[0], model, trie,
@@ -391,7 +386,7 @@ class TestBeamSearch:
             np.testing.assert_array_equal([g[1] for g in got], [w[1] for w in want])
 
     def test_output_always_within_trie(self):
-        docids, node_scores, trie, catalog, rows, model = decoder_world(21, n_items=60)
+        docids, _scores, trie, catalog, rows, model = decoder_world(21, n_items=60)
         valid = {d.tokens for d in docids.values()}
         for row in rows[:5]:
             for d, lp, item in dec.constrained_beam_search(row, model, trie, 4, 4):
@@ -399,7 +394,7 @@ class TestBeamSearch:
                 assert lp <= 0.0
 
     def test_parameter_validation(self):
-        docids, node_scores, trie, catalog, rows, model = decoder_world(2, n_items=10)
+        docids, _scores, trie, catalog, rows, model = decoder_world(2, n_items=10)
         with pytest.raises(ConfigError):
             dec.constrained_beam_search(rows[0], model, trie, 2, 3)
         with pytest.raises(IndexBuildError):
@@ -447,6 +442,7 @@ class TestBeamSearch:
 
         def snapshot():
             return ([a.tolist() for a in (trie.heads, trie.los, trie.first, trie.counts)],
+                    trie.scores.tobytes(),
                     [[copy.copy(getattr(node, slot)) for slot in type(node).__slots__]
                      for node in trie.nodes],
                     list(trie.nodes), list(trie.leaves), [list(v) for v in trie.values],
@@ -523,7 +519,7 @@ class TestEncodeInfer:
 
 class TestTrainDecoder:
     def test_memorizes_twenty_pairs(self):
-        docids, node_scores, trie, catalog, rows, model = decoder_world(
+        docids, _scores, trie, catalog, rows, model = decoder_world(
             7, n_items=20, n_cats=4)
         weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
         cfg = dec.DecoderConfig(emb=8, d_model=24, hidden=(32,), lr=0.02, batch_size=20,
@@ -540,8 +536,8 @@ class TestTrainDecoder:
         # the semantic prefix is 3 tokens long, so node scores start at depth 4
         fusion, scores, paths = random_index_inputs(5, n_items=40, n_cats=4, path_len=1)
         paths = {item: (1, 3, path[0]) for item, path in paths.items()}
-        docids, node_scores = di.build_docids(fusion, scores, paths, max_len=8, k=3, cs=4)
-        trie = di.build_trie(docids, node_scores)
+        docids = di.build_docids(fusion, scores, paths, max_len=8, k=3, cs=4)
+        trie = di.build_trie(docids, scores)
         assert {d.semantic_len for d in docids.values()} == {3}
         catalog = [Item(i, paths[i], (f"s{i}",), (0.5,), scores[i]) for i in sorted(docids)]
         rows = [DatasetRow(f"u{j % 3}", f"q{i}", (), i, 1, 1, 600.0 * j)
@@ -553,7 +549,7 @@ class TestTrainDecoder:
         assert len(history) == 2 and np.isfinite(history[-1]["loss"])
 
     def test_seed_reproducibility(self):
-        docids, node_scores, trie, catalog, rows, model = decoder_world(4, n_items=12)
+        docids, _scores, trie, catalog, rows, model = decoder_world(4, n_items=12)
         weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
         cfg = dec.DecoderConfig(emb=3, d_model=4, hidden=(4,), lr=0.01, batch_size=6,
                                 epochs=3, seed=5)
@@ -563,7 +559,7 @@ class TestTrainDecoder:
             assert np.array_equal(ta.data, tb.data)
 
     def test_checkpoint_roundtrip(self, tmp_path):
-        docids, node_scores, trie, catalog, rows, model = decoder_world(4, n_items=12)
+        docids, _scores, trie, catalog, rows, model = decoder_world(4, n_items=12)
         path = tmp_path / "decoder.json"
         model.save(path)
         loaded = dec.DecoderModel.load(path)

@@ -6,10 +6,11 @@ import re
 
 import numpy as np
 import pytest
-from helpers import build_random_index, hierarchical_cluster, random_index_inputs
+from helpers import (build_random_index, hierarchical_cluster, random_index_inputs,
+                     trie_node_scores)
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import items_under_walk, kmeans_inertia
+from oracles import items_under_walk, kmeans_inertia, node_scores_loop
 
 from higen import decoder as dec
 from higen import docid as di
@@ -118,7 +119,7 @@ class TestBuildDocids:
         fusion = {f"i{j}": rng.normal(size=4) for j in range(12)}
         scores = {k: 0.5 for k in fusion}
         paths = {k: (2, 202) for k in fusion}
-        docids, _ = di.build_docids(fusion, scores, paths, max_len=6, k=3, cs=4, seed=0)
+        docids = di.build_docids(fusion, scores, paths, max_len=6, k=3, cs=4, seed=0)
         for d in docids.values():
             assert d.tokens[:2] == (2, 202)
             assert d.semantic_len == 2
@@ -126,16 +127,17 @@ class TestBuildDocids:
             assert 0 <= d.tokens[2] < max(3, 4)
 
     def test_singleton_category(self):
-        docids, _ = di.build_docids({"only": np.zeros(3)}, {"only": 0.7}, {"only": (5,)},
-                                    max_len=4, k=4, cs=8)
+        docids = di.build_docids({"only": np.zeros(3)}, {"only": 0.7}, {"only": (5,)},
+                                 max_len=4, k=4, cs=8)
         assert docids["only"].tokens == (5, 0, 0)
 
     def test_node_score_is_member_mean(self):
         fusion = {"a": np.zeros(2), "b": np.zeros(2) + 0.01}
         scores = {"a": 0.2, "b": 0.4}
         paths = {"a": (7,), "b": (7,)}
-        docids, node_scores = di.build_docids(fusion, scores, paths, max_len=4, k=1, cs=8)
-        assert node_scores[(7, 0)] == pytest.approx(0.3, abs=1e-15)
+        trie = di.build_trie(di.build_docids(fusion, scores, paths, max_len=4, k=1, cs=8),
+                             scores)
+        assert trie.scores[trie.node_at((7, 0)).id] == pytest.approx(0.3, abs=1e-15)
 
     def test_missing_inputs_listed(self):
         fusion = {"a": np.zeros(2), "b": np.zeros(2)}
@@ -144,7 +146,7 @@ class TestBuildDocids:
 
     def test_uniqueness_and_prefix_invariants(self):
         for seed in range(5):
-            docids, node_scores, _ = build_random_index(seed, n_items=120, n_cats=5)
+            docids, _scores, _ = build_random_index(seed, n_items=120, n_cats=5)
             texts = {d.text() for d in docids.values()}
             assert len(texts) == len(docids)
             by_path: dict[tuple, list[di.DocId]] = {}
@@ -155,9 +157,8 @@ class TestBuildDocids:
                     assert d.tokens[:d.semantic_len] == path
 
     def test_node_scores_match_bruteforce(self):
-        docids, node_scores, _ = build_random_index(3, n_items=80, n_cats=4)
-        _, scores, _ = random_index_inputs(3, n_items=80, n_cats=4)
-        for prefix, e in node_scores.items():
+        docids, scores, trie = build_random_index(3, n_items=80, n_cats=4)
+        for prefix, e in trie_node_scores(trie).items():
             want = np.mean([scores[i] for i, d in docids.items()
                             if d.tokens[:len(prefix)] == prefix])
             assert e == pytest.approx(want, abs=1e-12)
@@ -166,13 +167,12 @@ class TestBuildDocids:
         fusion, scores, paths = random_index_inputs(9, n_items=100, n_cats=4)
         a = di.build_docids(fusion, scores, paths, max_len=8, k=4, cs=8, seed=5)
         b = di.build_docids(fusion, scores, paths, max_len=8, k=4, cs=8, seed=5)
-        assert a[0] == b[0]
-        assert a[1] == b[1]
+        assert a == b
 
     def test_no_category_variant_has_empty_semantic_prefix(self):
         fusion, scores, paths = random_index_inputs(2, n_items=60, n_cats=4)
-        docids, _ = di.build_docids(fusion, scores, paths, max_len=8, k=4, cs=8,
-                                    use_categories=False)
+        docids = di.build_docids(fusion, scores, paths, max_len=8, k=4, cs=8,
+                                 use_categories=False)
         assert all(d.semantic_len == 0 for d in docids.values())
         assert len({d.tokens for d in docids.values()}) == len(docids)
 
@@ -188,9 +188,9 @@ class TestBuildDocids:
         with pytest.raises(DataError, match=re.escape(
                 "category path (1,) is a prefix of category path (1, 3)")):
             di.build_docids(fusion, scores, paths, max_len=8, k=k, cs=8)
-        docids, node_scores = di.build_docids(fusion, scores, paths, max_len=8, k=k, cs=8,
-                                              use_categories=False)
-        assert di.build_trie(docids, node_scores).n_items == len(fusion)
+        docids = di.build_docids(fusion, scores, paths, max_len=8, k=k, cs=8,
+                                 use_categories=False)
+        assert di.build_trie(docids, scores).n_items == len(fusion)
 
     @settings(max_examples=25, derandomize=True, deadline=None, database=None)
     @given(paths=st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
@@ -205,16 +205,15 @@ class TestBuildDocids:
             with pytest.raises(DataError, match="is a prefix of category path"):
                 di.build_docids(fusion, scores, items, max_len=8, k=2, cs=2, seed=seed)
             return
-        docids, node_scores = di.build_docids(fusion, scores, items, max_len=8, k=2, cs=2,
-                                              seed=seed)
-        trie = di.build_trie(docids, node_scores)   # unique and prefix-free, or it raises
+        docids = di.build_docids(fusion, scores, items, max_len=8, k=2, cs=2, seed=seed)
+        trie = di.build_trie(docids, scores)   # unique and prefix-free, or it raises
         assert trie.n_items == len(items)
         assert all(d.tokens[:d.semantic_len] == items[i] for i, d in docids.items())
 
 class TestTrie:
     def test_single_docid_is_a_chain(self):
         d = di.DocId((1, 2, 3), 1)
-        trie = di.build_trie({"x": d}, {(1, 2): 0.5, (1, 2, 3): 0.5})
+        trie = di.build_trie({"x": d}, {"x": 0.5})
         node = trie.root
         for tok in (1, 2, 3):
             assert list(node.children) == [tok]
@@ -224,12 +223,12 @@ class TestTrie:
     def test_shared_prefix_branches_after_semantic_layer(self):
         a = di.DocId((2, 202, 0, 0), 2)
         b = di.DocId((2, 202, 1, 0), 2)
-        trie = di.build_trie({"a": a, "b": b}, {})
+        trie = di.build_trie({"a": a, "b": b}, {"a": 0.1, "b": 0.2})
         node = trie.node_at((2, 202))
         assert sorted(node.children) == [0, 1]
 
     def test_roundtrip_enumeration(self):
-        docids, node_scores, trie = build_random_index(4, n_items=200, n_cats=6)
+        docids, _scores, trie = build_random_index(4, n_items=200, n_cats=6)
         got = {(tokens, item) for tokens, item, _score in trie.items_under(())}
         want = {(d.tokens, item) for item, d in docids.items()}
         assert got == want
@@ -247,28 +246,31 @@ class TestTrie:
     def test_duplicate_docid_raises(self):
         d = di.DocId((1, 0, 0), 1)
         trie = di.DocIdTrie()
-        trie.insert(d, "a")
+        trie.insert(d, "a", 0.5)
         with pytest.raises(IndexBuildError, match="duplicate"):
-            trie.insert(d, "b")
+            trie.insert(d, "b", 0.5)
 
     def test_prefix_conflict_raises(self):
         trie = di.DocIdTrie()
-        trie.insert(di.DocId((1, 0), 1), "a")
+        trie.insert(di.DocId((1, 0), 1), "a", 0.5)
         with pytest.raises(IndexBuildError):
-            trie.insert(di.DocId((1, 0, 2), 1), "b")
+            trie.insert(di.DocId((1, 0, 2), 1), "b", 0.5)
 
     def test_score_lookup(self):
-        docids, node_scores, trie = build_random_index(8, n_items=50, n_cats=3)
-        probe = next(iter(node_scores))
-        assert trie.node_at(probe).score == node_scores[probe]
+        docids, scores, trie = build_random_index(8, n_items=50, n_cats=3)
+        probe, want = next(iter(node_scores_loop(docids, scores).items()))
+        assert trie.scores[trie.node_at(probe).id] == want
         assert trie.node_at((999, 999)) is None
 
-    def test_score_for_a_prefix_no_docid_has_raises(self):
-        docids, node_scores, _trie = build_random_index(8, n_items=50, n_cats=3)
-        below_leaf = next(iter(docids.values())).tokens + (0,)
-        for prefix in ((999, 999), below_leaf):
-            with pytest.raises(IndexBuildError, match=re.escape(f"missing trie node {prefix}")):
-                di.build_trie(docids, node_scores | {prefix: 0.5})
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 10_000), n_items=st.integers(1, 200),
+           n_cats=st.integers(1, 8), path_len=st.sampled_from([1, 2, "mixed", "unequal", None]))
+    def test_node_scores_equal_the_loop_bit_for_bit(self, seed, n_items, n_cats, path_len):
+        # None: the clustering ablation, one group with an empty semantic prefix
+        docids, scores, trie = build_random_index(seed, n_items=n_items, n_cats=n_cats,
+                                                  path_len=path_len or 1,
+                                                  use_categories=path_len is not None)
+        assert trie_node_scores(trie) == node_scores_loop(docids, scores)   # keys and bits
 
 
 class TestTrieLayout:
@@ -319,50 +321,37 @@ class TestTrieLayout:
 
 class TestIndexIO:
     def test_save_load_identical(self, tmp_path):
-        docids, node_scores, trie = build_random_index(6, n_items=90, n_cats=4)
+        docids, scores, trie = build_random_index(6, n_items=90, n_cats=4)
         path = tmp_path / "index.json"
-        di.serialize_index(docids, node_scores, path)
-        docids2, node_scores2, trie2 = di.load_index(path)
+        di.serialize_index(docids, scores, path)
+        docids2, scores2, trie2 = di.load_index(path)
         assert docids2 == docids
-        assert [leaf[:2] for leaf in trie2.items_under(())] == \
-            [leaf[:2] for leaf in trie.items_under(())]
-        for prefix, score in node_scores.items():
-            assert node_scores2[prefix] == score  # bit-exact float64 roundtrip
+        assert scores2 == scores    # bit-exact float64 roundtrip
+        assert trie2.items_under(()) == trie.items_under(())
+        np.testing.assert_array_equal(trie2.scores, trie.scores)
 
     def test_truncated_file_errors_without_partial_index(self, tmp_path):
-        docids, node_scores, _ = build_random_index(6, n_items=30, n_cats=3)
+        docids, scores, _ = build_random_index(6, n_items=30, n_cats=3)
         path = tmp_path / "index.json"
-        di.serialize_index(docids, node_scores, path)
+        di.serialize_index(docids, scores, path)
         blob = path.read_text()
         path.write_text(blob[: len(blob) // 3])
         with pytest.raises(CheckpointError, match="offset"):
             di.load_index(path)
 
-    def test_missing_node_score_refused(self, tmp_path):
-        docids, node_scores, _ = build_random_index(6, n_items=30, n_cats=3)
-        path = tmp_path / "index.json"
-        di.serialize_index(docids, node_scores, path)
-        doc = json.loads(path.read_text())
-        missing = max(doc["node_scores"], key=len)
-        del doc["node_scores"][missing]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match=f"index.json: no node score for docID "
-                                                  f"prefix {missing}$"):
-            di.load_index(path)
-
     def test_newer_version_refused(self, tmp_path):
         path = tmp_path / "index.json"
-        path.write_text('{"version": 2, "docids": {}, "node_scores": {}}')
+        path.write_text('{"version": 3, "docids": {}}')
         with pytest.raises(CheckpointError, match="newer"):
             di.load_index(path)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_builds_with_the_collector_paused_and_restores_it(self, tmp_path, monkeypatch,
                                                               enabled):
-        docids, node_scores, _ = build_random_index(6, n_items=30, n_cats=3)
+        docids, scores, _ = build_random_index(6, n_items=30, n_cats=3)
         path = tmp_path / "index.json"
-        di.serialize_index(docids, node_scores, path)
-        (tmp_path / "bad.json").write_text('{"version": 1, "docids": {}}')
+        di.serialize_index(docids, scores, path)
+        (tmp_path / "bad.json").write_text('{"version": 2}')
         seen = []
         build_trie = di.build_trie
         monkeypatch.setattr(di, "build_trie", lambda *a: seen.append(gc.isenabled()) or
@@ -372,7 +361,7 @@ class TestIndexIO:
         try:
             di.load_index(path)
             assert seen == [False] and gc.isenabled() == enabled
-            with pytest.raises(CheckpointError, match="node_scores"):
+            with pytest.raises(CheckpointError, match="docids"):
                 di.load_index(tmp_path / "bad.json")
             assert gc.isenabled() == enabled
         finally:

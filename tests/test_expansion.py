@@ -22,12 +22,7 @@ def small_trie():
         "d": di.DocId((2, 203, 0, 0), 2),
     }
     scores = {"a": 0.9, "b": 0.5, "c": 0.7, "d": 0.2}
-    node_scores = {}
-    for item, d in docids.items():
-        for t in range(d.semantic_len, len(d.tokens)):
-            node_scores.setdefault(d.tokens[:t + 1], []).append(scores[item])
-    node_scores = {p: float(np.mean(v)) for p, v in node_scores.items()}
-    return docids, di.build_trie(docids, node_scores)
+    return docids, di.build_trie(docids, scores)
 
 
 class TestClusterExpand:
@@ -46,14 +41,14 @@ class TestClusterExpand:
 
     def test_prefix_beyond_short_docid_matches_only_itself(self):
         docids = {"x": di.DocId((1, 0), 1), "y": di.DocId((1, 1, 0), 1)}
-        trie = di.build_trie(docids, {(1, 0): 0.5, (1, 1): 0.5, (1, 1, 0): 0.5})
+        trie = di.build_trie(docids, {"x": 0.5, "y": 0.5})
         out = ex.cluster_expand([(docids["x"], -0.2)], trie, 3)
         assert out.item_ids() == ["x"]
 
     def test_nesting_over_random_indices(self):
         rng = np.random.default_rng(0)
         for seed in range(5):
-            docids, node_scores, trie = build_random_index(seed + 40, n_items=80, n_cats=4)
+            docids, _scores, trie = build_random_index(seed + 40, n_items=80, n_cats=4)
             ids = sorted(docids)
             picks = rng.choice(len(ids), size=4, replace=False)
             decoded = [(docids[ids[i]], -float(j)) for j, i in enumerate(picks)]
@@ -106,11 +101,11 @@ class TestI2IVariant:
         clicked = [r for r in corpus.train_rows if r.click == 1]
         table = ex.swing_scores([(r.user_id, r.target_item_id) for r in clicked])
         rng = np.random.default_rng(0)
-        docids, node_scores = di.build_docids(
-            {it.item_id: rng.normal(size=4) for it in corpus.catalog},
-            {it.item_id: it.efficient_score for it in corpus.catalog},
+        scores = {it.item_id: it.efficient_score for it in corpus.catalog}
+        docids = di.build_docids(
+            {it.item_id: rng.normal(size=4) for it in corpus.catalog}, scores,
             {it.item_id: it.category_path for it in corpus.catalog}, max_len=8, k=4, cs=8)
-        trie = di.build_trie(docids, node_scores)
+        trie = di.build_trie(docids, scores)
         grown = set()
         for row in clicked[:20]:
             decoded = [(docids[row.target_item_id], -0.1)]

@@ -150,9 +150,9 @@ class TestTripletLoss:
         xa, xp, xn = (rng.normal(size=(3, 6)) for _ in range(3))
 
         def loss():
-            return fusion.triplet_loss_batch(model.fuse_batch(nn.Tensor(xa)),
-                                             model.fuse_batch(nn.Tensor(xp)),
-                                             model.fuse_batch(nn.Tensor(xn)), 0.5)
+            return fusion.triplet_loss_batch(model.net.forward(nn.Tensor(xa)),
+                                             model.net.forward(nn.Tensor(xp)),
+                                             model.net.forward(nn.Tensor(xn)), 0.5)
 
         assert finite_diff_gradcheck(loss, model.params(), eps=1e-5) < 1e-4
 

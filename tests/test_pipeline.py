@@ -493,9 +493,9 @@ class TestJsonConstants:
     @pytest.mark.parametrize("constant", CONSTANTS)
     def test_in_the_index(self, ran, tmp_path, capsys, constant):
         doc = json.loads((ran / "work" / "index.json").read_text())
-        doc["node_scores"][next(iter(doc["node_scores"]))] = "score"
+        next(iter(doc["docids"].values()))["score"] = "PLACEHOLDER"
         bad = tmp_path / "index.json"
-        bad.write_text(json.dumps(doc).replace('"score"', constant))
+        bad.write_text(json.dumps(doc).replace('"PLACEHOLDER"', constant))
         self.assert_refused(["expand", "--index", str(bad),
                              "--input", str(tmp_path / "unused.jsonl")], str(bad), constant, capsys)
 
@@ -891,30 +891,54 @@ class TestExitCodes:
         assert cli.main(["train-embed", "--config", str(p)]) == 0
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_index_without_node_scores_is_3(self, finished, tmp_path, capsys):
+    def test_version_1_index_is_3(self, finished, tmp_path, capsys):
+        # version 1 kept a score per docID prefix under "node_scores", none per item
         index = tmp_path / "work" / "index.json"
         doc = json.loads(index.read_text())
-        doc["node_scores"] = {}
-        index.write_text(json.dumps(doc))
+        for rec in doc["docids"].values():
+            del rec["score"]
+        index.write_text(json.dumps(doc | {"version": 1, "node_scores": {}}))
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(finished.echo()))
         assert cli.main(["train-decoder", "--config", str(p)]) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1
-        assert f"{index}: no node score for docID prefix " in err   # e.g. 101-0
+        assert f"{index}: version 1 is too old; re-run build-docids" in err
 
-    def test_index_with_a_score_for_no_docid_prefix_is_3(self, ran, tmp_path, capsys):
-        index = tmp_path / "index.json"
-        doc = json.loads((ran / "work" / "index.json").read_text())
-        doc["node_scores"]["999-999"] = 0.5
-        index.write_text(json.dumps(doc))
-        rc = cli.main(["decode", "--index", str(index),
-                       "--checkpoint", str(ran / "work" / "decoder.ckpt.json"),
-                       "--input", str(tmp_path / "unused.jsonl")])
-        assert rc == cli.EXIT_DATA
+    @pytest.mark.parametrize("field,value", [
+        ("docids", {}),
+        # semantic_len 99 decoded with exit 0; -5 was reported as a missing node score
+        ("semantic_len", 99), ("semantic_len", -5), ("semantic_len", 1.0),
+        ("semantic_len", True), ("semantic_len", None),
+        # a string token ended in "TypeError: '<' not supported"
+        ("tokens", []), ("tokens", [101, "0", 1]), ("tokens", [101, True, 1]),
+        ("tokens", [101, 0.0, 1]), ("tokens", "101-0-1"),
+        ("score", "0.5"), ("score", True), ("score", None), ("score", [0.5]),
+    ])
+    @pytest.mark.parametrize("command", ["decode", "expand"])
+    def test_malformed_index_is_3(self, ran, tmp_path, capsys, command, field, value):
+        # an empty index made `expand --variant cluster-2` exit 2 on the prefix length
+        work = ran / "work"
+        doc = json.loads((work / "index.json").read_text())
+        item = next(iter(doc["docids"]))
+        if field == "docids":
+            doc["docids"] = value
+            named = "no docIDs"
+        else:
+            doc["docids"][item][field] = value
+            named = f"item {item!r} needs int tokens, a semantic_len in [0, len(tokens)) and " \
+                    f"a number score, not {{"
+        bad = tmp_path / "index.json"
+        bad.write_text(json.dumps(doc))
+        argv = {"decode": ["decode", "--checkpoint", str(work / "decoder.ckpt.json")],
+                "expand": ["expand", "--variant", "cluster-2"]}[command]
+        assert cli.main([*argv, "--index", str(bad),
+                         "--input", str(tmp_path / "unused.jsonl")]) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1
-        assert str(index) in err and "missing trie node (999, 999)" in err
+        assert f"{bad}: {named}" in err
+        if field != "docids":
+            assert f"{field!r}: {value!r}" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_is_4(self, corpus, tmp_path):
