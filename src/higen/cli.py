@@ -19,7 +19,7 @@ from . import docid as di
 from . import expansion as ex
 from .config import PipelineConfig, variant_parse
 from .errors import ConfigError, DataError, HigenError, NumericError
-from .pipeline import STAGES, expand_variant, run_ablation_study, run_kfold, run_pipeline
+from .pipeline import STAGES, expand_variant, run_ablation_study, run_pipeline
 
 log = logging.getLogger(__name__)
 
@@ -48,16 +48,7 @@ def cmd_stage(args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg = _load_config(args)
-    if args.no_position_aware_loss:
-        cfg.position_aware = False
-    if args.no_category_clustering:
-        cfg.category_clustering = False
-    if args.kfold and args.kfold < 2:
-        raise ConfigError(f"--kfold must be 0 (off) or >= 2, got {args.kfold}")
     report = run_pipeline(cfg)
-    if args.kfold:
-        report.kfold_recall = run_kfold(cfg, args.kfold)
-        report.save(Path(cfg.workdir) / "report.json")
     print(report.summary())
     print(f"report written to {Path(cfg.workdir) / 'report.json'}")
     return 0
@@ -153,9 +144,20 @@ def cmd_expand(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments with one ConfigError line (exit 2) instead of
+    argparse's usage block; its subparsers are of this class too. A flag is
+    taken only by its full name, so `ablation --seed` is no `--seeds`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="higen",
-                                     description="generative retrieval pipeline")
+    parser = _Parser(prog="higen", description="generative retrieval pipeline")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -177,21 +179,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.set_defaults(func=cmd_stage, stage=stage.name)
 
-    run = sub.add_parser("run-all", help="run every stage and write the report")
+    run = sub.add_parser("run-all", help="run every stage and write the report; the "
+                         "options come from --config and HIGEN_* variables")
     run.add_argument("--config", required=True)
     run.add_argument("--workdir")
     run.add_argument("--seed", type=int)
-    run.add_argument("--no-position-aware-loss", action="store_true",
-                     help="train the decoder with plain cross-entropy")
-    run.add_argument("--no-category-clustering", action="store_true",
-                     help="cluster all items globally instead of per category")
-    run.add_argument("--kfold", type=int, default=0)
     run.set_defaults(func=cmd_run_all)
 
-    abl = sub.add_parser("ablation", help="run the seed-averaged ablation study")
+    abl = sub.add_parser("ablation", help="run the full configuration, the loss ablation and "
+                         "the clustering ablation once per seed of --seeds")
     abl.add_argument("--config", required=True)
     abl.add_argument("--workdir")
-    abl.add_argument("--seed", type=int)
     abl.add_argument("--seeds", default="0,1,2,3,4")
     abl.add_argument("--k", type=int, default=10)
     abl.set_defaults(func=cmd_ablation)
@@ -239,10 +237,10 @@ def _one_blas_thread() -> None:
 
 def main(argv=None) -> int:
     _one_blas_thread()
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
+                            format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

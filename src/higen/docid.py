@@ -342,9 +342,9 @@ def serialize_index(docids: dict[str, DocId], scores: dict[str, float], path) ->
 
 def load_index(path):
     """(docids, item scores, trie); a bad index, an empty or older one, or one
-    with a docID record whose tokens are no ints, whose semantic_len is no int
-    in [0, len(tokens)) or whose score is no number included, raises
-    CheckpointError.
+    with a docID record that is no JSON object, whose tokens are no ints, whose
+    semantic_len is no int in [0, len(tokens)) or whose score is no number
+    included, raises CheckpointError.
 
     The cyclic collector is paused meanwhile (and its state then restored): the
     load makes many objects and no cycles, so each collection it set off would
@@ -358,7 +358,8 @@ def load_index(path):
             raise CheckpointError(f"{path}: no docIDs")
         docids, scores = {}, {}
         for item_id, rec in doc["docids"].items():
-            tokens, semantic_len, score = map(rec.get, ("tokens", "semantic_len", "score"))
+            fields = rec if isinstance(rec, dict) else {}
+            tokens, semantic_len, score = map(fields.get, ("tokens", "semantic_len", "score"))
             # type(...) is int: a bool is no token or length
             if not (isinstance(tokens, list) and {*map(type, tokens)} == {int}
                     and type(semantic_len) is int and 0 <= semantic_len < len(tokens)

@@ -33,7 +33,9 @@ def recall_curve(predictions: dict, truths: dict, ks) -> dict[int, float]:
 
 @dataclass
 class EvalReport:
-    """Everything needed to reproduce and compare a pipeline run."""
+    """Everything needed to reproduce and compare a pipeline run: held-in,
+    test and zero-shot recall curves, the merged set size and the run's
+    config. `load` refuses a report with a field not listed here."""
 
     recall: dict[int, float] = field(default_factory=dict)        # held-in queries
     recall_num: float = 0.0                                       # mean merged set size
@@ -41,7 +43,6 @@ class EvalReport:
     test_recall: dict[int, float] | None = None
     zero_shot_recall: dict[int, float] | None = None
     zero_shot_removed_fraction: float | None = None
-    kfold_recall: dict[int, float] | None = None
     i2i_items: int = 0                                            # items in the I2I table
     timings: dict[str, float] = field(default_factory=dict)
     skipped_stages: list[str] = field(default_factory=list)
@@ -58,8 +59,6 @@ class EvalReport:
             "zero_shot_recall": None if self.zero_shot_recall is None else
             {str(k): v for k, v in sorted(self.zero_shot_recall.items())},
             "zero_shot_removed_fraction": self.zero_shot_removed_fraction,
-            "kfold_recall": None if self.kfold_recall is None else
-            {str(k): v for k, v in sorted(self.kfold_recall.items())},
         }
 
     def to_json(self) -> dict:
@@ -72,7 +71,7 @@ class EvalReport:
 
     @classmethod
     def load(cls, path) -> "EvalReport":
-        curves = ("recall", "test_recall", "zero_shot_recall", "kfold_recall")
+        curves = ("recall", "test_recall", "zero_shot_recall")
         return read_json(path, {"recall": dict, "recall_num": float}, decode=lambda d: cls(
             **d | {k: {int(j): v for j, v in d[k].items()} for k in curves if d.get(k)}))
 
@@ -91,9 +90,6 @@ class EvalReport:
                 lines.append(f"  zero-shot recall@{k}: {self.zero_shot_recall[k]:.4f}")
             lines.append(f"  zero-shot removed fraction: "
                          f"{self.zero_shot_removed_fraction:.4f}")
-        if self.kfold_recall:
-            for k in sorted(self.kfold_recall):
-                lines.append(f"  kfold recall@{k}: {self.kfold_recall[k]:.4f}")
         lines.append(f"  i2i_items: {self.i2i_items}")
         if self.skipped_stages:
             lines.append(f"  skipped stages: {', '.join(self.skipped_stages)}")

@@ -287,37 +287,6 @@ def expand_variant(decoded, trie, i2i_table: ex.I2ITable, cluster_k: int | None,
     return ex.merge_recall(direct, cluster, i2i, cap)
 
 
-def run_kfold(config: PipelineConfig, k: int) -> dict[int, float]:
-    """k-fold cross-validation over the training rows; mean test recall per eval_ks."""
-    if k < 2:
-        raise ConfigError("kfold requires k >= 2")
-    catalog = dt.load_catalog(config.catalog_path)
-    rows = dt.load_dataset(config.train_path, config.data_schema, catalog).rows
-    # folds cut along page-view boundaries so triplet mining stays possible
-    group_of: dict[tuple, int] = {}
-    fold_of_row = []
-    for r in rows:
-        group = group_of.setdefault(dt.page_view_key(r), len(group_of))
-        fold_of_row.append(group % k)
-    base = Path(config.workdir)
-    sums = {int(at): 0.0 for at in config.eval_ks}
-    for fold in range(k):
-        fold_dir = base / f"fold{fold}"
-        fold_dir.mkdir(parents=True, exist_ok=True)
-        train_rows = [r for i, r in enumerate(rows) if fold_of_row[i] != fold]
-        test_rows = [r for i, r in enumerate(rows) if fold_of_row[i] == fold]
-        dt.save_dataset(fold_dir / "train.jsonl", train_rows)
-        dt.save_dataset(fold_dir / "test.jsonl", test_rows)
-        sub = PipelineConfig.from_dict(config.echo() | {
-            "train_path": str(fold_dir / "train.jsonl"),
-            "test_path": str(fold_dir / "test.jsonl"),
-            "workdir": str(fold_dir / "work"), "data_schema": "jsonl"})
-        rep_fold = run_pipeline(sub)
-        for at, v in (rep_fold.test_recall or {}).items():
-            sums[at] += v
-    return {at: v / k for at, v in sums.items()}
-
-
 def run_ablation_study(base: PipelineConfig, seeds, k: int = 10) -> dict:
     """Mean recall@k for the full configuration against the loss and
     clustering ablations over several seeds. A seed's variants share the

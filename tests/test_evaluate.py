@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higen.errors import ConfigError
+from higen.errors import CheckpointError, ConfigError
 from higen.evaluate import EvalReport, recall_at_k, recall_curve
 
 
@@ -77,6 +77,14 @@ class TestEvalReport:
         del doc["i2i_items"]
         path.write_text(json.dumps(doc))
         assert EvalReport.load(path).i2i_items == 0
+
+    def test_report_with_kfold_recall_is_refused(self, tmp_path):
+        # reports written while run-all had a k-fold mode
+        path = tmp_path / "report.json"
+        EvalReport(recall={1: 0.5}).save(path)
+        path.write_text(json.dumps(json.loads(path.read_text()) | {"kfold_recall": None}))
+        with pytest.raises(CheckpointError, match="report.json: TypeError: .*'kfold_recall'"):
+            EvalReport.load(path)
 
     def test_metrics_exclude_timings(self):
         a = EvalReport(recall={1: 0.5}, timings={"embed": 1.0})

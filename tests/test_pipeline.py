@@ -28,7 +28,7 @@ from higen import representation as rep
 from higen.config import PipelineConfig, variant_parse
 from higen.errors import CheckpointError, ConfigError
 from higen.evaluate import EvalReport
-from higen.pipeline import run_ablation_study, run_kfold, run_pipeline
+from higen.pipeline import run_ablation_study, run_pipeline
 
 
 # prints cli.main's exit code and OpenBLAS's thread count before and after it
@@ -247,14 +247,6 @@ class TestRunPipeline:
             assert args.func is cli.cmd_stage and args.stage == stage.name
         assert [stage.name for stage in pl.STAGES] == list(PipelineConfig().stages)
 
-    def test_kfold_returns_per_k_means(self, corpus, tmp_path):
-        cfg = PipelineConfig.from_file(corpus / "config.json")
-        cfg.workdir = str(tmp_path / "kfold")
-        cfg.epochs_decoder = 40
-        got = run_kfold(cfg, 2)
-        assert set(got) == {1, 5, 10}
-        assert all(0.0 <= v <= 1.0 for v in got.values())
-
     def test_ablation_study_means(self, corpus, tmp_path, monkeypatch):
         cfg = PipelineConfig.from_file(corpus / "config.json")
         cfg.workdir = str(tmp_path / "study")
@@ -424,13 +416,6 @@ class TestQuickCorpusCli:
         assert sorted(result["mean"]) == variants
         lines = [line for line in capsys.readouterr().out.splitlines() if "mean recall@10" in line]
         assert sorted(line.split(":")[0] for line in lines) == variants
-
-    def test_run_all_flags_reach_the_config_echo(self, quick, tmp_path):
-        path = quick_config(quick, tmp_path)
-        assert cli.main(["run-all", "--config", str(path), "--no-position-aware-loss",
-                         "--no-category-clustering"]) == 0
-        config = EvalReport.load(tmp_path / "work" / "report.json").config
-        assert config["position_aware"] is False and config["category_clustering"] is False
 
     def test_unset_test_and_oracle_paths(self, quick, tmp_path):
         path = quick_config(quick, tmp_path, test_path="", oracle_path="")
@@ -878,6 +863,37 @@ class TestExitCodes:
         assert "kfold" in err.lower()
         assert not (tmp_path / "w").exists()      # before any stage runs
 
+    @pytest.mark.parametrize("argv,named", [
+        # removed flags: the fold count, two copies of config fields, and
+        # ablation's --seed, which each seed of --seeds replaced
+        (["run-all", "--kfold", "2"], "unrecognized arguments: --kfold 2"),
+        (["run-all", "--no-position-aware-loss"],
+         "unrecognized arguments: --no-position-aware-loss"),
+        (["ablation", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["run-all", "--bogus"], "unrecognized arguments: --bogus"),
+        (["decode", "--index", "index.json"],
+         "higen decode: the following arguments are required: --checkpoint"),
+        (["gen-synthetic", "--items", "abc"],
+         "higen gen-synthetic: argument --items: invalid int value: 'abc'"),
+    ])
+    def test_usage_error_is_one_line_2(self, corpus, tmp_path, capsys, argv, named):
+        # argparse printed a usage block of 3-7 lines
+        work = tmp_path / "w"
+        where = {"gen-synthetic": ["--out", str(work)], "decode": []}.get(
+            argv[0], ["--config", str(corpus / "config.json"), "--workdir", str(work)])
+        assert cli.main([*argv, *where]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert err.startswith("config error: ") and named in err
+        assert not work.exists()
+
+    def test_help_keeps_the_usage_block(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run-all", "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: higen run-all") and "--config CONFIG" in out
+
     def test_context_that_is_not_strings_is_skipped_in_training(self, corpus, tmp_path,
                                                                  capsys):
         train = tmp_path / "train.jsonl"
@@ -914,6 +930,8 @@ class TestExitCodes:
         ("tokens", []), ("tokens", [101, "0", 1]), ("tokens", [101, True, 1]),
         ("tokens", [101, 0.0, 1]), ("tokens", "101-0-1"),
         ("score", "0.5"), ("score", True), ("score", None), ("score", [0.5]),
+        # a record that is no object ended in "AttributeError: 'list' object has no attribute"
+        ("record", [1, 2]),
     ])
     @pytest.mark.parametrize("command", ["decode", "expand"])
     def test_malformed_index_is_3(self, ran, tmp_path, capsys, command, field, value):
@@ -925,9 +943,12 @@ class TestExitCodes:
             doc["docids"] = value
             named = "no docIDs"
         else:
-            doc["docids"][item][field] = value
+            if field == "record":
+                doc["docids"][item] = value
+            else:
+                doc["docids"][item][field] = value
             named = f"item {item!r} needs int tokens, a semantic_len in [0, len(tokens)) and " \
-                    f"a number score, not {{"
+                    f"a number score, not {doc['docids'][item]}"
         bad = tmp_path / "index.json"
         bad.write_text(json.dumps(doc))
         argv = {"decode": ["decode", "--checkpoint", str(work / "decoder.ckpt.json")],
@@ -937,7 +958,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1
         assert f"{bad}: {named}" in err
-        if field != "docids":
+        if field not in ("docids", "record"):
             assert f"{field!r}: {value!r}" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
