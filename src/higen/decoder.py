@@ -323,7 +323,12 @@ def constrained_beam_search(row, model: DecoderModel, trie: DocIdTrie, beam_widt
                             k: int):
     """Top-k docIDs by cumulative log-probability, extending hypotheses only
     along trie children. Ties break lexicographically on token values, which is
-    the order of the nodes' first leaf indices. Returns [(DocId, logprob, item_id)]."""
+    the order of the nodes' first leaf indices. Returns [(DocId, logprob, item_id)].
+
+    At a depth where leaves finish beside live hypotheses, a live one below the k-th
+    best leaf finished so far is dropped, ties kept. This is exact: a log-softmax value
+    is <= 0 (its normaliser's sum includes exp(0) = 1) and adding one never raises a
+    float sum, so no leaf below it could reach the top k; every score keeps its bits."""
     check_beam(beam_width, k)
     if trie.n_items == 0:
         raise IndexBuildError("cannot decode against an empty trie")
@@ -334,26 +339,31 @@ def constrained_beam_search(row, model: DecoderModel, trie: DocIdTrie, beam_widt
     heads = np.zeros((1, 0), dtype=np.intp)
     lps = np.zeros(1)
     done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []    # (logprobs, los, leaf ids)
+    best = np.full(k, -np.inf)      # the k best finished logprobs, descending
     for depth in range(trie.max_depth):
-        # one call per depth: step_logits and log_softmax_rows are row-independent,
-        # so every score keeps the bits of the one-row brute_force_scores oracle
-        logprobs = nn.log_softmax_rows(
-            model.step_logits(np.repeat(ctx, len(ids), 0), heads, depth))
+        # one call per depth: step_logits and log_softmax_rows's z - norm, taken only at the
+        # children, are row-independent, so scores keep brute_force_scores' one-row bits
+        z = model.step_logits(np.repeat(ctx, len(ids), 0), heads, depth)
+        z -= z.max(axis=1, keepdims=True)
+        norm = np.log(np.exp(z).sum(axis=1))
         # every live node's children, each node's as one run of ids in token order
         counts = trie.counts[ids]
         ends = np.cumsum(counts)
         parent = np.repeat(np.arange(len(ids)), counts)
         child = np.repeat(trie.first[ids] - ends + counts, counts) + np.arange(ends[-1])
         child_heads = trie.heads[child]
-        child_lps = lps[parent] + logprobs[parent, child_heads]
+        child_lps = lps[parent] + (z[parent, child_heads] - norm[parent])
         child_los = trie.los[child]
         leaf = trie.counts[child] == 0
+        live = ~leaf
         if leaf.any():
             done.append((child_lps[leaf], child_los[leaf], child[leaf]))
-        live = np.flatnonzero(~leaf)
-        if not len(live):
+            if live.any():
+                best = -np.sort(-np.concatenate([best, child_lps[leaf]]))[:k]
+                live &= child_lps >= best[-1]       # ties stay
+        if not live.any():
             break
-        keep = live[np.lexsort((child_los[live], -child_lps[live]))[:beam_width]]
+        keep = np.flatnonzero(live)[np.lexsort((child_los[live], -child_lps[live]))[:beam_width]]
         ids, lps = child[keep], child_lps[keep]
         heads = np.concatenate([heads[parent[keep]], child_heads[keep, None]], axis=1)
     if not done:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,13 +216,21 @@ class TrieNode:
         self.lo, self.hi = lo, lo + 1
 
 
+class RecallEntry(NamedTuple):
+    item_id: str
+    source: str   # direct | cluster | i2i
+    score: float
+
+
 class DocIdTrie:
     """Prefix tree over the docID set; leaves carry item ids. `values[t]` holds
     the tokens at depth t in ascending order, `leaves` every leaf (tokens,
-    item_id, item score) in lexicographic order. `nodes` lists the nodes
-    breadth first (root = id 0): node i's children are the ids first[i]:
-    first[i] + counts[i] in token order, counts == 0 marks leaves, and `heads`
-    and `los` give each node's head column and first leaf index. `build_trie`
+    item_id, item score) in lexicographic order, `item_of` each docID's item.
+    `nodes` lists the nodes breadth first (root = id 0): node i's children are
+    the ids first[i]: first[i] + counts[i] in token order, counts == 0 marks
+    leaves, and `heads` and `los` give each node's head column and first leaf
+    index. `rank[leaf]` orders the leaves by (-item score, item_id), and
+    `cluster_entries[rank]` is that leaf's cluster-tier RecallEntry. `build_trie`
     sets `scores`, each node's efficiency score (NaN for none)."""
 
     def __init__(self):
@@ -263,8 +272,7 @@ class DocIdTrie:
         return node
 
     def lookup(self, tokens) -> str | None:
-        node = self.node_at(tokens)
-        return node.item_id if node is not None else None
+        return self.item_of.get(tuple(tokens))
 
     def paths(self, docids) -> np.ndarray:
         """(rows, L) node ids along each token tuple, L the longest, -1 past each
@@ -280,15 +288,9 @@ class DocIdTrie:
                 out[row, t] = node.id
         return out
 
-    def items_under(self, prefix) -> list[tuple[tuple[int, ...], str, float]]:
-        """(tokens, item_id, item score) for every leaf below the prefix, in
-        lexicographic token order."""
-        node = self.node_at(prefix)
-        return [] if node is None else self.leaves[node.lo:node.hi]
-
     def lay_out(self) -> None:
         """Number the nodes breadth first, one depth at a time, and fill
-        `values`, each node's id, head and leaf range, and the id arrays."""
+        `values`, each node's id, head and leaf range, the id arrays and leaf rank."""
         level = [self.root]
         while children := [child for node in level for child in node.children.values()]:
             tokens = [tok for node in level for tok in node.children]
@@ -305,6 +307,11 @@ class DocIdTrie:
         self.first = np.cumsum(self.counts) - self.counts + 1
         self.heads = np.array([node.head for node in self.nodes], dtype=np.intp)
         self.los = np.array([node.lo for node in self.nodes], dtype=np.intp)
+        ranked = sorted(range(self.n_items), key=lambda i: (-self.leaves[i][2], self.leaves[i][1]))
+        self.rank = np.argsort(ranked).tolist()
+        self.item_of = {tokens: item_id for tokens, item_id, _score in self.leaves}
+        self.cluster_entries = [RecallEntry(self.leaves[i][1], "cluster", self.leaves[i][2])
+                                for i in ranked]
 
 
 def build_trie(docids: dict[str, DocId], scores: dict[str, float]) -> DocIdTrie:

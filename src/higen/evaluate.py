@@ -34,7 +34,8 @@ def recall_curve(predictions: dict, truths: dict, ks) -> dict[int, float]:
 @dataclass
 class EvalReport:
     """Everything needed to reproduce and compare a pipeline run: held-in,
-    test and zero-shot recall curves, the merged set size and the run's
+    test and zero-shot recall curves, the merged set size, the share of merged
+    entries from each recall source, warnings about the run and the run's
     config. `load` refuses a report with a field not listed here."""
 
     recall: dict[int, float] = field(default_factory=dict)        # held-in queries
@@ -44,6 +45,8 @@ class EvalReport:
     zero_shot_recall: dict[int, float] | None = None
     zero_shot_removed_fraction: float | None = None
     i2i_items: int = 0                                            # items in the I2I table
+    recall_source_mix: dict[str, float] = field(default_factory=dict)   # source -> share
+    warnings: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
     skipped_stages: list[str] = field(default_factory=list)
     config: dict = field(default_factory=dict)
@@ -62,7 +65,9 @@ class EvalReport:
         }
 
     def to_json(self) -> dict:
-        return self.metrics() | {"i2i_items": self.i2i_items, "timings": self.timings,
+        return self.metrics() | {"i2i_items": self.i2i_items,
+                                 "recall_source_mix": self.recall_source_mix,
+                                 "warnings": self.warnings, "timings": self.timings,
                                  "skipped_stages": self.skipped_stages,
                                  "config": self.config}
 
@@ -91,6 +96,10 @@ class EvalReport:
             lines.append(f"  zero-shot removed fraction: "
                          f"{self.zero_shot_removed_fraction:.4f}")
         lines.append(f"  i2i_items: {self.i2i_items}")
+        if self.recall_source_mix:
+            lines.append("  recall source mix: " + ", ".join(
+                f"{source} {share:.4f}" for source, share in self.recall_source_mix.items()))
+        lines.extend(f"  warning: {w}" for w in self.warnings)
         if self.skipped_stages:
             lines.append(f"  skipped stages: {', '.join(self.skipped_stages)}")
         return "\n".join(lines)

@@ -3,8 +3,9 @@ recall set by shared docID prefixes (cluster variant) and by Swing
 item-to-item similarity (I2I variant).
 
 The three tiers are built independently. The cluster tier holds every item
-under the decoded prefixes, decoded items included; the I2I tier the top
-Swing neighbours of the direct hits. `merge_recall` alone sets priority:
+under the decoded prefixes, decoded items included, read from the prefix
+nodes' leaf ranges in a leaf order the trie precomputes; the I2I tier the
+top Swing neighbours of the direct hits. `merge_recall` alone sets priority:
 direct, then cluster, then I2I, each item kept at its first occurrence.
 `swing_scores` builds the I2I table from integer co-occurrence arrays, with
 the sums of a loop over sorted user pairs bit for bit."""
@@ -12,20 +13,12 @@ the sums of a loop over sorted user pairs bit for bit."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
 from .data import read_jsonl, write_jsonl
-from .docid import DocIdTrie
+from .docid import DocIdTrie, RecallEntry
 from .errors import ConfigError
-
-
-class RecallEntry(NamedTuple):
-    item_id: str
-    source: str   # direct | cluster | i2i
-    score: float
 
 
 @dataclass
@@ -57,17 +50,13 @@ def direct_hits(decoded, trie: DocIdTrie) -> RecallSet:
 def cluster_expand(decoded, trie: DocIdTrie, prefix_len_k: int) -> RecallSet:
     """Every item sharing the first prefix_len_k docID tokens with any decoded
     (DocId, logprob) pair, the decoded items included, scored by leaf
-    efficiency score and ordered by it descending. A decoded docID shorter
-    than the prefix is its own prefix."""
+    efficiency score and ordered by it descending, then by item id. A decoded
+    docID shorter than the prefix is its own prefix."""
     if prefix_len_k < 1 or prefix_len_k > trie.max_depth:
         raise ConfigError(f"prefix length {prefix_len_k} outside [1, {trie.max_depth}]")
-    expanded: dict[str, float] = {}
-    for hit in decoded:
-        for _tokens, item_id, score in trie.items_under(hit[0].tokens[:prefix_len_k]):
-            if item_id not in expanded or score > expanded[item_id]:
-                expanded[item_id] = score
-    return RecallSet([RecallEntry(i, "cluster", s)
-                      for i, s in sorted(expanded.items(), key=lambda kv: (-kv[1], kv[0]))])
+    nodes = {trie.node_at(prefix) for prefix in {hit[0].tokens[:prefix_len_k] for hit in decoded}}
+    ranks = sorted({r for node in nodes if node is not None for r in trie.rank[node.lo:node.hi]})
+    return RecallSet([trie.cluster_entries[r] for r in ranks])
 
 
 class I2ITable:
@@ -175,17 +164,15 @@ def i2i_expand(seeds, table: I2ITable, per_seed_n: int) -> RecallSet:
 def merge_recall(direct: RecallSet, cluster: RecallSet, i2i: RecallSet,
                  cap: int) -> RecallSet:
     """Tier priority direct > cluster > i2i, (-score, item_id) order inside each
-    tier, first occurrence wins, truncated to cap. The cluster and I2I builders
-    return that order; the direct tier comes in beam order and is sorted here."""
+    tier, first occurrence wins, truncated to cap. Each builder returns an item
+    at most once, and the cluster and I2I builders return that order; the direct
+    tier comes in beam order and is sorted here."""
     if cap < 0:
         raise ConfigError("cap must be >= 0")
-    out: list[RecallEntry] = []
-    seen: set[str] = set()
-    ranked = sorted(direct.entries, key=lambda e: (-e.score, e.item_id))
-    for e in chain(ranked, cluster.entries, i2i.entries):
+    out = sorted(direct.entries, key=lambda e: (-e.score, e.item_id))
+    for tier in (cluster.entries, i2i.entries):
         if len(out) >= cap:
             break
-        if e.item_id not in seen:
-            seen.add(e.item_id)
-            out.append(e)
-    return RecallSet(out)
+        seen = {e.item_id for e in out}
+        out += [e for e in tier if e.item_id not in seen]
+    return RecallSet(out[:cap])

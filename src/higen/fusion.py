@@ -77,7 +77,9 @@ def fuse_table(atomic_table: dict[str, AtomicEmbeddings],
     ids = sorted(atomic_table)
     if not ids:
         return {}
-    x = np.stack([atomic_concat(atomic_table[i]) for i in ids])
+    x = np.empty((len(ids), len(atomic_concat(atomic_table[ids[0]]))))
+    for row, item_id in zip(x, ids):
+        row[:] = atomic_concat(atomic_table[item_id])
     return dict(zip(ids, model.net.infer_batched(x)))
 
 

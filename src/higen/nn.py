@@ -382,9 +382,9 @@ def bce_mean(p: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # dense networks
 
-# each activation as a graph op (DenseNet.forward) and in plain numpy (DenseNet.infer)
-_ACTIVATIONS = {"relu": (relu, lambda x: np.where(x > 0, x, 0.0)), "tanh": (tanh, np.tanh),
-                "identity": (_wrap, lambda x: x)}
+# each activation as a graph op (DenseNet.forward) and in plain numpy, in place (DenseNet.infer*)
+_ACTIVATIONS = {"relu": (relu, lambda h: np.copyto(h, 0.0, where=~(h > 0))),
+                "tanh": (tanh, lambda h: np.tanh(h, out=h)), "identity": (_wrap, lambda h: None)}
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -440,14 +440,17 @@ class DenseNet:
         x = _f64(x)
         self._check_input(x)
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            x = _ACTIVATIONS[act][1](x @ w.data + b.data)
+            x = x @ w.data      # the bias and activation go in place: one (B, n) array a layer
+            x += b.data
+            _ACTIVATIONS[act][1](x)
         return x
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """forward(x).data without graph nodes. Each row is multiplied as its own (1, m)
         matrix, as in a one-row forward, since a (B, m) product may change its bits."""
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            x = _ACTIVATIONS[act][1]((x[:, None, :] @ w.data)[:, 0] + b.data)
+            x = (x[:, None, :] @ w.data)[:, 0] + b.data
+            _ACTIVATIONS[act][1](x)
         return x
 
     def params(self) -> dict[str, Tensor]:

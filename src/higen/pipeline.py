@@ -206,8 +206,9 @@ def _decode_rows(rows, model, trie, c):
 
 def _eval(c, work: Path, out: Path) -> None:
     """Recall of the held-in, test and zero-shot rows, and the merged recall
-    set of the configured variant. The I2I table it used goes to i2i.jsonl,
-    empty when the variant has no I2I part."""
+    set of the configured variant with the share of its entries from each
+    source. The I2I table it used goes to i2i.jsonl, empty when the variant has
+    no I2I part; an I2I variant's empty table is a report warning."""
     catalog = _catalog(c)
     train = _train(c, catalog)
     test = dt.load_dataset(c.test_path, c.data_schema, catalog) if c.test_path else None
@@ -224,13 +225,19 @@ def _eval(c, work: Path, out: Path) -> None:
         i2i_table = ex.swing_scores(interactions, alpha=c.i2i_alpha, top_n=c.i2i_top_n)
     i2i_table.save(out / "i2i.jsonl")
     report.i2i_items = len(i2i_table.neighbors)
-    sizes, hits = [], 0
+    if use_i2i and not i2i_table.neighbors:
+        report.warnings.append(f"variant {c.variant} has an empty I2I table: no item pair of "
+                               f"the training clicks has two users")
+    sizes, hits, mix = [], 0, dict.fromkeys(("direct", "cluster", "i2i"), 0)
     for key in predictions:
         merged = expand_variant(decoded[key], trie, i2i_table, cluster_k, use_i2i,
                                 c.cap, c.per_seed_n)
         sizes.append(merged.recall_num)
         hits += truths[key] in set(merged.item_ids())
+        for e in merged.entries:
+            mix[e.source] += 1
     report.recall_num = float(sum(sizes) / len(sizes)) if sizes else 0.0
+    report.recall_source_mix = {source: n / max(sum(sizes), 1) for source, n in mix.items()}
     report.expanded_recall = hits / len(predictions) if predictions else 0.0
 
     if test is not None and test.rows:

@@ -4,11 +4,11 @@ scalar forms and helpers that only tests use.
 The references are deliberately written with explicit Python loops and no
 calls into the package, so they stay independent of the code paths they
 check. `fuse`, `hierarchical_weights`, `position_weight`,
-`position_aware_loss_loop`, `expand_variant_direct_first`, `beam_search_loop`,
-`gather_dense`, `swing_scores_loop`, the graph passes `export_atomic_graph` and
-`fuse_table_graph`, the one-shot checkpoint writer `save_checkpoint_one_shot`
-and the autograd test helpers `mul` and `finite_diff_gradcheck` call into the
-package.
+`position_aware_loss_loop`, `expand_variant_direct_first`, `cluster_expand_loop`,
+`beam_search_loop`, `gather_dense`, `swing_scores_loop`, the graph passes
+`export_atomic_graph` and `fuse_table_graph`, the one-shot checkpoint writer
+`save_checkpoint_one_shot` and the autograd test helpers `mul` and
+`finite_diff_gradcheck` call into the package.
 """
 
 from dataclasses import dataclass
@@ -277,6 +277,21 @@ def expand_variant_direct_first(decoded, trie, i2i_table, cluster_k, use_i2i, ca
     i2i = ex.i2i_expand(direct.item_ids(), i2i_table, per_seed_n) if use_i2i \
         else ex.RecallSet([])
     return ex.merge_recall(direct, cluster, i2i, cap)
+
+
+def cluster_expand_loop(decoded, trie, prefix_len_k: int) -> ex.RecallSet:
+    """`expansion.cluster_expand` as a dict of the best score per item under
+    each decoded prefix, found by `items_under_walk`, sorted once at the end;
+    the reference for the leaf ranges read in the trie's leaf rank."""
+    if prefix_len_k < 1 or prefix_len_k > trie.max_depth:
+        raise ConfigError(f"prefix length {prefix_len_k} outside [1, {trie.max_depth}]")
+    expanded: dict[str, float] = {}
+    for hit in decoded:
+        for _tokens, item_id, score in items_under_walk(trie, hit[0].tokens[:prefix_len_k]):
+            if item_id not in expanded or score > expanded[item_id]:
+                expanded[item_id] = float(score)
+    return ex.RecallSet([ex.RecallEntry(i, "cluster", s)
+                         for i, s in sorted(expanded.items(), key=lambda kv: (-kv[1], kv[0]))])
 
 
 def merge_recall_sorting(direct, cluster, i2i, cap: int) -> ex.RecallSet:

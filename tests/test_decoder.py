@@ -11,6 +11,7 @@ from oracles import (beam_search_loop, finite_diff_gradcheck, hierarchical_weigh
 
 from higen import decoder as dec
 from higen import docid as di
+from higen import expansion as ex
 from higen import nn
 from higen.data import DatasetRow, Item
 from higen.errors import ConfigError, DataError, DimensionError, IndexBuildError
@@ -425,6 +426,53 @@ class TestBeamSearch:
             b.data[:] = 0.0
         self.assert_equals_loop_beam(model, trie, rows, data)
 
+    @pytest.mark.parametrize("path_len", ["mixed", "unequal"])
+    @pytest.mark.parametrize("beam_width,k", [(8, 3), (4, 4), (16, 1)])
+    def test_the_bound_drops_rows_and_keeps_the_answer(self, monkeypatch, path_len, beam_width,
+                                                       k):
+        # docIDs of several lengths finish leaves before the last depth, so the
+        # k-th finished leaf bounds the live hypotheses; the loop beam has no bound
+        rows_used = []
+        step_logits = dec.DecoderModel.step_logits
+
+        def counting(self, ctx, heads, t):
+            rows_used.append(len(heads))
+            return step_logits(self, ctx, heads, t)
+
+        monkeypatch.setattr(dec.DecoderModel, "step_logits", counting)
+        fewer = 0
+        for seed in range(2):
+            _docids, _scores, trie, _catalog, rows, model = decoder_world(
+                seed, n_items=60, n_cats=4, path_len=path_len)
+            assert len({len(tokens) for tokens, _item, _score in trie.leaves}) > 1
+            for row in rows[:6]:
+                rows_used.clear()
+                got = dec.constrained_beam_search(row, model, trie, beam_width, k)
+                bounded = sum(rows_used)
+                rows_used.clear()
+                assert got == beam_search_loop(row, model, trie, beam_width, k)
+                assert bounded <= sum(rows_used)
+                fewer += bounded < sum(rows_used)
+        assert fewer > 0
+
+    def test_the_bound_keeps_ties(self):
+        # zero heads: each depth-1 child scores -2 log 2, and the one-token
+        # position 2 adds exactly 0, so (1, 0, 0) ties the leaf (2, 0) that
+        # finished first and wins on token order
+        docids = {"a": di.DocId((2, 0), 1), "b": di.DocId((1, 0, 0), 1),
+                  "c": di.DocId((1, 1, 0), 1)}
+        trie = di.build_trie(docids, dict.fromkeys(docids, 0.5))
+        rows = [DatasetRow("u0", "q", (), "a", 1, 1, 0.0)]
+        cat = [Item(i, (d.tokens[0],), ("s",), (0.1,), 0.1) for i, d in docids.items()]
+        model = dec.DecoderModel(dec.Vocab.build(rows, cat), dec.PositionVocab(trie),
+                                 dec.DecoderConfig(emb=2, d_model=3, hidden=()))
+        for w, b in zip(model.head_w, model.head_b):
+            w.data[:] = 0.0
+            b.data[:] = 0.0
+        got = dec.constrained_beam_search(rows[0], model, trie, 3, 1)
+        assert got == beam_search_loop(rows[0], model, trie, 3, 1)
+        assert got[0][2] == "b"
+
     def test_builds_no_graph_node(self, monkeypatch):
         _docids, _scores, trie, _catalog, rows, model = decoder_world(5, n_items=30)
 
@@ -437,7 +485,7 @@ class TestBeamSearch:
         assert len(dec.constrained_beam_search(rows[0], model, trie, 4, 3)) == 3
 
     def test_decoding_and_training_leave_the_trie_unchanged(self):
-        # stages may share one loaded index only if reading it writes nothing
+        # stages may share one loaded index only if reading it (expansion too) writes nothing
         docids, _scores, trie, _catalog, rows, model = decoder_world(7, n_items=40)
 
         def snapshot():
@@ -446,11 +494,13 @@ class TestBeamSearch:
                     [[copy.copy(getattr(node, slot)) for slot in type(node).__slots__]
                      for node in trie.nodes],
                     list(trie.nodes), list(trie.leaves), [list(v) for v in trie.values],
+                    dict(trie.item_of), list(trie.rank), list(trie.cluster_entries),
                     trie.n_items, trie.max_depth)
 
         before = snapshot()
         for row in rows:
-            assert dec.constrained_beam_search(row, model, trie, 4, 3)
+            decoded = dec.constrained_beam_search(row, model, trie, 4, 3)
+            assert ex.cluster_expand(decoded, trie, 2).recall_num >= len(decoded) > 0
         weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
         dec.position_aware_loss(model.prepare_rows(rows[:16], docids), model, weights)
         assert snapshot() == before

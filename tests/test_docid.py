@@ -229,7 +229,9 @@ class TestTrie:
 
     def test_roundtrip_enumeration(self):
         docids, _scores, trie = build_random_index(4, n_items=200, n_cats=6)
-        got = {(tokens, item) for tokens, item, _score in trie.items_under(())}
+        root = trie.root
+        assert trie.leaves[root.lo:root.hi] == items_under_walk(trie, ())
+        got = {(tokens, item) for tokens, item, _score in trie.leaves[root.lo:root.hi]}
         want = {(d.tokens, item) for item, d in docids.items()}
         assert got == want
         for item, d in docids.items():
@@ -293,7 +295,7 @@ class TestTrieLayout:
         while stack:
             prefix, node = stack.pop()
             assert list(node.children) == sorted(node.children)
-            assert trie.items_under(prefix) == items_under_walk(trie, prefix)
+            assert trie.leaves[node.lo:node.hi] == items_under_walk(trie, prefix)
             kid_los = [c.lo for c in node.children.values()]
             assert np.all(np.diff(kid_los) > 0)     # first leaves order children as tokens do
             for tok, child in node.children.items():
@@ -309,7 +311,7 @@ class TestTrieLayout:
             assert (count == 0) == (node.item_id is not None)
         depths = [depth[id(node)] for node in trie.nodes]
         assert depths == sorted(depths)
-        assert trie.items_under((999,)) == []
+        assert trie.node_at((999,)) is None and items_under_walk(trie, (999,)) == []
 
     def test_docid_map_is_the_sha256_of_the_item_map(self):
         # decoder checkpoints record this hash, so it must not move
@@ -327,7 +329,7 @@ class TestIndexIO:
         docids2, scores2, trie2 = di.load_index(path)
         assert docids2 == docids
         assert scores2 == scores    # bit-exact float64 roundtrip
-        assert trie2.items_under(()) == trie.items_under(())
+        assert trie2.leaves == trie.leaves == items_under_walk(trie2, ())
         np.testing.assert_array_equal(trie2.scores, trie.scores)
 
     def test_truncated_file_errors_without_partial_index(self, tmp_path):

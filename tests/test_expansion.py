@@ -5,7 +5,8 @@ import pytest
 from helpers import build_random_index
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import expand_variant_direct_first, merge_recall_sorting, swing_scores_loop
+from oracles import (cluster_expand_loop, expand_variant_direct_first, merge_recall_sorting,
+                     swing_scores_loop)
 
 from higen import data as dt
 from higen import docid as di
@@ -65,6 +66,27 @@ class TestClusterExpand:
             ex.cluster_expand([], trie, 0)
         with pytest.raises(ConfigError):
             ex.cluster_expand([], trie, 9)
+
+
+class TestClusterExpandLoop:
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 1 << 16), n_items=st.integers(2, 120), n_cats=st.integers(1, 6),
+           path_len=st.sampled_from([1, 2, "mixed", "unequal"]), data=st.data())
+    def test_equals_the_loop(self, seed, n_items, n_cats, path_len, data):
+        # decoded lists with repeats, runs of docIDs adjacent in token order (they
+        # share prefixes) and, where docIDs have several lengths, ones shorter
+        # than the prefix
+        docids, _scores, trie = build_random_index(seed, n_items=n_items, n_cats=n_cats,
+                                                   path_len=path_len)
+        in_order = sorted(docids.values(), key=lambda d: d.tokens)
+        start = data.draw(st.integers(0, len(in_order) - 1))
+        picks = data.draw(st.lists(st.sampled_from(in_order), max_size=8))
+        picks += in_order[start:start + data.draw(st.integers(0, 4))] + picks[:2]
+        if data.draw(st.booleans()):
+            picks.append(min(in_order, key=lambda d: len(d.tokens)))
+        decoded = [(d, data.draw(st.floats(-5.0, 0.0))) for d in picks]
+        k = data.draw(st.integers(1, trie.max_depth))
+        assert ex.cluster_expand(decoded, trie, k) == cluster_expand_loop(decoded, trie, k)
 
 
 class TestExpandVariant:

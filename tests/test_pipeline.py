@@ -227,7 +227,16 @@ class TestRunPipeline:
         assert report.i2i_items == len(table.neighbors)
         assert (report.i2i_items > 0) == revisits
         assert "i2i_items" not in report.metrics()
-        assert f"i2i_items: {report.i2i_items}\n" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"i2i_items: {report.i2i_items}\n" in out
+        # the desk corpus warns that its I2I variant has nothing to serve
+        assert bool(report.warnings) != revisits
+        assert all(f"warning: {w}\n" in out for w in report.warnings)
+        assert set(report.recall_source_mix) == {"direct", "cluster", "i2i"}
+        assert sum(report.recall_source_mix.values()) == pytest.approx(1.0)
+        assert (report.recall_source_mix["i2i"] > 0) == revisits
+        assert "recall source mix: direct " in out
+        assert not {"warnings", "recall_source_mix"} & set(report.metrics())
 
     def test_stage_subcommands_resume_from_artifacts(self, corpus, tmp_path):
         cfg_path = tmp_path / "cfg.json"
