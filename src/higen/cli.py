@@ -71,12 +71,19 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    for flag, value, rule, ok in (
+            ("--users", args.users, ">= 1", args.users >= 1),
+            ("--train-queries", args.train_queries, ">= 1", args.train_queries >= 1),
+            ("--test-queries", args.test_queries, ">= 0", args.test_queries >= 0),
+            ("--overlap", args.overlap, "in [0, 1]", 0.0 <= args.overlap <= 1.0)):
+        if not ok:
+            raise ConfigError(f"higen gen-synthetic: {flag} must be {rule}, got {value}")
     corpus = dt.generate_synthetic(
         n_items=args.items, n_categories=args.categories,
         n_train_queries=args.train_queries, n_test_queries=args.test_queries,
         n_users=args.users, seed=args.seed, overlap_fraction=args.overlap)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     dt.save_catalog(out / "catalog.jsonl", corpus.catalog)
     dt.save_dataset(out / "train.jsonl", corpus.train_rows)
     dt.save_dataset(out / "test.jsonl", corpus.test_rows)

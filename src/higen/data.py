@@ -172,6 +172,10 @@ def load_catalog(path) -> list[Item]:
     ids = [it.item_id for it in items]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate item ids in catalog")
+    for it in items:
+        if len(it.efficiency) != len(items[0].efficiency):
+            raise DataError(f"{path}: item '{it.item_id}' has {len(it.efficiency)} efficiency "
+                            f"values, item '{items[0].item_id}' {len(items[0].efficiency)}")
     return items
 
 

@@ -130,8 +130,8 @@ class DecoderBatch:
 
 
 class DecoderModel:
-    """Feature encoder plus per-position token heads over the docID
-    vocabulary."""
+    """Feature encoder plus per-position token heads over the docID vocabulary;
+    `step_layers[t]` is the step network with head t as its last layer."""
 
     def __init__(self, vocab: Vocab, pos_vocab: PositionVocab, config: DecoderConfig):
         self.vocab = vocab
@@ -154,6 +154,8 @@ class DecoderModel:
                        for values in pos_vocab.values]
         self.head_b = [nn.Tensor(np.zeros(len(values)), requires_grad=True)
                        for values in pos_vocab.values]
+        self.step_layers = [self.step_net.layers + [(w, b, "identity")]
+                            for w, b in zip(self.head_w, self.head_b)]
 
     def params(self) -> dict[str, nn.Tensor]:
         out = {"user_table": self.user_table, "query_table": self.query_table,
@@ -197,7 +199,7 @@ class DecoderModel:
 
     def encode_infer(self, batch: DecoderBatch) -> np.ndarray:
         """encode(batch).data in plain numpy: the same gathers and attention, then
-        enc_net.infer, so a row's bits do not depend on the batch size."""
+        enc_net's layers row by row, so a row's bits do not depend on the batch size."""
         b, emb = batch.size, self.config.emb
         zeros = np.zeros(b, dtype=np.intp)
         x_q = self.query_table.data[batch.query_idx]
@@ -206,32 +208,31 @@ class DecoderModel:
         pc = self.pool_context.data[zeros].reshape(b, 1, emb)
         pooled_q = nn.attention_infer(pq, x_q, x_q, emb)[0].reshape(b, emb)
         pooled_c = nn.attention_infer(pc, x_c, x_c, emb)[0].reshape(b, emb)
-        return self.enc_net.infer(np.concatenate(
-            [self.user_table.data[batch.user_idx], pooled_q, pooled_c], axis=1))
+        return nn.infer(np.concatenate([self.user_table.data[batch.user_idx], pooled_q,
+                                        pooled_c], axis=1), self.enc_net.layers, rowwise=True)
 
     # -- stepwise logits -----------------------------------------------------
 
     def position_logits(self, ctx: nn.Tensor, prefixes: list[tuple[int, ...]],
                         t: int) -> nn.Tensor:
         """Logits over the position-t vocabulary given prefixes as their trie
-        nodes' heads, the columns the trie owns; the prefix summary is the sum
-        of token-plus-position embeddings pushed through the step network."""
+        nodes' heads, the columns the trie owns: the sum of the prefix's token-plus-
+        position embeddings goes with ctx through `step_layers[t]`, head t last."""
         if t >= len(self.pos_vocab.values):
             raise DataError(f"position {t} beyond vocabulary depth {len(self.pos_vocab.values)}")
         idx = np.asarray(prefixes, dtype=np.intp) + self.pos_vocab.offsets[:t]
         tok_sum = nn.sum_axis(nn.gather(self.tok_table, idx), 1)    # zeros when t == 0
         pos_sum = nn.sum_axis(nn.gather(self.pos_table, np.arange(t, dtype=np.intp)), 0)
         prefix_vec = nn.add(tok_sum, pos_sum)
-        state = self.step_net.forward(nn.concat([ctx, prefix_vec], axis=1))
-        return nn.add(nn.matmul(state, self.head_w[t]), self.head_b[t])
+        return nn.dense(nn.concat([ctx, prefix_vec], axis=1), self.step_layers[t])
 
     def step_logits(self, ctx: np.ndarray, heads: np.ndarray, t: int) -> np.ndarray:
-        """position_logits(ctx, heads, t).data in plain numpy for (B, t) heads. Products
-        are stacked per row as in DenseNet.infer, so a row's bits do not depend on B."""
+        """position_logits(ctx, heads, t).data in plain numpy for (B, t) heads: the same
+        `step_layers[t]`, head t last, run row by row, so a row's bits do not depend on B."""
         tok_sum = self.tok_table.data[heads + self.pos_vocab.offsets[:t]].sum(axis=1)
         prefix_vec = tok_sum + self.pos_table.data[:t].sum(axis=0)
-        state = self.step_net.infer(np.concatenate([ctx, prefix_vec], axis=1))
-        return (state[:, None, :] @ self.head_w[t].data)[:, 0] + self.head_b[t].data
+        return nn.infer(np.concatenate([ctx, prefix_vec], axis=1), self.step_layers[t],
+                        rowwise=True)
 
     # -- persistence -----------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Minimal neural substrate: float64 tensors with reverse-mode gradients,
-dense layers, embedding tables, scaled dot-product attention, losses, Adam
+dense stacks (one numpy layer loop, `infer`, with bias and activation in place,
+which `dense` runs as one graph node that reads each activation's gradient from
+the layer's output), embedding tables, scaled dot-product attention, losses, Adam
 (by live row for tables), the one training loop all three models use (`fit`),
 and the checkpoint format (named parameters plus a JSON `extra` record).
 
@@ -138,18 +140,6 @@ def mul_const(a: Tensor, c) -> Tensor:
     return _node(a.data * c, (a,), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"cannot matmul shapes {a.data.shape} and {b.data.shape}")
-
-    def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _node(a.data @ b.data, (a, b), bw)
-
-
 def concat(parts, axis: int = -1) -> Tensor:
     parts = [_wrap(p) for p in parts]
     sizes = [p.data.shape[axis] for p in parts]
@@ -182,16 +172,6 @@ def relu(a: Tensor) -> Tensor:
         _accum(a, g * mask)
 
     return _node(np.where(mask, a.data, 0.0), (a,), bw)
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    y = np.tanh(a.data)
-
-    def bw(g):
-        _accum(a, g * (1.0 - y * y))
-
-    return _node(y, (a,), bw)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -382,9 +362,42 @@ def bce_mean(p: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # dense networks
 
-# each activation as a graph op (DenseNet.forward) and in plain numpy, in place (DenseNet.infer*)
-_ACTIVATIONS = {"relu": (relu, lambda h: np.copyto(h, 0.0, where=~(h > 0))),
-                "tanh": (tanh, lambda h: np.tanh(h, out=h)), "identity": (_wrap, lambda h: None)}
+# each activation in place on x @ W + b (`infer`), and its gradient from the output y (`dense`)
+_ACTIVATIONS = {"relu": (lambda h: np.copyto(h, 0.0, where=~(h > 0)), lambda g, y: g * (y > 0)),
+                "tanh": (lambda h: np.tanh(h, out=h), lambda g, y: g * (1.0 - y * y)),
+                "identity": (lambda h: None, lambda g, y: g)}
+
+
+def infer(x: np.ndarray, layers, rowwise: bool = False) -> np.ndarray:
+    """The (W, b, activation) layers on a plain array: x @ W, then the bias and the
+    activation in place. `rowwise` multiplies each row as its own (1, m) matrix, as a
+    one-row batch would: a (B, m) product may change a row's bits, and serving may not."""
+    for w, b, act in layers:
+        x = (x[:, None, :] @ w.data)[:, 0] if rowwise else x @ w.data
+        x += b.data
+        _ACTIVATIONS[act][0](x)
+    return x
+
+
+def dense(x: Tensor, layers) -> Tensor:
+    """infer(x, layers) as one graph node. Its backward walks the layers in reverse with
+    the products separate matmul, bias-add and activation nodes would take, so the
+    same bits; g @ W.T is formed for the first layer only if x needs a gradient."""
+    x = _wrap(x)
+    hs = [x.data]       # each layer's input, and last the output
+    for layer in layers:
+        hs.append(infer(hs[-1], [layer]))
+
+    def bw(g):
+        for i, (w, b, act) in reversed(list(enumerate(layers))):
+            g = _ACTIVATIONS[act][1](g, hs[i + 1])
+            _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
+            _accum(w, hs[i].T @ g)
+            if i or x.requires_grad or x._parents:
+                g = g @ w.data.T
+        _accum(x, g)    # a no-op unless x needs a gradient
+
+    return _node(hs[-1], (x, *(p for w, b, _act in layers for p in (w, b))), bw)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -401,7 +414,8 @@ class Table(Tensor):
 
 
 class DenseNet:
-    """Stack of affine layers with per-layer activations."""
+    """Stack of affine layers with per-layer activations, as (W, b, activation)
+    `layers` for `dense` and `infer`."""
 
     def __init__(self, sizes, activations, rng: np.random.Generator, name: str = "net"):
         sizes = [int(s) for s in sizes]
@@ -416,11 +430,10 @@ class DenseNet:
         self.name = name
         self.sizes = sizes
         self.activations = activations
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
-        for m, n in zip(sizes, sizes[1:]):
-            self.weights.append(Tensor(glorot_uniform(rng, m, n), requires_grad=True))
-            self.biases.append(Tensor(np.zeros(n), requires_grad=True))
+        self.weights = [Tensor(glorot_uniform(rng, m, n), requires_grad=True)
+                        for m, n in zip(sizes, sizes[1:])]
+        self.biases = [Tensor(np.zeros(n), requires_grad=True) for n in sizes[1:]]
+        self.layers = list(zip(self.weights, self.biases, self.activations))
 
     def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
@@ -430,28 +443,14 @@ class DenseNet:
     def forward(self, x: Tensor) -> Tensor:
         x = _wrap(x)
         self._check_input(x.data)
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            x = _ACTIVATIONS[act][0](add(matmul(x, w), b))
-        return x
+        return dense(x, self.layers)
 
     def infer_batched(self, x: np.ndarray) -> np.ndarray:
-        """forward(x).data without graph nodes: the same (B, m) product per layer,
-        so the same bits. For whole-table passes; a query's rows go through `infer`."""
+        """forward(x).data without graph nodes: the same (B, m) product per layer, so the
+        same bits. For whole-table passes; a query's rows go through `infer` rowwise."""
         x = _f64(x)
         self._check_input(x)
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            x = x @ w.data      # the bias and activation go in place: one (B, n) array a layer
-            x += b.data
-            _ACTIVATIONS[act][1](x)
-        return x
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """forward(x).data without graph nodes. Each row is multiplied as its own (1, m)
-        matrix, as in a one-row forward, since a (B, m) product may change its bits."""
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            x = (x[:, None, :] @ w.data)[:, 0] + b.data
-            _ACTIVATIONS[act][1](x)
-        return x
+        return infer(x, self.layers)
 
     def params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

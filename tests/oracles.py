@@ -7,8 +7,9 @@ check. `fuse`, `hierarchical_weights`, `position_weight`,
 `position_aware_loss_loop`, `expand_variant_direct_first`, `cluster_expand_loop`,
 `beam_search_loop`, `gather_dense`, `swing_scores_loop`, the graph passes
 `export_atomic_graph` and `fuse_table_graph`, the one-shot checkpoint writer
-`save_checkpoint_one_shot` and the autograd test helpers `mul` and
-`finite_diff_gradcheck` call into the package.
+`save_checkpoint_one_shot`, the per-op graph ops `matmul` and `tanh` with the
+dense stack built from them (`dense_by_ops`), and the autograd test helpers
+`mul` and `finite_diff_gradcheck` call into the package.
 """
 
 from dataclasses import dataclass
@@ -127,26 +128,30 @@ def fuse(atomic, model) -> np.ndarray:
     if x.shape[0] != 3 * model.d_atomic:
         raise DimensionError(f"atomic width {x.shape[0]} does not match fusion input "
                              f"{3 * model.d_atomic}")
-    return model.net.forward(nn.Tensor(x[None, :])).data[0]
+    return dense_by_ops(nn.Tensor(x[None, :]), model.net.layers).data[0]
 
 
 def export_atomic_graph(model, items) -> dict:
     """export_atomic_embeddings as the graph computes it: `model.atomic` over all
-    items at once, each row copied out."""
+    items at once, with eff_net's layers as per-op nodes (`dense_by_ops`), each row
+    copied out."""
     items = list(items)
-    x_is, x_ic, x_ie = model.atomic(*rep.item_arrays(items, model.vocab, model.config))
+    sem_idx, sem_mask, item_idx, eff = rep.item_arrays(items, model.vocab, model.config)
+    x_is, x_ic, _x_ie = model.atomic(sem_idx, sem_mask, item_idx, eff)
+    x_ie = dense_by_ops(nn.Tensor((eff - model.eff_mean) / model.eff_std), model.eff_net.layers)
     return {it.item_id: rep.AtomicEmbeddings(x_is.data[i].copy(), x_ic.data[i].copy(),
                                              x_ie.data[i].copy())
             for i, it in enumerate(items)}
 
 
 def fuse_table_graph(atomic_table, model) -> dict:
-    """fuse_table as the graph computes it: `model.net.forward` over all items."""
+    """fuse_table as the graph computes it: the fusion net's layers as per-op nodes
+    (`dense_by_ops`) over all items."""
     ids = sorted(atomic_table)
     if not ids:
         return {}
     x = np.stack([fusion.atomic_concat(atomic_table[i]) for i in ids])
-    out = model.net.forward(nn.Tensor(x)).data
+    out = dense_by_ops(nn.Tensor(x), model.net.layers).data
     return {item_id: out[i].copy() for i, item_id in enumerate(ids)}
 
 
@@ -171,6 +176,38 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, g * a.data)
 
     return _node(a.data * b.data, (a, b), bw)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise DimensionError(f"cannot matmul shapes {a.data.shape} and {b.data.shape}")
+
+    def bw(g):
+        _accum(a, g @ b.data.T)
+        _accum(b, a.data.T @ g)
+
+    return _node(a.data @ b.data, (a, b), bw)
+
+
+def tanh(a: Tensor) -> Tensor:
+    a = _wrap(a)
+    y = np.tanh(a.data)
+
+    def bw(g):
+        _accum(a, g * (1.0 - y * y))
+
+    return _node(y, (a,), bw)
+
+
+def dense_by_ops(x, layers) -> Tensor:
+    """A stack of (W, b, activation) layers as one `matmul`, one bias `nn.add` and one
+    activation node per layer; the per-op reference for the fused `nn.dense` node."""
+    ops = {"relu": nn.relu, "tanh": tanh, "identity": _wrap}
+    x = _wrap(x)
+    for w, b, act in layers:
+        x = ops[act](nn.add(matmul(x, w), b))
+    return x
 
 
 def gather_dense(table: Tensor, idx) -> Tensor:

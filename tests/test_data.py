@@ -210,6 +210,18 @@ class TestArtifactLoaders:
         with pytest.raises(DataError, match="cannot read"):
             ex.I2ITable.load(tmp_path / "nope.jsonl")
 
+    @pytest.mark.parametrize("efficiency", [(0.5,), (), (0.1, 0.2, 0.3)])
+    def test_catalog_efficiency_of_another_length_names_file_and_item(self, tmp_path,
+                                                                      efficiency):
+        # ended in numpy's "setting an array element with a sequence" at training
+        path = tmp_path / "catalog.jsonl"
+        items = [dt.Item(f"it{i}", (1,), ("a",), (0.1, 0.2), 0.5) for i in range(3)]
+        items[1] = dt.Item("it1", (1,), ("a",), efficiency, 0.5)
+        dt.save_catalog(path, items)
+        with pytest.raises(DataError, match=f"{path}: item 'it1' has {len(efficiency)} "
+                                            "efficiency values, item 'it0' 2"):
+            dt.load_catalog(path)
+
     def test_non_utf8_file_is_data_error(self, tmp_path):
         path = tmp_path / "oracle.jsonl"
         path.write_bytes(b'{"a": 1, "b": 2, "similarity": 0.5}\n\xff\xfe\n')

@@ -540,7 +540,7 @@ class TestStepLogits:
                 assert np.array_equal(got[i], want.data[0]), (t, i)
         for net in (model.enc_net, model.step_net):
             x = rng.normal(size=(b, net.sizes[0]))
-            got = net.infer(x)
+            got = nn.infer(x, net.layers, rowwise=True)
             for i in range(b):
                 assert np.array_equal(got[i], net.forward(x[i:i + 1]).data[0])
 

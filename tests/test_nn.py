@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from helpers import bad_f8_texts
-from oracles import (AdamLoop, binary_cross_entropy, finite_diff_gradcheck, gather_dense, mul,
-                     ref_attention, ref_dense, save_checkpoint_one_shot)
+from oracles import (AdamLoop, binary_cross_entropy, dense_by_ops, finite_diff_gradcheck,
+                     gather_dense, matmul, mul, ref_attention, ref_dense, save_checkpoint_one_shot)
 
 from higen import nn
 from higen.data import f8_text
@@ -122,7 +122,7 @@ class TestDenseNet:
         want = ref_dense(x, [w.data for w in net.weights], [b.data for b in net.biases],
                          net.activations)
         np.testing.assert_allclose(net.forward(x).data, want, atol=1e-10)
-        got = net.infer(x)
+        got = nn.infer(x, net.layers, rowwise=True)
         for i in range(3):
             assert np.array_equal(got[i], net.forward(x[i:i + 1]).data[0])
 
@@ -137,6 +137,64 @@ class TestDenseNet:
         net = nn.DenseNet([4, 4, 2], ["tanh", "identity"], rng)
         x = np.random.default_rng(5).normal(size=(2, 4))
         assert np.array_equal(net.forward(x).data, net.forward(x).data)
+
+
+class TestDenseNode:
+    """The fused `nn.dense` node against the per-op graph it replaces
+    (`oracles.dense_by_ops`): the same forward and every gradient, bit for bit."""
+
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 10_000), b=st.integers(1, 40), uses=st.integers(2, 3),
+           acts=st.lists(st.sampled_from(["relu", "tanh", "identity"]), min_size=1, max_size=4),
+           input_grad=st.booleans(), shared_input=st.booleans(), head=st.booleans())
+    def test_equals_the_per_op_graph_bit_for_bit(self, seed, b, uses, acts, input_grad,
+                                                 shared_input, head):
+        # the same layers run 2-3 times in one loss, as fusion's anchor, positive and
+        # negative do, or the decoder's step network once per depth, each with its head
+        rng = np.random.default_rng(seed)
+        sizes = [int(n) for n in rng.integers(1, 9, size=len(acts) + 1)]
+        net = nn.DenseNet(sizes, acts, rng)
+        for bias in net.biases:
+            bias.data = rng.normal(size=bias.data.shape)
+        heads = [(nn.Tensor(rng.normal(size=(sizes[-1], 3)), requires_grad=True),
+                  nn.Tensor(rng.normal(size=3), requires_grad=True), "identity")
+                 for _ in range(uses)]
+        stacks = [net.layers + [heads[u]] if head else net.layers for u in range(uses)]
+        xs = [nn.Tensor(rng.normal(size=(b, sizes[0])), requires_grad=input_grad)
+              for _ in range(1 if shared_input else uses)]
+        inputs = [xs[0 if shared_input else u] for u in range(uses)]
+        coefs = [rng.normal(size=(b, 3 if head else sizes[-1])) for _ in range(uses)]
+        params = [p for w, bias, _act in stacks[-1] for p in (w, bias)]
+        params += [p for w, bias, _act in heads for p in (w, bias)] if head else []
+
+        def run(build):
+            for t in params + xs:
+                t.grad = None
+            outs = [build(x, layers) for x, layers in zip(inputs, stacks)]
+            loss = None
+            for out, c in zip(outs, coefs):
+                term = nn.sum_all(nn.mul_const(out, c))
+                loss = term if loss is None else nn.add(loss, term)
+            loss.backward()
+            return [o.data.tobytes() for o in outs] + [
+                None if t.grad is None else t.grad.tobytes() for t in params + xs]
+
+        assert run(nn.dense) == run(dense_by_ops)
+
+    def test_dense_stack_is_one_node(self):
+        rng = np.random.default_rng(0)
+        net = nn.DenseNet([4, 5, 3, 2], ["relu", "tanh", "identity"], rng)
+        x = nn.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        out = net.forward(x)
+        nodes, stack = set(), [out]
+        while stack:
+            node = stack.pop()
+            if node._parents and id(node) not in nodes:
+                nodes.add(id(node))
+                stack.extend(node._parents)
+        assert nodes == {id(out)}
+        assert out._parents[0] is x and set(map(id, out._parents[1:])) == set(
+            map(id, net.params().values()))
 
 
 class TestBinaryCrossEntropy:
@@ -346,6 +404,20 @@ class TestGradcheck:
         params = {"q": q, "k": k, "v": v, **net.params()}
         assert finite_diff_gradcheck(loss, params, eps=1e-5) < 1e-6
 
+    @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
+    def test_dense_node_each_activation(self, act):
+        rng = np.random.default_rng(7)
+        net = nn.DenseNet([3, 4, 2], [act, act], rng)
+        for bias in net.biases:
+            bias.data = rng.normal(size=bias.data.shape)
+        x = nn.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        c = rng.normal(size=(5, 2))
+
+        def loss():
+            return nn.sum_all(nn.mul_const(net.forward(x), c))
+
+        assert finite_diff_gradcheck(loss, {"x": x, **net.params()}, eps=1e-5) < 1e-6
+
     def test_gather_and_normalize(self):
         rng = np.random.default_rng(4)
         table = nn.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
@@ -367,7 +439,7 @@ class TestGradcheck:
         y = np.array([1.0, 0.0, 1.0, 0.0])
 
         def loss():
-            p = nn.sigmoid(nn.reshape(nn.matmul(nn.Tensor(x), w), (4,)))
+            p = nn.sigmoid(nn.reshape(matmul(nn.Tensor(x), w), (4,)))
             return nn.bce_mean(p, y)
 
         assert finite_diff_gradcheck(loss, {"w": w}, eps=1e-5) < 1e-6
@@ -379,7 +451,7 @@ class TestGradcheck:
         b = nn.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
 
         def loss():
-            ce = nn.softmax_cross_entropy(nn.matmul(a, w), np.array([1, 0, 3]))
+            ce = nn.softmax_cross_entropy(matmul(a, w), np.array([1, 0, 3]))
             d = nn.l2_dist_rows(a, b)
             return nn.add(nn.mean_all(ce), nn.mean_all(d))
 

@@ -681,6 +681,23 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "line 61" in err and "category_path" in err
 
+    @pytest.mark.parametrize("efficiency", [[0.5], []])
+    def test_catalog_efficiency_of_another_length_is_3(self, corpus, tmp_path, capsys,
+                                                       efficiency):
+        # ended in numpy's ValueError traceback, 27 stderr lines
+        lines = (corpus / "catalog.jsonl").read_text().splitlines()
+        bad_catalog = tmp_path / "catalog.jsonl"
+        lines[7] = json.dumps(json.loads(lines[7]) | {"efficiency": efficiency})
+        bad_catalog.write_text("\n".join(lines) + "\n")
+        cfg = json.loads((corpus / "config.json").read_text())
+        cfg.update(catalog_path=str(bad_catalog), workdir=str(tmp_path / "w"))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert cli.main(["run-all", "--config", str(p)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert str(bad_catalog) in err and "item 'it0007'" in err
+
     @pytest.mark.parametrize("line", ['{"user_id": "u0"}', '{"query": ', '["q"]',
                                       '{"query": "q", "context": 5}',
                                       '{"query": "x", "context": [["a"]]}',
@@ -894,6 +911,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1
         assert err.startswith("config error: ") and named in err
+        assert not work.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--users", "0"), ("--users", "-2"), ("--train-queries", "0"),
+        ("--train-queries", "-1"), ("--test-queries", "-1"), ("--overlap", "2"),
+        ("--overlap", "-1"), ("--overlap", "nan"),
+    ])
+    def test_gen_synthetic_flag_out_of_range_is_2(self, tmp_path, capsys, flag, value):
+        # --users 0 and --train-queries 0 ended in a ZeroDivisionError traceback,
+        # --train-queries -1 wrote 499 train queries, and the rest exited 0
+        work = tmp_path / "w"
+        assert cli.main(["gen-synthetic", "--out", str(work), flag, value]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert err.startswith("config error: ") and f"{flag} must be" in err
+        assert not work.exists()
+
+    def test_gen_synthetic_fewer_items_than_categories_is_3(self, tmp_path, capsys):
+        work = tmp_path / "w"
+        rc = cli.main(["gen-synthetic", "--out", str(work), "--items", "5", "--categories", "6"])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "one item per category" in err
         assert not work.exists()
 
     def test_help_keeps_the_usage_block(self, capsys):
