@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 from .data import read_json
@@ -27,7 +28,8 @@ def to_json(obj) -> dict:
 
 def _typed(name: str, value, default):
     """value checked against the field's default: a list for a tuple (returned
-    as a tuple), an int for a float, a bool only for a bool; no default, any."""
+    as a tuple), a finite int or float for a float, a bool only for a bool; no
+    default, any."""
     if isinstance(default, tuple):
         if isinstance(value, (list, tuple)):
             return tuple(_typed(name, v, default[0]) for v in value)
@@ -37,7 +39,9 @@ def _typed(name: str, value, default):
         wanted = (int, float) if kind == "float" else type(default)
         if default is dataclasses.MISSING or \
                 isinstance(value, wanted) and isinstance(value, bool) == (kind == "bool"):
-            return value
+            if kind != "float" or abs(value) <= sys.float_info.max:
+                return value
+            kind = "finite float"
     raise ConfigError(f"config field '{name}' expects {kind}, got {value!r}")
 
 

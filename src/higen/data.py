@@ -67,6 +67,42 @@ class LoadResult:
     malformed: int
 
 
+def finite_number(value) -> float:
+    """value as a float if it is an int or float, not a bool, of finite size;
+    TypeError or ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _field(rec: dict, key: str, parse, of_list: bool = False):
+    """parse(rec[key]), or with `of_list` the tuple of parse(v) for each v of the JSON
+    list rec[key]; a value parse refuses raises its TypeError or ValueError naming key."""
+    value = rec[key]
+    try:
+        if not of_list:
+            return parse(value)
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(map(parse, value))
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"'{key}': {exc}") from None
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an int, got {value!r}")
+    return value
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _parse_context(raw) -> tuple[tuple[str, str], ...]:
     if not isinstance(raw, list) or not all(isinstance(entry, str) for entry in raw):
         raise DataError("context must be a list of strings")
@@ -89,11 +125,10 @@ def _row_from_record(rec: dict) -> DatasetRow:
     click = rec["click"]
     if relevance not in (0, 1) or click not in (0, 1):
         raise DataError(f"non-binary label in row: relevance={relevance!r} click={click!r}")
-    user_id, query, target = rec["user_id"], rec["query"], rec["target_item_id"]
-    if not all(isinstance(field, str) for field in (user_id, query, target)):
-        raise DataError("user_id, query and target_item_id must be strings")
+    user_id, query, target = (_field(rec, key, _str) for key in
+                              ("user_id", "query", "target_item_id"))
     return DatasetRow(user_id, query, _parse_context(rec.get("context", [])), target,
-                      int(relevance), int(click), float(rec.get("timestamp", 0.0)))
+                      int(relevance), int(click), finite_number(rec.get("timestamp", 0.0)))
 
 
 def _row_from_tsv(line: str) -> DatasetRow:
@@ -165,13 +200,17 @@ def group_page_views(rows) -> list[PageView]:
 
 
 def load_catalog(path) -> list[Item]:
+    """The catalog's items, each field checked, not coerced: a string id, a list of
+    int categories, a list of string tokens, a list of finite efficiency numbers and
+    a finite score; anything else raises DataError naming the file and line."""
     items = list(read_jsonl(path, lambda rec: Item(
-        str(rec["item_id"]), tuple(int(c) for c in rec["category_path"]),
-        tuple(str(t) for t in rec["semantic_tokens"]),
-        tuple(float(x) for x in rec["efficiency"]), float(rec["efficient_score"]))))
+        _field(rec, "item_id", _str), _field(rec, "category_path", _int, of_list=True),
+        _field(rec, "semantic_tokens", _str, of_list=True),
+        _field(rec, "efficiency", finite_number, of_list=True),
+        _field(rec, "efficient_score", finite_number))))
     ids = [it.item_id for it in items]
     if len(set(ids)) != len(ids):
-        raise DataError("duplicate item ids in catalog")
+        raise DataError(f"{path}: duplicate item ids in catalog")
     for it in items:
         if len(it.efficiency) != len(items[0].efficiency):
             raise DataError(f"{path}: item '{it.item_id}' has {len(it.efficiency)} efficiency "
@@ -286,8 +325,8 @@ def write_oracle_jsonl(path, pairs) -> None:
 
 
 def read_oracle_jsonl(path) -> list[tuple[int, int, float]]:
-    return list(read_jsonl(path, lambda rec: (int(rec["a"]), int(rec["b"]),
-                                              float(rec["similarity"]))))
+    return list(read_jsonl(path, lambda rec: (_field(rec, "a", _int), _field(rec, "b", _int),
+                                              _field(rec, "similarity", finite_number))))
 
 
 # ---------------------------------------------------------------------------

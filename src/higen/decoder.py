@@ -130,8 +130,9 @@ class DecoderBatch:
 
 
 class DecoderModel:
-    """Feature encoder plus per-position token heads over the docID vocabulary;
-    `step_layers[t]` is the step network with head t as its last layer."""
+    """Feature encoder plus per-position token heads over the docID vocabulary.
+    `enc_net` and `step_net` are (W, b, activation) stacks, and `step_layers[t]`
+    is `step_net` with head t as its last layer."""
 
     def __init__(self, vocab: Vocab, pos_vocab: PositionVocab, config: DecoderConfig):
         self.vocab = vocab
@@ -146,15 +147,15 @@ class DecoderModel:
         self.pool_context = nn.Table(rng, 1, c.emb)
         # tanh hidden layers: relu risks exact zero logits with zero biases
         acts = ["tanh"] * len(c.hidden) + ["identity"]
-        self.enc_net = nn.DenseNet([3 * c.emb, *c.hidden, c.d_model], acts, rng, "enc_net")
+        self.enc_net = nn.dense_stack([3 * c.emb, *c.hidden, c.d_model], acts, rng)
         self.tok_table = nn.Table(rng, int(pos_vocab.offsets[-1]), c.d_model)
         self.pos_table = nn.Table(rng, len(pos_vocab.values), c.d_model)
-        self.step_net = nn.DenseNet([2 * c.d_model, *c.hidden, c.d_model], acts, rng, "step_net")
+        self.step_net = nn.dense_stack([2 * c.d_model, *c.hidden, c.d_model], acts, rng)
         self.head_w = [nn.Tensor(nn.glorot_uniform(rng, c.d_model, len(values)), requires_grad=True)
                        for values in pos_vocab.values]
         self.head_b = [nn.Tensor(np.zeros(len(values)), requires_grad=True)
                        for values in pos_vocab.values]
-        self.step_layers = [self.step_net.layers + [(w, b, "identity")]
+        self.step_layers = [self.step_net + [(w, b, "identity")]
                             for w, b in zip(self.head_w, self.head_b)]
 
     def params(self) -> dict[str, nn.Tensor]:
@@ -162,8 +163,8 @@ class DecoderModel:
                "context_table": self.context_table, "pool_query": self.pool_query,
                "pool_context": self.pool_context, "tok_table": self.tok_table,
                "pos_table": self.pos_table}
-        out.update(self.enc_net.params())
-        out.update(self.step_net.params())
+        out.update(nn.stack_params("enc_net", self.enc_net))
+        out.update(nn.stack_params("step_net", self.step_net))
         for t, (w, b) in enumerate(zip(self.head_w, self.head_b)):
             out[f"head{t}.W"] = w
             out[f"head{t}.b"] = b
@@ -195,11 +196,12 @@ class DecoderModel:
                               (b, self.config.emb))
         pooled_c = nn.reshape(nn.attention_batched(pc, x_c, x_c, self.config.emb),
                               (b, self.config.emb))
-        return self.enc_net.forward(nn.concat([x_u, pooled_q, pooled_c], axis=1))
+        return nn.dense(nn.concat([x_u, pooled_q, pooled_c], axis=1), self.enc_net)
 
     def encode_infer(self, batch: DecoderBatch) -> np.ndarray:
         """encode(batch).data in plain numpy: the same gathers and attention, then
-        enc_net's layers row by row, so a row's bits do not depend on the batch size."""
+        `enc_net` through `nn.infer` row by row, so a row's bits do not depend on the
+        batch size; `nn.infer` checks the pooled input's width."""
         b, emb = batch.size, self.config.emb
         zeros = np.zeros(b, dtype=np.intp)
         x_q = self.query_table.data[batch.query_idx]
@@ -209,7 +211,7 @@ class DecoderModel:
         pooled_q = nn.attention_infer(pq, x_q, x_q, emb)[0].reshape(b, emb)
         pooled_c = nn.attention_infer(pc, x_c, x_c, emb)[0].reshape(b, emb)
         return nn.infer(np.concatenate([self.user_table.data[batch.user_idx], pooled_q,
-                                        pooled_c], axis=1), self.enc_net.layers, rowwise=True)
+                                        pooled_c], axis=1), self.enc_net, rowwise=True)
 
     # -- stepwise logits -----------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Metric-learning fusion: collapse the three atomic embeddings into one
 discriminative vector and refine it with page-view triplets.
 
-Training runs the fusion net as a graph (`FusionModel.net.forward`); `fuse_table`
-runs it over the whole catalog in plain numpy, with the graph's bits."""
+Training runs the fusion stack `FusionModel.net` as a graph (`nn.dense`);
+`fuse_table` runs it over the whole catalog in plain numpy (`nn.infer`), with
+the graph's bits."""
 
 from __future__ import annotations
 
@@ -50,11 +51,10 @@ class FusionModel:
         self.config = config
         rng = np.random.default_rng(config.seed)
         acts = ["relu"] * len(config.hidden) + ["identity"]
-        self.net = nn.DenseNet([3 * d_atomic, *config.hidden, config.d_out], acts, rng,
-                               "fusion_net")
+        self.net = nn.dense_stack([3 * d_atomic, *config.hidden, config.d_out], acts, rng)
 
     def params(self) -> dict[str, nn.Tensor]:
-        return self.net.params()
+        return nn.stack_params("fusion_net", self.net)
 
     def save(self, path) -> None:
         nn.save_checkpoint(path, self.params(),
@@ -80,7 +80,7 @@ def fuse_table(atomic_table: dict[str, AtomicEmbeddings],
     x = np.empty((len(ids), len(atomic_concat(atomic_table[ids[0]]))))
     for row, item_id in zip(x, ids):
         row[:] = atomic_concat(atomic_table[item_id])
-    return dict(zip(ids, model.net.infer_batched(x)))
+    return dict(zip(ids, nn.infer(x, model.net)))
 
 
 def mine_triplets(pvs: list[PageView], cap_per_pv: int = 20, seed: int = 0) -> list[Triplet]:
@@ -136,11 +136,10 @@ def train_metric(atomic_table: dict[str, AtomicEmbeddings], pvs: list[PageView],
 
     def batch_loss(sel):
         batch = [triplets[i] for i in sel]
-        a = nn.Tensor(np.stack([inputs[t.anchor] for t in batch]))
-        p = nn.Tensor(np.stack([inputs[t.positive] for t in batch]))
-        n = nn.Tensor(np.stack([inputs[t.negative] for t in batch]))
-        return triplet_loss_batch(model.net.forward(a), model.net.forward(p),
-                                  model.net.forward(n), config.margin), {}
+        a = nn.dense(np.stack([inputs[t.anchor] for t in batch]), model.net)
+        p = nn.dense(np.stack([inputs[t.positive] for t in batch]), model.net)
+        n = nn.dense(np.stack([inputs[t.negative] for t in batch]), model.net)
+        return triplet_loss_batch(a, p, n, config.margin), {}
 
     nn.fit(model.params(), len(triplets), batch_loss, lr=config.lr, epochs=config.epochs,
            batch_size=config.batch_size, seed=config.seed, stage="metric")

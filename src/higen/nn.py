@@ -1,7 +1,8 @@
 """Minimal neural substrate: float64 tensors with reverse-mode gradients,
-dense stacks (one numpy layer loop, `infer`, with bias and activation in place,
-which `dense` runs as one graph node that reads each activation's gradient from
-the layer's output), embedding tables, scaled dot-product attention, losses, Adam
+dense stacks (plain lists of (W, b, activation) layers, run by one numpy loop,
+`infer`, which checks the input's width and adds bias and activation in place;
+`dense` runs it as one graph node reading each activation's gradient from the
+layer's output), embedding tables, scaled dot-product attention, losses, Adam
 (by live row for tables), the one training loop all three models use (`fit`),
 and the checkpoint format (named parameters plus a JSON `extra` record).
 
@@ -371,7 +372,11 @@ _ACTIVATIONS = {"relu": (lambda h: np.copyto(h, 0.0, where=~(h > 0)), lambda g, 
 def infer(x: np.ndarray, layers, rowwise: bool = False) -> np.ndarray:
     """The (W, b, activation) layers on a plain array: x @ W, then the bias and the
     activation in place. `rowwise` multiplies each row as its own (1, m) matrix, as a
-    one-row batch would: a (B, m) product may change a row's bits, and serving may not."""
+    one-row batch would: a (B, m) product may change a row's bits, and serving may not.
+    An x that is not 2-D with the first layer's input width raises DimensionError."""
+    if x.ndim != 2 or x.shape[1] != layers[0][0].data.shape[0]:
+        raise DimensionError(f"input shape {x.shape} incompatible with a stack of input "
+                             f"size {layers[0][0].data.shape[0]}")
     for w, b, act in layers:
         x = (x[:, None, :] @ w.data)[:, 0] if rowwise else x @ w.data
         x += b.data
@@ -413,51 +418,31 @@ class Table(Tensor):
         super().__init__(glorot_uniform(rng, max(rows, 1), cols), requires_grad=True)
 
 
-class DenseNet:
-    """Stack of affine layers with per-layer activations, as (W, b, activation)
-    `layers` for `dense` and `infer`."""
+def dense_stack(sizes, activations, rng: np.random.Generator) -> list:
+    """The (W, b, activation) layers from sizes[0] inputs to sizes[-1] outputs: glorot
+    weights drawn in layer order, then zero biases."""
+    sizes = [int(s) for s in sizes]
+    activations = list(activations)
+    if len(sizes) < 2:
+        raise DimensionError("a dense stack needs at least input and output sizes")
+    if len(activations) != len(sizes) - 1:
+        raise DimensionError("one activation per layer required")
+    for act in activations:
+        if act not in _ACTIVATIONS:
+            raise DimensionError(f"unknown activation '{act}'")
+    weights = [Tensor(glorot_uniform(rng, m, n), requires_grad=True)
+               for m, n in zip(sizes, sizes[1:])]
+    return [(w, Tensor(np.zeros(n), requires_grad=True), act)
+            for w, n, act in zip(weights, sizes[1:], activations)]
 
-    def __init__(self, sizes, activations, rng: np.random.Generator, name: str = "net"):
-        sizes = [int(s) for s in sizes]
-        activations = list(activations)
-        if len(sizes) < 2:
-            raise DimensionError("DenseNet needs at least input and output sizes")
-        if len(activations) != len(sizes) - 1:
-            raise DimensionError("one activation per layer required")
-        for act in activations:
-            if act not in _ACTIVATIONS:
-                raise DimensionError(f"unknown activation '{act}'")
-        self.name = name
-        self.sizes = sizes
-        self.activations = activations
-        self.weights = [Tensor(glorot_uniform(rng, m, n), requires_grad=True)
-                        for m, n in zip(sizes, sizes[1:])]
-        self.biases = [Tensor(np.zeros(n), requires_grad=True) for n in sizes[1:]]
-        self.layers = list(zip(self.weights, self.biases, self.activations))
 
-    def _check_input(self, x: np.ndarray) -> None:
-        if x.ndim != 2 or x.shape[1] != self.sizes[0]:
-            raise DimensionError(
-                f"{self.name}: input shape {x.shape} incompatible with size {self.sizes[0]}")
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = _wrap(x)
-        self._check_input(x.data)
-        return dense(x, self.layers)
-
-    def infer_batched(self, x: np.ndarray) -> np.ndarray:
-        """forward(x).data without graph nodes: the same (B, m) product per layer, so the
-        same bits. For whole-table passes; a query's rows go through `infer` rowwise."""
-        x = _f64(x)
-        self._check_input(x)
-        return infer(x, self.layers)
-
-    def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"{self.name}.W{i}"] = w
-            out[f"{self.name}.b{i}"] = b
-        return out
+def stack_params(name: str, stack) -> dict[str, Tensor]:
+    """A stack's parameters as name.W0, name.b0, name.W1, ... in layer order."""
+    out: dict[str, Tensor] = {}
+    for i, (w, b, _act) in enumerate(stack):
+        out[f"{name}.W{i}"] = w
+        out[f"{name}.b{i}"] = b
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -157,14 +157,13 @@ class TwoTowerModel:
         self.context_table = nn.Table(rng, len(vocab.items) + 1, c.d_k)
         self.sem_table = nn.Table(rng, len(vocab.sem_tokens) + 1, c.d_atomic)
         self.item_table = nn.Table(rng, len(vocab.items) + 1, c.d_atomic)
-        self.eff_net = nn.DenseNet([vocab.n_eff, c.d_atomic], ["identity"], rng, "eff_net")
+        self.eff_net = nn.dense_stack([vocab.n_eff, c.d_atomic], ["identity"], rng)
         in_user = c.d_u + (c.context_len + c.query_len) * c.d_k
         acts = ["relu"] * len(c.user_hidden) + ["identity"]
-        self.user_net = nn.DenseNet([in_user, *c.user_hidden, c.d_e], acts, rng, "user_net")
+        self.user_net = nn.dense_stack([in_user, *c.user_hidden, c.d_e], acts, rng)
         acts = ["relu"] * len(c.head_hidden) + ["identity"]
-        self.rel_head = nn.DenseNet([2 * c.d_atomic, *c.head_hidden, c.d_e], acts, rng, "rel_head")
-        self.click_head = nn.DenseNet([2 * c.d_atomic, *c.head_hidden, c.d_e], acts, rng,
-                                      "click_head")
+        self.rel_head = nn.dense_stack([2 * c.d_atomic, *c.head_hidden, c.d_e], acts, rng)
+        self.click_head = nn.dense_stack([2 * c.d_atomic, *c.head_hidden, c.d_e], acts, rng)
         self.eff_mean = np.zeros(vocab.n_eff)
         self.eff_std = np.ones(vocab.n_eff)
 
@@ -172,8 +171,8 @@ class TwoTowerModel:
         out = {"user_table": self.user_table, "query_table": self.query_table,
                "context_table": self.context_table, "sem_table": self.sem_table,
                "item_table": self.item_table}
-        for net in (self.eff_net, self.user_net, self.rel_head, self.click_head):
-            out.update(net.params())
+        for name in ("eff_net", "user_net", "rel_head", "click_head"):
+            out.update(nn.stack_params(name, getattr(self, name)))
         return out
 
     # -- forward pieces ----------------------------------------------------
@@ -191,7 +190,7 @@ class TwoTowerModel:
         weights = sem_mask / sem_mask.sum(axis=1, keepdims=True)
         x_is = nn.sum_axis(nn.mul_const(sem, weights[:, :, None]), 1)
         x_ic = nn.gather(self.item_table, item_idx)
-        x_ie = self.eff_net.forward(nn.Tensor((eff - self.eff_mean) / self.eff_std))
+        x_ie = nn.dense((eff - self.eff_mean) / self.eff_std, self.eff_net)
         return x_is, x_ic, x_ie
 
     def forward(self, batch: FeatureBatch):
@@ -228,7 +227,7 @@ def user_tower(x_u, x_q, x_c, model: TwoTowerModel) -> nn.Tensor:
     b = x_u.data.shape[0]
     flat_self = nn.reshape(z_self, (b, -1))
     flat_query = nn.reshape(z_query, (b, -1))
-    return model.user_net.forward(nn.concat([x_u, flat_self, flat_query], axis=1))
+    return nn.dense(nn.concat([x_u, flat_self, flat_query], axis=1), model.user_net)
 
 
 def item_heads(atomic, u, model: TwoTowerModel):
@@ -236,8 +235,8 @@ def item_heads(atomic, u, model: TwoTowerModel):
     to a probability by a temperature sigmoid. The common embedding feeds
     both heads."""
     x_is, x_ic, x_ie = atomic
-    rel_vec = model.rel_head.forward(nn.concat([x_is, x_ic], axis=1))
-    click_vec = model.click_head.forward(nn.concat([x_ie, x_ic], axis=1))
+    rel_vec = nn.dense(nn.concat([x_is, x_ic], axis=1), model.rel_head)
+    click_vec = nn.dense(nn.concat([x_ie, x_ic], axis=1), model.click_head)
     u_n = nn.l2_normalize_rows(u, "user tower")
     inv_tau = 1.0 / model.config.tau
     y_r = nn.sigmoid(nn.mul_const(
@@ -292,7 +291,7 @@ def export_atomic_embeddings(model: TwoTowerModel, items) -> dict[str, AtomicEmb
         rows = slice(lo, lo + EXPORT_BLOCK)
         x_is[rows] = (model.sem_table.data[sem_idx[rows]] * weights[rows, :, None]).sum(axis=1)
     x_ic = model.item_table.data[item_idx]
-    x_ie = model.eff_net.infer_batched((eff - model.eff_mean) / model.eff_std)
+    x_ie = nn.infer((eff - model.eff_mean) / model.eff_std, model.eff_net)
     return {it.item_id: AtomicEmbeddings(*vecs) for it, *vecs in zip(items, x_is, x_ic, x_ie)}
 
 

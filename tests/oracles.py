@@ -128,7 +128,7 @@ def fuse(atomic, model) -> np.ndarray:
     if x.shape[0] != 3 * model.d_atomic:
         raise DimensionError(f"atomic width {x.shape[0]} does not match fusion input "
                              f"{3 * model.d_atomic}")
-    return dense_by_ops(nn.Tensor(x[None, :]), model.net.layers).data[0]
+    return dense_by_ops(nn.Tensor(x[None, :]), model.net).data[0]
 
 
 def export_atomic_graph(model, items) -> dict:
@@ -138,7 +138,7 @@ def export_atomic_graph(model, items) -> dict:
     items = list(items)
     sem_idx, sem_mask, item_idx, eff = rep.item_arrays(items, model.vocab, model.config)
     x_is, x_ic, _x_ie = model.atomic(sem_idx, sem_mask, item_idx, eff)
-    x_ie = dense_by_ops(nn.Tensor((eff - model.eff_mean) / model.eff_std), model.eff_net.layers)
+    x_ie = dense_by_ops(nn.Tensor((eff - model.eff_mean) / model.eff_std), model.eff_net)
     return {it.item_id: rep.AtomicEmbeddings(x_is.data[i].copy(), x_ic.data[i].copy(),
                                              x_ie.data[i].copy())
             for i, it in enumerate(items)}
@@ -151,7 +151,7 @@ def fuse_table_graph(atomic_table, model) -> dict:
     if not ids:
         return {}
     x = np.stack([fusion.atomic_concat(atomic_table[i]) for i in ids])
-    out = dense_by_ops(nn.Tensor(x), model.net.layers).data
+    out = dense_by_ops(nn.Tensor(x), model.net).data
     return {item_id: out[i].copy() for i, item_id in enumerate(ids)}
 
 

@@ -67,9 +67,9 @@ def test_c01_gradient_correctness():
         xa, xp, xn = (rng.normal(size=(8, 12)) for _ in range(3))
 
         def triplet_loss_fn():
-            return fu.triplet_loss_batch(fmodel.net.forward(nn.Tensor(xa)),
-                                         fmodel.net.forward(nn.Tensor(xp)),
-                                         fmodel.net.forward(nn.Tensor(xn)), 0.3)
+            return fu.triplet_loss_batch(nn.dense(nn.Tensor(xa), fmodel.net),
+                                         nn.dense(nn.Tensor(xp), fmodel.net),
+                                         nn.dense(nn.Tensor(xn), fmodel.net), 0.3)
 
         err_triplet = finite_diff_gradcheck(triplet_loss_fn, fmodel.params(), eps=1e-5)
         assert err_triplet < 1e-4, f"triplet loss gradcheck {err_triplet}"

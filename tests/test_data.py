@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from higen import cli
 from higen import data as dt
 from higen import expansion as ex
 from higen import fusion as fu
@@ -76,6 +77,24 @@ class TestLoadDataset:
         result = dt.load_dataset(path)
         assert result.malformed == 1 and len(result.rows) == 200
         assert result.rows[0].context == (("i", "pay"),)
+
+    @pytest.mark.parametrize("schema,timestamp", [
+        ("jsonl", '"nan"'), ("jsonl", '"inf"'), ("jsonl", "1e999"), ("jsonl", '"12"'),
+        ("jsonl", "true"), ("tsv", "nan"), ("tsv", "inf"), ("tsv", "1e999")])
+    def test_non_finite_or_non_number_timestamp_is_malformed(self, tmp_path, schema,
+                                                             timestamp):
+        # a NaN or infinite timestamp ended in page_view_key's ValueError or OverflowError
+        rows = sample_rows(200)
+        path = tmp_path / f"rows.{schema}"
+        (save_tsv if schema == "tsv" else dt.save_dataset)(path, rows)
+        lines = path.read_text().splitlines()
+        if schema == "tsv":
+            bad = lines[3].rsplit("\t", 1)[0] + "\t" + timestamp
+        else:
+            bad = json.dumps(json.loads(lines[3]) | {"timestamp": "@"}).replace('"@"', timestamp)
+        write_lines(path, lines + [bad])
+        result = dt.load_dataset(path, schema)
+        assert result.malformed == 1 and result.rows == rows
 
     @pytest.mark.parametrize("field", ["user_id", "query", "target_item_id"])
     @pytest.mark.parametrize("value", [None, ["q"], 7, 1.5, {"a": "b"}])
@@ -222,6 +241,37 @@ class TestArtifactLoaders:
                                             "efficiency values, item 'it0' 2"):
             dt.load_catalog(path)
 
+    @pytest.mark.parametrize("field,text", [
+        ("item_id", "5"), ("category_path", '"12"'), ("category_path", "[1, true]"),
+        ("category_path", "[1.0]"), ("semantic_tokens", '"abc"'),
+        ("semantic_tokens", '["a", 3]'), ("efficiency", '"34"'),
+        ("efficiency", '["inf", 0.1]'), ("efficiency", "[1e999, 0.1]"),
+        ("efficiency", "[null, 0.1]"), ("efficient_score", '"nan"'),
+        ("efficient_score", "1e999"), ("efficient_score", "true")])
+    def test_catalog_field_of_another_type_names_file_and_line(self, tmp_path, field, text):
+        # once coerced: "12" loaded as the path (1, 2), "34" as the efficiency (3.0, 4.0),
+        # and a "nan" score failed at the docids stage with exit 4
+        path = tmp_path / "catalog.jsonl"
+        good = {"item_id": "it0", "category_path": [1], "semantic_tokens": ["a"],
+                "efficiency": [0.1, 0.2], "efficient_score": 0.5}
+        bad = json.dumps(good | {"item_id": "it1", field: "@"}).replace('"@"', text)
+        write_lines(path, [json.dumps(good), bad])
+        with pytest.raises(DataError, match=f"{path} line 2: .*'{field}'"):
+            dt.load_catalog(path)
+
+    @pytest.mark.parametrize("line", ['{"a": 1.7, "b": 2, "similarity": 0.5}',
+                                      '{"a": 1, "b": "102", "similarity": 0.5}',
+                                      '{"a": true, "b": 2, "similarity": 0.5}',
+                                      '{"a": 1, "b": 2, "similarity": true}',
+                                      '{"a": 1, "b": 2, "similarity": "0.5"}',
+                                      '{"a": 1, "b": 2, "similarity": 1e999}'])
+    def test_oracle_field_of_another_type_names_file_and_line(self, tmp_path, line):
+        # once coerced: "a": 1.7 read as category 1, "b": "102" as 102
+        path = tmp_path / "oracle.jsonl"
+        write_lines(path, ['{"a": 1, "b": 2, "similarity": 0.5}', line])
+        with pytest.raises(DataError, match=f"{path} line 2"):
+            dt.read_oracle_jsonl(path)
+
     def test_non_utf8_file_is_data_error(self, tmp_path):
         path = tmp_path / "oracle.jsonl"
         path.write_bytes(b'{"a": 1, "b": 2, "similarity": 0.5}\n\xff\xfe\n')
@@ -235,6 +285,101 @@ class TestArtifactLoaders:
         path.write_text(text)
         with pytest.raises(DataError, match="report.json"):
             EvalReport.load(path)
+
+
+# any JSON value, put in place of one field by TestLoaderFuzz; HUGE is written as the
+# literal 1e999, a number no float holds
+HUGE = "\x00huge"
+SCALARS = st.one_of(st.sampled_from(["nan", "12", "", "inf", "it0001", "a:b"]),
+                    st.text(max_size=4), st.booleans(), st.none(), st.integers(),
+                    st.floats(allow_nan=False, allow_infinity=False), st.just(HUGE))
+FIELD_VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3),
+                         st.dictionaries(st.text(max_size=3), SCALARS, max_size=2))
+
+
+@pytest.fixture(scope="module")
+def corpus_lines(tmp_path_factory):
+    """The lines of the 60-item corpus's catalog, training and oracle files."""
+    out = tmp_path_factory.mktemp("corpus")
+    assert cli.main(["gen-synthetic", "--out", str(out), "--items", "60", "--categories", "6",
+                     "--seed", "0"]) == 0
+    return {name: (out / f"{name}.jsonl").read_text().splitlines()
+            for name in ("catalog", "train", "oracle")}
+
+
+def finite_float(x) -> bool:
+    return type(x) is float and bool(np.isfinite(x))
+
+
+class TestLoaderFuzz:
+    """One field of one line of the 60-item corpus's files replaced by any JSON value.
+    A load either keeps every value as written, of its declared type and finite, or
+    raises a one-line DataError naming the file."""
+
+    FUZZ = settings(max_examples=25, derandomize=True, database=None, deadline=None)
+
+    @staticmethod
+    def load_edited(tmp_path_factory, lines, line, field, value, load):
+        """(records as written, edited line's index, load's result), or ([], index, None)
+        when load raised its DataError."""
+        i = line % len(lines)
+        lines = list(lines)
+        lines[i] = json.dumps(json.loads(lines[i]) | {field: value}).replace(json.dumps(HUGE),
+                                                                            "1e999")
+        path = tmp_path_factory.mktemp("fuzz") / "table.jsonl"
+        write_lines(path, lines)
+        try:
+            result = load(path)
+        except DataError as exc:
+            assert str(path) in str(exc) and "\n" not in str(exc)
+            return [], i, None
+        return [json.loads(line) for line in lines], i, result
+
+    @FUZZ
+    @given(line=st.integers(0, 10_000), value=FIELD_VALUES, field=st.sampled_from(
+        ["item_id", "category_path", "semantic_tokens", "efficiency", "efficient_score"]))
+    @example(line=7, field="efficient_score", value="nan")
+    def test_catalog(self, tmp_path_factory, corpus_lines, line, field, value):
+        recs, _i, items = self.load_edited(tmp_path_factory, corpus_lines["catalog"], line,
+                                           field, value, dt.load_catalog)
+        for it, rec in zip(items or [], recs, strict=True):
+            assert type(it.item_id) is str and it.item_id == rec["item_id"]
+            assert all(type(c) is int for c in it.category_path)
+            assert list(it.category_path) == rec["category_path"]
+            assert all(type(t) is str for t in it.semantic_tokens)
+            assert list(it.semantic_tokens) == rec["semantic_tokens"]
+            assert all(map(finite_float, it.efficiency))
+            assert list(it.efficiency) == rec["efficiency"]
+            assert finite_float(it.efficient_score) and it.efficient_score == rec["efficient_score"]
+
+    @FUZZ
+    @given(line=st.integers(0, 10_000), value=FIELD_VALUES, field=st.sampled_from(
+        ["user_id", "query", "context", "target_item_id", "relevance", "click", "timestamp"]))
+    @example(line=3, field="timestamp", value="nan")
+    def test_training_rows(self, tmp_path_factory, corpus_lines, line, field, value):
+        recs, i, result = self.load_edited(tmp_path_factory, corpus_lines["train"], line,
+                                           field, value, dt.load_dataset)
+        assert result is not None and result.malformed <= 1
+        del recs[i:i + result.malformed]
+        for row, rec in zip(result.rows, recs, strict=True):
+            for key in ("user_id", "query", "target_item_id"):
+                assert type(getattr(row, key)) is str and getattr(row, key) == rec[key]
+            assert all(type(part) is str for entry in row.context for part in entry)
+            assert dt._context_to_raw(row.context) == rec["context"]
+            assert (row.relevance, row.click) == (rec["relevance"], rec["click"])
+            assert type(row.relevance) is int and type(row.click) is int
+            assert finite_float(row.timestamp) and row.timestamp == rec["timestamp"]
+
+    @FUZZ
+    @given(line=st.integers(0, 10_000), value=FIELD_VALUES,
+           field=st.sampled_from(["a", "b", "similarity"]))
+    @example(line=0, field="a", value=101.5)
+    def test_oracle(self, tmp_path_factory, corpus_lines, line, field, value):
+        recs, _i, pairs = self.load_edited(tmp_path_factory, corpus_lines["oracle"], line,
+                                           field, value, dt.read_oracle_jsonl)
+        for (a, b, sim), rec in zip(pairs or [], recs, strict=True):
+            assert type(a) is int and type(b) is int and finite_float(sim)
+            assert (a, b, sim) == (rec["a"], rec["b"], rec["similarity"])
 
 
 class TestWriters:

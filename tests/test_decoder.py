@@ -539,10 +539,10 @@ class TestStepLogits:
                 want = model.position_logits(nn.Tensor(ctx[i:i + 1]), [tuple(heads[i])], t)
                 assert np.array_equal(got[i], want.data[0]), (t, i)
         for net in (model.enc_net, model.step_net):
-            x = rng.normal(size=(b, net.sizes[0]))
-            got = nn.infer(x, net.layers, rowwise=True)
+            x = rng.normal(size=(b, net[0][0].data.shape[0]))
+            got = nn.infer(x, net, rowwise=True)
             for i in range(b):
-                assert np.array_equal(got[i], net.forward(x[i:i + 1]).data[0])
+                assert np.array_equal(got[i], nn.dense(x[i:i + 1], net).data[0])
 
 
 class TestEncodeInfer:
@@ -565,6 +565,34 @@ class TestEncodeInfer:
         for i in range(b):
             one = dec.DecoderBatch(*(a[i:i + 1] for a in idx), [])
             assert np.array_equal(got[i], model.encode(one).data[0]), i
+
+
+class TestStackInputWidth:
+    """Every dense stack checks its input where it runs, in `nn.infer`: the graph
+    (`nn.dense`, `position_logits`) and the serving kernels alike."""
+
+    def test_wrong_width_is_dimension_error(self):
+        _docids, _scores, _trie, _catalog, _rows, model = decoder_world(3)
+        c = model.config
+        width = 2 * c.d_model      # the step network's input: context and prefix
+        for x in (np.zeros((2, width + 1)), np.zeros(width), np.zeros((1, 2, width))):
+            for rowwise in (False, True):
+                with pytest.raises(DimensionError, match="incompatible"):
+                    nn.infer(x, model.step_net, rowwise=rowwise)
+            with pytest.raises(DimensionError, match="incompatible"):
+                nn.dense(x, model.step_net)
+        no_prefix = np.zeros((2, 0), dtype=np.intp)
+        with pytest.raises(DimensionError, match="incompatible"):
+            model.step_logits(np.zeros((2, c.d_model + 1)), no_prefix, 0)
+        with pytest.raises(DimensionError, match="incompatible"):
+            model.position_logits(nn.Tensor(np.zeros((2, c.d_model + 1))), list(no_prefix), 0)
+        # a user table one column wider: the encoder's pooled input no longer fits enc_net
+        model.user_table = nn.Table(np.random.default_rng(0), model.user_table.data.shape[0],
+                                    c.emb + 1)
+        batch = dec.DecoderBatch(np.zeros(2, np.intp), np.zeros((2, c.query_len), np.intp),
+                                 np.zeros((2, c.context_len), np.intp), [])
+        with pytest.raises(DimensionError, match="incompatible"):
+            model.encode_infer(batch)
 
 
 class TestTrainDecoder:

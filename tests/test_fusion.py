@@ -25,8 +25,8 @@ class TestFuse:
     def test_identity_layer_returns_concat(self):
         cfg = fusion.MetricConfig(d_out=6, hidden=())
         model = fusion.FusionModel(2, cfg)
-        model.net.weights[0].data = np.eye(6)
-        model.net.biases[0].data = np.zeros(6)
+        model.net[0][0].data = np.eye(6)
+        model.net[0][1].data = np.zeros(6)
         a = atomic(([1.0, 2.0], [3.0, 4.0], [5.0, 6.0]))
         # fusion input order is (common, efficient, semantic)
         np.testing.assert_allclose(fuse(a, model), [3.0, 4.0, 5.0, 6.0, 1.0, 2.0])
@@ -42,8 +42,9 @@ class TestFuse:
         model = fusion.FusionModel(3, fusion.MetricConfig(d_out=4, hidden=(5,), seed=3))
         a = atomic((rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)))
         want = ref_dense(fusion.atomic_concat(a)[None, :],
-                         [w.data for w in model.net.weights],
-                         [b.data for b in model.net.biases], model.net.activations)[0]
+                         [w.data for w, _b, _act in model.net],
+                         [b.data for _w, b, _act in model.net],
+                         [act for *_wb, act in model.net])[0]
         np.testing.assert_allclose(fuse(a, model), want, atol=1e-10)
 
 
@@ -150,9 +151,8 @@ class TestTripletLoss:
         xa, xp, xn = (rng.normal(size=(3, 6)) for _ in range(3))
 
         def loss():
-            return fusion.triplet_loss_batch(model.net.forward(nn.Tensor(xa)),
-                                             model.net.forward(nn.Tensor(xp)),
-                                             model.net.forward(nn.Tensor(xn)), 0.5)
+            return fusion.triplet_loss_batch(nn.dense(xa, model.net), nn.dense(xp, model.net),
+                                             nn.dense(xn, model.net), 0.5)
 
         assert finite_diff_gradcheck(loss, model.params(), eps=1e-5) < 1e-4
 

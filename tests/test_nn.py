@@ -102,41 +102,41 @@ class TestAttention:
 class TestDenseNet:
     def test_identity_layer_is_identity(self):
         rng = np.random.default_rng(0)
-        net = nn.DenseNet([3, 3], ["identity"], rng)
-        net.weights[0].data = np.eye(3)
-        net.biases[0].data = np.zeros(3)
+        net = nn.dense_stack([3, 3], ["identity"], rng)
+        net[0][0].data = np.eye(3)
+        net[0][1].data = np.zeros(3)
         x = rng.normal(size=(2, 3))
-        np.testing.assert_allclose(net.forward(x).data, x)
+        np.testing.assert_allclose(nn.dense(x, net).data, x)
 
     def test_relu_clamps(self):
         rng = np.random.default_rng(0)
-        net = nn.DenseNet([1, 1], ["relu"], rng)
-        net.weights[0].data = np.array([[-1.0]])
-        net.biases[0].data = np.array([0.0])
-        np.testing.assert_allclose(net.forward([[2.0]]).data, [[0.0]])
+        net = nn.dense_stack([1, 1], ["relu"], rng)
+        net[0][0].data = np.array([[-1.0]])
+        net[0][1].data = np.array([0.0])
+        np.testing.assert_allclose(nn.dense([[2.0]], net).data, [[0.0]])
 
     def test_two_layer_matches_scalar_oracle(self):
         rng = np.random.default_rng(11)
-        net = nn.DenseNet([4, 5, 2], ["relu", "identity"], rng)
+        net = nn.dense_stack([4, 5, 2], ["relu", "identity"], rng)
         x = rng.normal(size=(3, 4))
-        want = ref_dense(x, [w.data for w in net.weights], [b.data for b in net.biases],
-                         net.activations)
-        np.testing.assert_allclose(net.forward(x).data, want, atol=1e-10)
-        got = nn.infer(x, net.layers, rowwise=True)
+        want = ref_dense(x, [w.data for w, _b, _act in net], [b.data for _w, b, _act in net],
+                         [act for *_wb, act in net])
+        np.testing.assert_allclose(nn.dense(x, net).data, want, atol=1e-10)
+        got = nn.infer(x, net, rowwise=True)
         for i in range(3):
-            assert np.array_equal(got[i], net.forward(x[i:i + 1]).data[0])
+            assert np.array_equal(got[i], nn.dense(x[i:i + 1], net).data[0])
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(0)
-        net = nn.DenseNet([4, 2], ["identity"], rng)
+        net = nn.dense_stack([4, 2], ["identity"], rng)
         with pytest.raises(DimensionError):
-            net.forward(np.zeros((1, 3)))
+            nn.dense(np.zeros((1, 3)), net)
 
     def test_deterministic_forward(self):
         rng = np.random.default_rng(0)
-        net = nn.DenseNet([4, 4, 2], ["tanh", "identity"], rng)
+        net = nn.dense_stack([4, 4, 2], ["tanh", "identity"], rng)
         x = np.random.default_rng(5).normal(size=(2, 4))
-        assert np.array_equal(net.forward(x).data, net.forward(x).data)
+        assert np.array_equal(nn.dense(x, net).data, nn.dense(x, net).data)
 
 
 class TestDenseNode:
@@ -153,13 +153,13 @@ class TestDenseNode:
         # negative do, or the decoder's step network once per depth, each with its head
         rng = np.random.default_rng(seed)
         sizes = [int(n) for n in rng.integers(1, 9, size=len(acts) + 1)]
-        net = nn.DenseNet(sizes, acts, rng)
-        for bias in net.biases:
+        net = nn.dense_stack(sizes, acts, rng)
+        for _w, bias, _act in net:
             bias.data = rng.normal(size=bias.data.shape)
         heads = [(nn.Tensor(rng.normal(size=(sizes[-1], 3)), requires_grad=True),
                   nn.Tensor(rng.normal(size=3), requires_grad=True), "identity")
                  for _ in range(uses)]
-        stacks = [net.layers + [heads[u]] if head else net.layers for u in range(uses)]
+        stacks = [net + [heads[u]] if head else net for u in range(uses)]
         xs = [nn.Tensor(rng.normal(size=(b, sizes[0])), requires_grad=input_grad)
               for _ in range(1 if shared_input else uses)]
         inputs = [xs[0 if shared_input else u] for u in range(uses)]
@@ -183,9 +183,9 @@ class TestDenseNode:
 
     def test_dense_stack_is_one_node(self):
         rng = np.random.default_rng(0)
-        net = nn.DenseNet([4, 5, 3, 2], ["relu", "tanh", "identity"], rng)
+        net = nn.dense_stack([4, 5, 3, 2], ["relu", "tanh", "identity"], rng)
         x = nn.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        out = net.forward(x)
+        out = nn.dense(x, net)
         nodes, stack = set(), [out]
         while stack:
             node = stack.pop()
@@ -194,7 +194,7 @@ class TestDenseNode:
                 stack.extend(node._parents)
         assert nodes == {id(out)}
         assert out._parents[0] is x and set(map(id, out._parents[1:])) == set(
-            map(id, net.params().values()))
+            map(id, nn.stack_params("net", net).values()))
 
 
 class TestBinaryCrossEntropy:
@@ -391,7 +391,7 @@ class TestGradcheck:
 
     def test_dense_attention_composite(self):
         rng = np.random.default_rng(2)
-        net = nn.DenseNet([6, 4, 1], ["tanh", "identity"], rng)
+        net = nn.dense_stack([6, 4, 1], ["tanh", "identity"], rng)
         q = nn.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         k = nn.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         v = nn.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
@@ -399,24 +399,25 @@ class TestGradcheck:
         def loss():
             z = nn.reshape(nn.attention_batched(nn.reshape(q, (1, 2, 3)), nn.reshape(k, (1, 3, 3)),
                                                 nn.reshape(v, (1, 3, 6)), 3), (2, 6))
-            return nn.mean_all(net.forward(z))
+            return nn.mean_all(nn.dense(z, net))
 
-        params = {"q": q, "k": k, "v": v, **net.params()}
+        params = {"q": q, "k": k, "v": v, **nn.stack_params("net", net)}
         assert finite_diff_gradcheck(loss, params, eps=1e-5) < 1e-6
 
     @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
     def test_dense_node_each_activation(self, act):
         rng = np.random.default_rng(7)
-        net = nn.DenseNet([3, 4, 2], [act, act], rng)
-        for bias in net.biases:
+        net = nn.dense_stack([3, 4, 2], [act, act], rng)
+        for _w, bias, _act in net:
             bias.data = rng.normal(size=bias.data.shape)
         x = nn.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         c = rng.normal(size=(5, 2))
 
         def loss():
-            return nn.sum_all(nn.mul_const(net.forward(x), c))
+            return nn.sum_all(nn.mul_const(nn.dense(x, net), c))
 
-        assert finite_diff_gradcheck(loss, {"x": x, **net.params()}, eps=1e-5) < 1e-6
+        assert finite_diff_gradcheck(loss, {"x": x, **nn.stack_params("net", net)},
+                                     eps=1e-5) < 1e-6
 
     def test_gather_and_normalize(self):
         rng = np.random.default_rng(4)

@@ -164,6 +164,9 @@ class TestConfig:
         ({"seed": True}, "'seed' expects int"), ({"lr_embed": "0.1"}, "'lr_embed' expects float"),
         ({"position_aware": 1}, "'position_aware' expects bool"),
         ({"eval_ks": 5}, "'eval_ks' expects list"), ({"stages": ["embed", 2]}, "'stages'"),
+        ({"tau": float("inf")}, "'tau' expects finite float"),
+        ({"margin": float("nan")}, "'margin' expects finite float"),
+        ({"i2i_alpha": 10 ** 400}, "'i2i_alpha' expects finite float"),
     ])
     def test_field_types_checked(self, d, error):
         if error is None:
@@ -595,19 +598,25 @@ class TestExitCodes:
             workdir=str(tmp_path / "w")).echo()))
         assert cli.main(["run-all", "--config", str(p)]) == 3
 
-    @pytest.mark.parametrize("source", ["config", "env"])
+    @pytest.mark.parametrize("source", ["config", "env", "config-nonfinite", "env-nonfinite"])
     def test_ill_typed_config_value_is_2(self, corpus, tmp_path, capsys, monkeypatch, source):
-        cfg = json.loads((corpus / "config.json").read_text())
-        if source == "config":
-            cfg["beam_width"] = "abc"
+        # 1e999 in a file parses to inf, and an env value Infinity to inf: a learning rate
+        # or tau of inf once exited 4 mid-training
+        field, text = {"config": ("beam_width", '"abc"'), "env": ("topk", '"x"'),
+                       "config-nonfinite": ("tau", "1e999"),
+                       "env-nonfinite": ("lr_embed", "Infinity")}[source]
+        cfg = json.loads((corpus / "config.json").read_text()) | {"workdir": str(tmp_path / "w")}
+        if source.startswith("config"):
+            cfg[field] = "@"
         else:
-            monkeypatch.setenv("HIGEN_TOPK", '"x"')
+            monkeypatch.setenv(f"HIGEN_{field.upper()}", text)
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg | {"workdir": str(tmp_path / "w")}))
+        p.write_text(json.dumps(cfg).replace('"@"', text))
         assert cli.main(["run-all", "--config", str(p)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1
-        assert ("'beam_width'" if source == "config" else "'topk'") in err
+        assert f"'{field}'" in err
+        assert not (tmp_path / "w").exists()
 
     @pytest.mark.parametrize("key,value", [("normalize_fusion", True),
                                            ("dec_activation", "relu"), ("kfold", 3)])
@@ -697,6 +706,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1
         assert str(bad_catalog) in err and "item 'it0007'" in err
+
+    def test_non_finite_efficient_score_is_3_before_training(self, corpus, tmp_path, capsys):
+        # once trained embed and metric, then exited 4 writing the docID index
+        lines = (corpus / "catalog.jsonl").read_text().splitlines()
+        bad_catalog = tmp_path / "catalog.jsonl"
+        lines[7] = json.dumps(json.loads(lines[7]) | {"efficient_score": "nan"})
+        bad_catalog.write_text("\n".join(lines) + "\n")
+        cfg = json.loads((corpus / "config.json").read_text())
+        cfg.update(catalog_path=str(bad_catalog), workdir=str(tmp_path / "w"))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert cli.main(["train-embed", "--config", str(p)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert f"{bad_catalog} line 8" in err and "'efficient_score'" in err
+        assert not list((tmp_path / "w").glob("*.ckpt.json"))
 
     @pytest.mark.parametrize("line", ['{"user_id": "u0"}', '{"query": ', '["q"]',
                                       '{"query": "q", "context": 5}',

@@ -42,7 +42,7 @@ def tiny_config(**kw):
 
 
 def identity_net(net):
-    for w, b in zip(net.weights, net.biases):
+    for w, b, _act in net:
         w.data = np.eye(*w.data.shape)
         b.data = np.zeros_like(b.data)
 
@@ -58,7 +58,7 @@ class TestUserTower:
         cfg = tiny_config(d_u=2, d_k=3, d_e=8, query_len=1, context_len=1)
         items = make_catalog()
         model = rep.TwoTowerModel(rep.Vocab.build(make_rows(items), items), cfg)
-        model.user_net = nn.DenseNet([8, 8], ["identity"], np.random.default_rng(0), "user_net")
+        model.user_net = nn.dense_stack([8, 8], ["identity"], np.random.default_rng(0))
         identity_net(model.user_net)
         b = 2
         u = rep.user_tower(nn.Tensor(np.zeros((b, 2))), nn.Tensor(np.zeros((b, 1, 3))),
@@ -76,13 +76,13 @@ class TestUserTower:
         x_q = rng.normal(size=(b, cfg.query_len, cfg.d_k))
         x_c = rng.normal(size=(b, cfg.context_len, cfg.d_k))
         got = rep.user_tower(nn.Tensor(x_u), nn.Tensor(x_q), nn.Tensor(x_c), model).data
-        ws = [w.data for w in model.user_net.weights]
-        bs = [bb.data for bb in model.user_net.biases]
+        ws = [w.data for w, _bb, _act in model.user_net]
+        bs = [bb.data for _w, bb, _act in model.user_net]
         for i in range(b):
             z_self = ref_attention(x_c[i], x_c[i], x_c[i], cfg.d_k).reshape(-1)
             z_query = ref_attention(x_q[i], x_c[i], x_c[i], cfg.d_k).reshape(-1)
             feats = np.concatenate([x_u[i], z_self, z_query])[None, :]
-            want = ref_dense(feats, ws, bs, model.user_net.activations)[0]
+            want = ref_dense(feats, ws, bs, [act for *_wb, act in model.user_net])[0]
             np.testing.assert_allclose(got[i], want, atol=1e-10)
 
 
@@ -92,8 +92,8 @@ class TestItemHeads:
         items = make_catalog()
         model = rep.TwoTowerModel(rep.Vocab.build(make_rows(items), items), cfg)
         rng = np.random.default_rng(0)
-        model.rel_head = nn.DenseNet([4, 4], ["identity"], rng, "rel_head")
-        model.click_head = nn.DenseNet([4, 4], ["identity"], rng, "click_head")
+        model.rel_head = nn.dense_stack([4, 4], ["identity"], rng)
+        model.click_head = nn.dense_stack([4, 4], ["identity"], rng)
         identity_net(model.rel_head)
         identity_net(model.click_head)
         return model
@@ -126,9 +126,9 @@ class TestItemHeads:
                                   nn.Tensor(u), model)
         for i in range(b):
             rv = ref_dense(np.concatenate([x_is[i], x_ic[i]])[None, :],
-                           [w.data for w in model.rel_head.weights],
-                           [bb.data for bb in model.rel_head.biases],
-                           model.rel_head.activations)[0]
+                           [w.data for w, _bb, _act in model.rel_head],
+                           [bb.data for _w, bb, _act in model.rel_head],
+                           [act for *_wb, act in model.rel_head])[0]
             cos = ref_cosine(u[i], rv)
             assert -1.0 <= cos <= 1.0
             want = 1.0 / (1.0 + np.exp(-cos / cfg.tau))
@@ -300,7 +300,7 @@ class TestExport:
         # the efficient vector sees the features standardized by the model's statistics
         np.testing.assert_array_equal(table[probe.target_item_id].efficient, x_ie.data[0])
         z = (np.array(by_id[probe.target_item_id].efficiency) - model.eff_mean) / model.eff_std
-        want = z @ model.eff_net.weights[0].data + model.eff_net.biases[0].data
+        want = z @ model.eff_net[0][0].data + model.eff_net[0][1].data
         np.testing.assert_allclose(x_ie.data[0], want, rtol=0, atol=1e-12)
 
     def test_unknown_item_raises(self):
