@@ -121,14 +121,13 @@ def _context_to_raw(context) -> list[str]:
 
 
 def _row_from_record(rec: dict) -> DatasetRow:
-    relevance = rec["relevance"]
-    click = rec["click"]
+    relevance, click = (_field(rec, key, _int) for key in ("relevance", "click"))
     if relevance not in (0, 1) or click not in (0, 1):
         raise DataError(f"non-binary label in row: relevance={relevance!r} click={click!r}")
     user_id, query, target = (_field(rec, key, _str) for key in
                               ("user_id", "query", "target_item_id"))
     return DatasetRow(user_id, query, _parse_context(rec.get("context", [])), target,
-                      int(relevance), int(click), finite_number(rec.get("timestamp", 0.0)))
+                      relevance, click, finite_number(rec.get("timestamp", 0.0)))
 
 
 def _row_from_tsv(line: str) -> DatasetRow:
@@ -175,7 +174,8 @@ def load_dataset(path, schema: str = "jsonl", catalog=None) -> LoadResult:
         known = {it.item_id for it in catalog}
         unknown = sorted({r.target_item_id for r in rows} - known)
         if unknown:
-            raise DataError(f"rows reference items missing from the catalog: {unknown[:10]}")
+            raise DataError(f"{path}: rows reference items missing from the catalog: "
+                            f"{unknown[:10]}")
     return LoadResult(rows, group_page_views(rows), malformed)
 
 

@@ -7,6 +7,12 @@ cross-entropy; decoding walks the docID trie with beam search.
 
 The docID trie owns child order, head columns and leaf order. Beam search
 and the loss work on its node ids, reading each node's children as one run.
+
+A training batch's loss is one graph node: `position_aware_loss` runs the encoder,
+every depth's step and the weighted cross-entropy in plain numpy, and its backward
+adds into each parameter in the order the per-op graph (`encode`, `position_logits`
+and one node per op) did, so every gradient keeps its bits. `encode` and
+`position_logits` stay as that per-op graph, for `brute_force_scores`.
 """
 
 from __future__ import annotations
@@ -49,11 +55,24 @@ class RelevanceOracle:
                 raise DataError(f"similarity {sim} for ({a}, {b}) outside [0, 1]")
             self.table[(a, b)] = float(sim)
             self.table[(b, a)] = float(sim)
+        self._relevant: dict[tuple[int, ...], np.ndarray] = {}
 
     def similarity(self, a: int, b: int) -> float:
         if a == b:
             return 1.0
         return self.table.get((a, b), 0.0)
+
+    def relevant_codes(self, values) -> np.ndarray:
+        """The codes i * n + j (n = len(values)) of the pairs of distinct tokens
+        (values[i], values[j]) with similarity at least 0.5, ascending, then n * n,
+        which no pair has; memoised per values."""
+        key = tuple(values)
+        if key not in self._relevant:
+            col, n = {v: i for i, v in enumerate(key)}, len(key)
+            codes = sorted(col[a] * n + col[b] for (a, b), sim in self.table.items()
+                           if sim >= 0.5 and a != b and a in col and b in col)
+            self._relevant[key] = np.array(codes + [n * n], dtype=np.intp)
+        return self._relevant[key]
 
 
 @dataclass
@@ -275,42 +294,111 @@ def greedy_argmax_token(trie: DocIdTrie, ids: np.ndarray, logits: np.ndarray) ->
     return first + logits[np.arange(len(ids))[:, None], trie.heads[child]].argmax(axis=1)
 
 
+def _encode_fused(model: DecoderModel, batch: DecoderBatch):
+    """model.encode(batch).data in plain numpy, and the function that adds the
+    encoder's parameter gradients under a gradient of it into their .grad, with the
+    products and order of encode's graph. Rows are read through `nn.gather`, whose
+    nodes are dropped: the backward scatters into the tables with `nn.row_sums`."""
+    b, emb = batch.size, model.config.emb
+    zeros = np.zeros(b, dtype=np.intp)
+    lookups = ((model.user_table, batch.user_idx), (model.query_table, batch.query_idx),
+               (model.context_table, batch.context_idx), (model.pool_query, zeros),
+               (model.pool_context, zeros))
+    x_u, x_q, x_c, pq, pc = (nn.gather(table, idx).data for table, idx in lookups)
+    pq, pc = pq.reshape(b, 1, emb), pc.reshape(b, 1, emb)
+    pooled_q, attn_q = nn.attention_infer(pq, x_q, x_q, emb)
+    pooled_c, attn_c = nn.attention_infer(pc, x_c, x_c, emb)
+    hs = nn.dense_forward(np.concatenate([x_u, pooled_q.reshape(b, emb),
+                                          pooled_c.reshape(b, emb)], axis=1), model.enc_net)
+
+    def backward(g):
+        g_in = nn.dense_backward(g, hs, model.enc_net)
+        # contiguous, as the graph's copies are: einsum's summation may follow the layout
+        dq, dk, dv = nn.attention_backward(g_in[:, emb:2 * emb].reshape(b, 1, emb).copy(),
+                                           pq, x_q, x_q, attn_q, emb)
+        dqc, dkc, dvc = nn.attention_backward(g_in[:, 2 * emb:].reshape(b, 1, emb).copy(),
+                                              pc, x_c, x_c, attn_c, emb)
+        grads = (g_in[:, :emb], dk + dv, dkc + dvc, dq.reshape(b, emb), dqc.reshape(b, emb))
+        for (table, idx), grad in zip(lookups, grads):
+            nn._accum(table, nn.row_sums(idx, grad, table.data.shape), own=True)
+
+    return hs[-1], backward
+
+
 def position_aware_loss(batch: DecoderBatch, model: DecoderModel,
                         weights: PositionWeightConfig):
     """Mean over the batch of sum_t w_t * CE(y_t | prefix), w_t a constant:
     lambda_h times the hierarchical decay, plus lambda_s up to the row's
     `semantic_len` where the greedy pick y^_t is not relevant to y_t, or lambda_e
     |E(y_t) - E(y^_t)| past it. Each target is walked once, to its trie node
-    ids. Returns (loss tensor, per-position accuracy dict)."""
-    trie = weights.trie
+    ids. Returns (loss tensor, per-position accuracy dict).
+
+    The loss is one graph node over every parameter. Its forward runs in plain numpy
+    the ops `encode`, `position_logits` and a softmax cross-entropy node would, in
+    their order. Its backward visits the depths in ascending order, then the encoder,
+    and adds into each parameter that several depths share (`step_net`, `tok_table`,
+    `pos_table`, and the gradient of the encoding) in that order, the order the per-op
+    graph's reversed depth-first walk took, so every gradient keeps its bits. The
+    per-op graph's intermediate `+ 0.0` copies are left out: they change only the
+    sign of a zero, which no non-zero sum or product sees, and a parameter's first
+    `_accum` and `nn.row_sums` both turn -0.0 into +0.0."""
+    trie, d_model = weights.trie, model.config.d_model
     path = trie.paths([d.tokens for d in batch.targets])
-    ctx = model.encode(batch)
+    ctx, encode_backward = _encode_fused(model, batch)
     last = (path >= 0).sum(axis=1) - 1
     semantic_len = np.array([d.semantic_len for d in batch.targets])
     total = None
     accuracy: dict[int, float] = {}
+    # per depth: the active rows, their prefix's token rows, the step layers' arrays,
+    # the log-softmax, its target columns and the weights
+    steps = []
     for t in range(path.shape[1]):
         active = np.flatnonzero(path[:, t] >= 0)
         y = path[active, t]
-        logits = model.position_logits(nn.gather(ctx, active), trie.heads[path[active, :t]], t)
+        idx = trie.heads[path[active, :t]] + model.pos_vocab.offsets[:t]
+        prefix_vec = (nn.gather(model.tok_table, idx).data.sum(axis=1)   # zeros when t == 0
+                      + nn.gather(model.pos_table, np.arange(t, dtype=np.intp)).data.sum(axis=0))
+        hs = nn.dense_forward(np.concatenate([ctx[active], prefix_vec], axis=1),
+                              model.step_layers[t])
         y_hat = greedy_argmax_token(trie, path[active, t - 1] if t else np.zeros_like(y),
-                                    logits.data)
+                                    hs[-1])
         accuracy[t] = int((y_hat == y).sum()) / len(active)
         w = np.ones(len(active))
         if weights.position_aware:
-            w = weights.lambda_h * np.array([hierarchical_weight(t, n)
-                                             for n in last[active].tolist()])
+            decay = np.array([hierarchical_weight(t, n) if n >= t else 0.0
+                              for n in range(path.shape[1])])
+            w = weights.lambda_h * decay[last[active]]
             past = t > semantic_len[active]
-            tokens = trie.values[t]
-            for pos in np.flatnonzero(~past & (y_hat != y)):    # similarity(y, y) is 1
-                if weights.oracle.similarity(tokens[trie.heads[y[pos]]],
-                                             tokens[trie.heads[y_hat[pos]]]) < 0.5:
-                    w[pos] += weights.lambda_s
+            # a miss up to the boundary whose pair of head columns the oracle calls
+            # relevant escapes lambda_s; similarity(y, y) is 1
+            miss = np.flatnonzero(~past & (y_hat != y))
+            codes = trie.heads[y[miss]] * len(trie.values[t]) + trie.heads[y_hat[miss]]
+            relevant = weights.oracle.relevant_codes(trie.values[t])
+            w[miss[relevant[np.searchsorted(relevant, codes)] != codes]] += weights.lambda_s
             w[past] += weights.lambda_e * np.abs(trie.scores[y[past]] - trie.scores[y_hat[past]])
-        ce = nn.softmax_cross_entropy(logits, trie.heads[y])
-        contrib = nn.sum_all(nn.mul_const(ce, w))
-        total = contrib if total is None else nn.add(total, contrib)
-    return nn.mul_const(total, 1.0 / batch.size), accuracy
+        lsm = nn.log_softmax_rows(hs[-1])
+        target = trie.heads[y]
+        contrib = (-lsm[np.arange(len(active)), target] * w).sum()
+        total = contrib if total is None else total + contrib
+        steps.append((active, idx, hs, lsm, target, w))
+
+    def backward(g):
+        g = g * (1.0 / batch.size)
+        g_ctx = np.zeros_like(ctx)
+        for t, (active, idx, hs, lsm, target, w) in enumerate(steps):
+            d_logits = np.exp(lsm)
+            d_logits[np.arange(len(active)), target] -= 1.0
+            g_x = nn.dense_backward(d_logits * (g * w)[:, None], hs, model.step_layers[t])
+            g_ctx[active] += g_x[:, :d_model]     # active rows are distinct
+            g_prefix = g_x[:, d_model:]
+            nn._accum(model.tok_table, nn.row_sums(idx, np.broadcast_to(
+                g_prefix[:, None], idx.shape + (d_model,)), model.tok_table.data.shape), own=True)
+            nn._accum(model.pos_table, nn.row_sums(np.arange(t), np.broadcast_to(
+                g_prefix.sum(axis=0), (t, d_model)), model.pos_table.data.shape), own=True)
+        encode_backward(g_ctx)
+
+    loss = np.asarray(total * (1.0 / batch.size))
+    return nn._node(loss, tuple(model.params().values()), backward), accuracy
 
 
 # ---------------------------------------------------------------------------

@@ -195,15 +195,6 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
     return _node(a.data.sum(axis=axis), (a,), bw)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    a = _wrap(a)
-
-    def bw(g):
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
-
-    return _node(np.asarray(a.data.sum()), (a,), bw)
-
-
 def mean_all(a: Tensor) -> Tensor:
     a = _wrap(a)
     n = a.data.size
@@ -214,21 +205,26 @@ def mean_all(a: Tensor) -> Tensor:
     return _node(np.asarray(a.data.mean()), (a,), bw)
 
 
+def row_sums(idx: np.ndarray, g: np.ndarray, shape) -> np.ndarray:
+    """The (rows, cols) gradient of a table's rows idx[...] under g: each element
+    sums its lookups from +0.0 in order, as np.add.at into zeros would (so never
+    -0.0); bincount of nothing would be int64."""
+    rows, cols = shape
+    if idx.size == 0:
+        return np.zeros(shape)
+    return np.bincount((idx[..., None] * cols + np.arange(cols)).ravel(), weights=g.ravel(),
+                       minlength=rows * cols).reshape(rows, cols)
+
+
 def gather(table: Tensor, idx) -> Tensor:
     """Embedding lookup: out[...] = table[idx[...], :] for an int index array."""
     table = _wrap(table)
     idx = np.asarray(idx, dtype=np.intp)
-    if np.any(idx < 0) or np.any(idx >= table.data.shape[0]):
+    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise DimensionError("gather index out of range")
 
     def bw(g):
-        # each element sums its lookups from +0.0 in order, as np.add.at into
-        # zeros would (so never -0.0); bincount of nothing would be int64
-        rows, cols = table.data.shape
-        acc = np.zeros_like(table.data) if idx.size == 0 else np.bincount(
-            (idx[..., None] * cols + np.arange(cols)).ravel(), weights=g.ravel(),
-            minlength=rows * cols).reshape(rows, cols)
-        _accum(table, acc, own=True)
+        _accum(table, row_sums(idx, g, table.data.shape), own=True)
 
     return _node(table.data[idx], (table,), bw)
 
@@ -306,39 +302,28 @@ def attention_infer(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return np.einsum("bqk,bkd->bqd", attn, v), attn
 
 
+def attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                       attn: np.ndarray, d_k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dq, dk, dv) of attention_infer(q, k, v, d_k) under the output gradient g,
+    attn being the weights it returned."""
+    inv = 1.0 / np.sqrt(float(d_k))
+    dv = np.einsum("bqk,bqd->bkd", attn, g)
+    da = np.einsum("bqd,bkd->bqk", g, v)
+    ds = attn * (da - (da * attn).sum(axis=-1, keepdims=True))
+    return (np.einsum("bqk,bkd->bqd", ds, k) * inv, np.einsum("bqk,bqd->bkd", ds, q) * inv,
+            dv)
+
+
 def attention_batched(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
     """attention_infer as a graph op."""
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     out_data, attn = attention_infer(q.data, k.data, v.data, d_k)
-    inv = 1.0 / np.sqrt(float(d_k))
 
     def bw(g):
-        dv = np.einsum("bqk,bqd->bkd", attn, g)
-        da = np.einsum("bqd,bkd->bqk", g, v.data)
-        ds = attn * (da - (da * attn).sum(axis=-1, keepdims=True))
-        _accum(q, np.einsum("bqk,bkd->bqd", ds, k.data) * inv)
-        _accum(k, np.einsum("bqk,bqd->bkd", ds, q.data) * inv)
-        _accum(v, dv)
+        for t, grad in zip((q, k, v), attention_backward(g, q.data, k.data, v.data, attn, d_k)):
+            _accum(t, grad)
 
     return _node(out_data, (q, k, v), bw)
-
-
-def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Per-row cross-entropy of integer targets under softmax(logits)."""
-    logits = _wrap(logits)
-    targets = np.asarray(targets, dtype=np.intp)
-    if logits.data.ndim != 2 or targets.shape != (logits.data.shape[0],):
-        raise DimensionError("softmax_cross_entropy expects (B,V) logits and (B,) targets")
-    lsm = log_softmax_rows(logits.data)
-    rows = np.arange(targets.shape[0])
-    probs = np.exp(lsm)
-
-    def bw(g):
-        d = probs.copy()
-        d[rows, targets] -= 1.0
-        _accum(logits, d * g[:, None])
-
-    return _node(-lsm[rows, targets], (logits,), bw)
 
 
 def bce_mean(p: Tensor, labels) -> Tensor:
@@ -384,23 +369,38 @@ def infer(x: np.ndarray, layers, rowwise: bool = False) -> np.ndarray:
     return x
 
 
-def dense(x: Tensor, layers) -> Tensor:
-    """infer(x, layers) as one graph node. Its backward walks the layers in reverse with
-    the products separate matmul, bias-add and activation nodes would take, so the
-    same bits; g @ W.T is formed for the first layer only if x needs a gradient."""
-    x = _wrap(x)
-    hs = [x.data]       # each layer's input, and last the output
+def dense_forward(x: np.ndarray, layers) -> list[np.ndarray]:
+    """infer(x, layers) one layer at a time: x, each layer's output, and last the
+    stack's output, the arrays `dense_backward` reads."""
+    hs = [x]
     for layer in layers:
         hs.append(infer(hs[-1], [layer]))
+    return hs
+
+
+def dense_backward(g: np.ndarray, hs: list[np.ndarray], layers, input_grad: bool = True):
+    """Add the gradients of each layer's W and b under the output gradient g into their
+    .grad, walking the layers in reverse with the products separate matmul, bias-add
+    and activation nodes would take, so the same bits. Returns the input's gradient,
+    or None without `input_grad`, when the first layer's g @ W.T is not formed."""
+    for i, (w, b, act) in reversed(list(enumerate(layers))):
+        g = _ACTIVATIONS[act][1](g, hs[i + 1])
+        _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
+        _accum(w, hs[i].T @ g)
+        if not (i or input_grad):
+            return None
+        g = g @ w.data.T
+    return g
+
+
+def dense(x: Tensor, layers) -> Tensor:
+    """infer(x, layers) as one graph node, its backward `dense_backward`."""
+    x = _wrap(x)
+    hs = dense_forward(x.data, layers)
 
     def bw(g):
-        for i, (w, b, act) in reversed(list(enumerate(layers))):
-            g = _ACTIVATIONS[act][1](g, hs[i + 1])
-            _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
-            _accum(w, hs[i].T @ g)
-            if i or x.requires_grad or x._parents:
-                g = g @ w.data.T
-        _accum(x, g)    # a no-op unless x needs a gradient
+        if (gx := dense_backward(g, hs, layers, x.requires_grad or bool(x._parents))) is not None:
+            _accum(x, gx)
 
     return _node(hs[-1], (x, *(p for w, b, _act in layers for p in (w, b))), bw)
 

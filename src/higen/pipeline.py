@@ -187,8 +187,9 @@ def _decoder(c, work: Path, out: Path) -> None:
     cfg = dec.DecoderConfig(emb=c.dec_emb, d_model=c.dec_model, hidden=c.dec_hidden,
                             query_len=c.query_len, context_len=c.context_len, lr=c.lr_decoder,
                             batch_size=c.batch_decoder, epochs=c.epochs_decoder, seed=c.seed)
-    model, _history = dec.train_decoder(train.rows, catalog, docids, weights, cfg)
+    model, history = dec.train_decoder(train.rows, catalog, docids, weights, cfg)
     model.save(out / "decoder.ckpt.json")
+    dt.write_jsonl(out / "decoder.history.jsonl", history)
 
 
 def _decode_rows(rows, model, trie, c):
@@ -270,7 +271,7 @@ STAGES = (
           ("data_schema", "seed", "lr_decoder", "batch_decoder", "epochs_decoder", "dec_emb",
            "dec_model", "dec_hidden", "lambda_h", "lambda_s", "lambda_e", "position_aware",
            "query_len", "context_len"),
-          ("decoder.ckpt.json",), _decoder),
+          ("decoder.ckpt.json", "decoder.history.jsonl"), _decoder),
     Stage("eval", "eval",
           ("catalog_path", "train_path", "test_path", "index.json", "decoder.ckpt.json"),
           ("data_schema", "beam_width", "topk", "eval_ks", "variant", "cap", "i2i_alpha",

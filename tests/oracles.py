@@ -7,8 +7,9 @@ check. `fuse`, `hierarchical_weights`, `position_weight`,
 `position_aware_loss_loop`, `expand_variant_direct_first`, `cluster_expand_loop`,
 `beam_search_loop`, `gather_dense`, `swing_scores_loop`, the graph passes
 `export_atomic_graph` and `fuse_table_graph`, the one-shot checkpoint writer
-`save_checkpoint_one_shot`, the per-op graph ops `matmul` and `tanh` with the
-dense stack built from them (`dense_by_ops`), and the autograd test helpers
+`save_checkpoint_one_shot`, the per-op graph ops `matmul`, `tanh`, `sum_all` and
+`softmax_cross_entropy`, the dense stack built from them (`dense_by_ops`), and the
+autograd test helpers
 `mul` and `finite_diff_gradcheck` call into the package.
 """
 
@@ -24,7 +25,7 @@ from higen import fusion
 from higen import nn
 from higen import representation as rep
 from higen.errors import ConfigError, DataError, DimensionError, NumericError
-from higen.nn import Tensor, _accum, _node, _wrap
+from higen.nn import Tensor, _accum, _node, _wrap, log_softmax_rows
 
 
 def ref_attention(q, k, v, d_k):
@@ -176,6 +177,33 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, g * a.data)
 
     return _node(a.data * b.data, (a, b), bw)
+
+
+def sum_all(a: Tensor) -> Tensor:
+    a = _wrap(a)
+
+    def bw(g):
+        _accum(a, np.broadcast_to(g, a.data.shape).copy())
+
+    return _node(np.asarray(a.data.sum()), (a,), bw)
+
+
+def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Per-row cross-entropy of integer targets under softmax(logits)."""
+    logits = _wrap(logits)
+    targets = np.asarray(targets, dtype=np.intp)
+    if logits.data.ndim != 2 or targets.shape != (logits.data.shape[0],):
+        raise DimensionError("softmax_cross_entropy expects (B,V) logits and (B,) targets")
+    lsm = log_softmax_rows(logits.data)
+    rows = np.arange(targets.shape[0])
+    probs = np.exp(lsm)
+
+    def bw(g):
+        d = probs.copy()
+        d[rows, targets] -= 1.0
+        _accum(logits, d * g[:, None])
+
+    return _node(-lsm[rows, targets], (logits,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -512,8 +540,8 @@ def position_aware_loss_loop(batch, model, weights):
                                          weights.lambda_e)
             nodes[i] = node.children[y_t]
             heads[i] += (nodes[i].head,)
-        ce = nn.softmax_cross_entropy(logits, [nodes[i].head for i in active])
-        contrib = nn.sum_all(nn.mul_const(ce, w))
+        ce = softmax_cross_entropy(logits, [nodes[i].head for i in active])
+        contrib = sum_all(nn.mul_const(ce, w))
         total = contrib if total is None else nn.add(total, contrib)
     accuracy = {t: hits[t] / counts[t] for t in counts}
     return nn.mul_const(total, 1.0 / b), accuracy

@@ -47,6 +47,18 @@ class TestLoadDataset:
         assert result.malformed == 1
         assert len(result.rows) == 200
 
+    @pytest.mark.parametrize("label", ["relevance", "click"])
+    @pytest.mark.parametrize("value", ["true", "false", "1.0", "0.0"])
+    def test_label_that_is_no_json_int_is_malformed(self, tmp_path, label, value):
+        # a bool or a float once passed the 0/1 test and loaded as an int
+        path = tmp_path / "rows.jsonl"
+        good = ('{"user_id": "u", "query": "q", "context": [], "target_item_id": "i", '
+                '"relevance": 1, "click": 1, "timestamp": 0}')
+        write_lines(path, [good] * 200 + [good.replace(f'"{label}": 1', f'"{label}": {value}')])
+        result = dt.load_dataset(path)
+        assert result.malformed == 1 and len(result.rows) == 200
+        assert all(type(r.relevance) is int and type(r.click) is int for r in result.rows)
+
     def test_malformed_over_one_percent_aborts(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         good = ('{"user_id": "u", "query": "q", "context": [], "target_item_id": "i", '
@@ -124,8 +136,9 @@ class TestLoadDataset:
         path = tmp_path / "rows.jsonl"
         dt.save_dataset(path, rows)
         catalog = [dt.Item("it00", (1,), ("a",), (0.1,), 0.5)]
-        with pytest.raises(DataError, match="it01"):
+        with pytest.raises(DataError, match="it01") as err:
             dt.load_dataset(path, catalog=catalog)
+        assert str(path) in str(err.value)
 
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):

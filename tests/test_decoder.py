@@ -13,7 +13,7 @@ from higen import decoder as dec
 from higen import docid as di
 from higen import expansion as ex
 from higen import nn
-from higen.data import DatasetRow, Item
+from higen.data import DatasetRow, Item, write_jsonl
 from higen.errors import ConfigError, DataError, DimensionError, IndexBuildError
 
 
@@ -355,6 +355,44 @@ class TestPositionAwareLoss:
         assert got[2] == want[2]
 
 
+class TestLossGraphSize:
+    """The loss is one node: a call and its backward build the encoder's five table
+    lookups, two lookups per depth and the loss node, whatever the batch size. The
+    per-op graph built about twelve nodes per depth."""
+
+    BASE, PER_DEPTH = 6, 2
+
+    def test_tensor_count_is_independent_of_batch_size_and_bounded_per_depth(self,
+                                                                              monkeypatch):
+        docids, _scores, trie, _catalog, rows, model = decoder_world(
+            4, n_items=60, n_cats=4, path_len="unequal")
+        weights = dec.PositionWeightConfig(dec.RelevanceOracle([]), trie)
+        by_depth: dict[int, list] = {}
+        for row in rows:
+            by_depth.setdefault(len(docids[row.target_item_id].tokens), []).append(row)
+        built = [0]
+        init = nn.Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(nn.Tensor, "__init__", counting)
+
+        def tensors(batch_rows):
+            built[0] = 0
+            loss, _accuracy = dec.position_aware_loss(model.prepare_rows(batch_rows, docids),
+                                                      model, weights)
+            loss.backward()
+            return built[0]
+
+        assert len(by_depth) >= 2 and max(map(len, by_depth.values())) >= 8
+        for depth, depth_rows in sorted(by_depth.items()):
+            counts = {tensors(depth_rows[:n]) for n in (1, 2, len(depth_rows))}
+            assert len(counts) == 1, f"depth {depth}: {counts}"
+            assert counts.pop() <= self.BASE + self.PER_DEPTH * depth
+
+
 class TestBeamSearch:
     def test_single_docid_always_returned(self):
         docids, _scores, trie, catalog, rows, model = decoder_world(3, n_items=25)
@@ -596,6 +634,22 @@ class TestStackInputWidth:
 
 
 class TestTrainDecoder:
+    def test_history_file_is_the_same_under_the_per_op_loss(self, tmp_path, monkeypatch):
+        docids, _scores, trie, catalog, rows, _model = decoder_world(
+            6, n_items=40, n_cats=4, path_len="unequal")
+        weights = dec.PositionWeightConfig(dec.RelevanceOracle([(101, 102, 0.6)]), trie)
+        config = dec.DecoderConfig(emb=4, d_model=6, hidden=(8,), epochs=2, batch_size=8)
+
+        def history_bytes(name):
+            _model, history = dec.train_decoder(rows, catalog, docids, weights, config)
+            write_jsonl(tmp_path / name, history)
+            return (tmp_path / name).read_bytes()
+
+        fused = history_bytes("fused.jsonl")
+        monkeypatch.setattr(dec, "position_aware_loss", position_aware_loss_loop)
+        assert history_bytes("per_op.jsonl") == fused
+        assert len(fused.splitlines()) == 2
+
     def test_memorizes_twenty_pairs(self):
         docids, _scores, trie, catalog, rows, model = decoder_world(
             7, n_items=20, n_cats=4)

@@ -203,6 +203,15 @@ class TestRunPipeline:
         report = run_pipeline(cfg)
         assert set(report.skipped_stages) == {"embed", "metric", "docids", "decoder", "eval"}
 
+    def test_decoder_history_has_one_record_per_epoch(self, ran):
+        cfg = PipelineConfig.from_file(ran / "config.json")
+        lines = (ran / "work" / "decoder.history.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["epoch"] for r in records] == list(range(cfg.epochs_decoder))
+        for r in records:
+            assert set(r) == {"epoch", "loss", "position_accuracy"} and r["loss"] > 0
+            assert all(0.0 <= acc <= 1.0 for acc in r["position_accuracy"].values())
+
     def test_ablation_flag_labeled_in_report(self, ran, tmp_path):
         cfg = PipelineConfig.from_file(ran / "config.json")
         cfg.workdir = str(tmp_path / "ablate")
@@ -597,6 +606,19 @@ class TestExitCodes:
             catalog_path=str(tmp_path / "nope.jsonl"), train_path=str(tmp_path / "no.jsonl"),
             workdir=str(tmp_path / "w")).echo()))
         assert cli.main(["run-all", "--config", str(p)]) == 3
+
+    def test_training_row_naming_an_unknown_item_is_3_naming_the_file(self, corpus, tmp_path,
+                                                                       capsys):
+        train = tmp_path / "train.jsonl"
+        row = json.loads((corpus / "train.jsonl").read_text().splitlines()[0])
+        train.write_text((corpus / "train.jsonl").read_text()
+                         + json.dumps(row | {"target_item_id": "no-such-item"}) + "\n")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(PipelineConfig.from_file(corpus / "config.json").echo()
+                                | {"train_path": str(train), "workdir": str(tmp_path / "w")}))
+        assert cli.main(["run-all", "--config", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and str(train) in err and "no-such-item" in err
 
     @pytest.mark.parametrize("source", ["config", "env", "config-nonfinite", "env-nonfinite"])
     def test_ill_typed_config_value_is_2(self, corpus, tmp_path, capsys, monkeypatch, source):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (auc_score, export_atomic_graph, finite_diff_gradcheck, ref_attention,
-                     ref_cosine, ref_dense)
+                     ref_cosine, ref_dense, sum_all)
 
 from higen import nn
 from higen import representation as rep
@@ -212,7 +212,7 @@ class TestGradients:
             for p in model.params().values():
                 p.grad = None
             out = model.forward(batch)[head]
-            nn.sum_all(out).backward()
+            sum_all(out).backward()
             assert np.any(model.item_table.grad != 0.0), f"head {head} ignores x_ic"
 
 
